@@ -34,6 +34,7 @@
 #include <cinttypes>
 #include <cstring>
 
+#include "common/fnv.hpp"
 #include "core/dse.hpp"
 
 using namespace clflow;
@@ -51,38 +52,27 @@ double SweepWallUs(const std::function<core::DseResult()>& sweep,
 /// FNV-1a over everything the determinism contract covers, so two runs
 /// (any thread counts) can be compared with one line of grep+diff.
 std::uint64_t RankedDigest(const core::DseResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  auto mix_double = [&](double d) {
-    std::uint64_t u = 0;
-    std::memcpy(&u, &d, sizeof(u));
-    mix(u);
-  };
-  mix(r.considered);
-  mix(r.rejected_divisibility);
-  mix(r.rejected_bandwidth);
-  mix(r.rejected_bound);
-  mix(r.rejected_dominated);
-  mix(r.rejected_fit);
-  mix(r.rejected_route);
-  mix(r.feasible_total);
-  mix_double(r.worst_kept_fps);
-  mix_double(r.best_dropped_fps);
+  common::Fnv f;
+  f.U64(r.considered);
+  f.U64(r.rejected_divisibility);
+  f.U64(r.rejected_bandwidth);
+  f.U64(r.rejected_bound);
+  f.U64(r.rejected_dominated);
+  f.U64(r.rejected_fit);
+  f.U64(r.rejected_route);
+  f.U64(r.feasible_total);
+  f.F64(r.worst_kept_fps);
+  f.F64(r.best_dropped_fps);
   for (const auto& c : r.ranked) {
-    mix(static_cast<std::uint64_t>(c.conv1x1.c1));
-    mix(static_cast<std::uint64_t>(c.conv1x1.w2));
-    mix(static_cast<std::uint64_t>(c.conv1x1.c2));
-    mix_double(c.predicted_fps);
-    mix_double(c.fmax_mhz);
-    mix(static_cast<std::uint64_t>(c.dsps));
-    for (char ch : c.status_detail) mix(static_cast<std::uint64_t>(ch));
+    f.U64(static_cast<std::uint64_t>(c.conv1x1.c1));
+    f.U64(static_cast<std::uint64_t>(c.conv1x1.w2));
+    f.U64(static_cast<std::uint64_t>(c.conv1x1.c2));
+    f.F64(c.predicted_fps);
+    f.F64(c.fmax_mhz);
+    f.U64(static_cast<std::uint64_t>(c.dsps));
+    for (char ch : c.status_detail) f.U64(static_cast<std::uint64_t>(ch));
   }
-  return h;
+  return f.h;
 }
 
 bool SameRanking(const core::DseResult& a, const core::DseResult& b) {

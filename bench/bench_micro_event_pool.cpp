@@ -1,5 +1,6 @@
 // Microbenchmark of the runtime's SoA EventPool against the AoS
-// vector<ProfiledEvent> representation it replaced.
+// vector-of-structs event representation it replaced (kept below as the
+// bench-local AosEvent baseline).
 //
 // The workload mirrors a steady-state serving loop -- the pattern
 // BuildProfile and the HA layer drive: record one batch of events (a
@@ -51,13 +52,25 @@ const std::vector<std::string>& Labels() {
   return labels;
 }
 
+/// The replaced AoS record: one owning label string per event.
+struct AosEvent {
+  std::string label;
+  ocl::CommandKind kind = ocl::CommandKind::kKernel;
+  int queue = 0;
+  SimTime queued, start, end, stall;
+  std::int64_t bytes = 0;
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;
+  std::uint64_t parent_span_id = 0;
+};
+
 double AosSteadyUs(std::uint64_t* checksum) {
   const auto& labels = Labels();
-  std::vector<ocl::ProfiledEvent> events;
+  std::vector<AosEvent> events;
   std::uint64_t sum = 0;
   auto run_batch = [&](int batch) {
     for (int i = 0; i < kEventsPerBatch; ++i) {
-      ocl::ProfiledEvent ev;
+      AosEvent ev;
       ev.label = labels[static_cast<std::size_t>(i) % labels.size()];
       ev.kind = ocl::CommandKind::kKernel;
       ev.queue = i % 4;

@@ -88,7 +88,8 @@ class BenchSnapshot {
     registries_.emplace_back(label, registry.ToJson());
   }
 
-  /// Writes BENCH_<name>.json; prints the path on success.
+  /// Writes BENCH_<name>.json; prints the path on success and exits the
+  /// process with status 1 when the file cannot be written.
   void Write() const {
     std::string out = "{\"bench\":\"" + obs::JsonEscape(name_) + "\"";
     if (const char* gd = std::getenv("CLFLOW_GIT_DESCRIBE");
@@ -112,8 +113,9 @@ class BenchSnapshot {
     const std::string path = "BENCH_" + name_ + ".json";
     std::ofstream f(path);
     if (!f) {
+      // A stale snapshot must not pass for this run's results.
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return;
+      std::exit(1);
     }
     f << out << "\n";
     std::printf("\nwrote %s (%zu metrics, %zu registry snapshots)\n",

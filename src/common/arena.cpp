@@ -1,16 +1,14 @@
 #include "common/arena.hpp"
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 
 namespace clflow::common {
 
 std::uint64_t FnvHash(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  Fnv f;
+  f.Bytes(s.data(), s.size());
+  return f.h;
 }
 
 Arena::Arena(std::size_t block_bytes)

@@ -1,44 +1,18 @@
 #include "core/compile_cache.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "codegen/opencl_codegen.hpp"
+#include "common/fnv.hpp"
 #include "obs/metrics.hpp"
 
 namespace clflow::core {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-struct Fnv {
-  std::uint64_t h = kFnvOffset;
-
-  void Bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= kFnvPrime;
-    }
-  }
-  void Str(std::string_view s) {
-    U64(s.size());
-    Bytes(s.data(), s.size());
-  }
-  void U64(std::uint64_t v) { Bytes(&v, sizeof(v)); }
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void F64(double v) {
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(v));
-    std::memcpy(&u, &v, sizeof(u));
-    U64(u);
-  }
-  void Bool(bool v) { U64(v ? 1 : 0); }
-};
+using common::Fnv;
 
 /// Every CostModel constant, in declaration order. New fields must be
 /// added here (DESIGN.md section 11 documents the key derivation).

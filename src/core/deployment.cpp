@@ -1096,7 +1096,7 @@ EventBreakdown Deployment::ProfileEvents(const Tensor& input) {
   runtime_->set_profiling(false);
 
   EventBreakdown breakdown;
-  for (const auto& ev : runtime_->events()) {
+  for (const auto& ev : runtime_->event_pool()) {
     switch (ev.kind) {
       case ocl::CommandKind::kWriteBuffer:
         breakdown.write += ev.duration();

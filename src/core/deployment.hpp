@@ -87,7 +87,7 @@ struct RunResult {
   Tensor output;    ///< undefined on timing-only runs
   SimTime latency;  ///< simulated end-to-end time for this image
   /// Deterministic request id of this Run (first call = 1); every
-  /// ProfiledEvent the request produced carries it as trace_id.
+  /// runtime event the request produced carries it as trace_id.
   std::uint64_t trace_id = 0;
 };
 

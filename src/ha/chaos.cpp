@@ -7,16 +7,20 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/compile_cache.hpp"
 #include "graph/graph.hpp"
 #include "ha/replica_set.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace clflow::ha {
 
 namespace {
+
+using obs::JsonEscape;
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
 
@@ -112,46 +116,28 @@ std::string CheckGaugeConservation(const ReplicaSet& rs) {
   return "";
 }
 
-void Fnv(std::uint64_t& h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ull;
-  }
-  h ^= '\n';
-  h *= 0x100000001B3ull;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
+/// One newline-terminated field of the digest.
+void MixLine(common::Fnv& f, std::string_view s) {
+  f.Bytes(s.data(), s.size());
+  f.Bytes("\n", 1);
 }
 
 }  // namespace
 
 std::uint64_t ChaosReport::Digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  common::Fnv f;
+  f.h = 0xCBF29CE484222325ull;
   for (const ChaosScenario& s : scenarios) {
-    Fnv(h, std::to_string(s.index));
-    Fnv(h, s.fault_desc);
-    Fnv(h, std::to_string(s.batches));
-    Fnv(h, std::to_string(s.failovers));
-    Fnv(h, std::to_string(s.fallback_runs));
-    Fnv(h, std::to_string(s.quarantines));
-    Fnv(h, s.recovery_action);
-    Fnv(h, s.outcome);
+    MixLine(f, std::to_string(s.index));
+    MixLine(f, s.fault_desc);
+    MixLine(f, std::to_string(s.batches));
+    MixLine(f, std::to_string(s.failovers));
+    MixLine(f, std::to_string(s.fallback_runs));
+    MixLine(f, std::to_string(s.quarantines));
+    MixLine(f, s.recovery_action);
+    MixLine(f, s.outcome);
   }
-  return h;
+  return f.h;
 }
 
 std::string ChaosReport::ToJson() const {
@@ -168,7 +154,7 @@ std::string ChaosReport::ToJson() const {
        << ", \"quarantines\": " << s.quarantines
        << ", \"detection_us\": " << s.detection_us
        << ", \"recovery_us\": " << s.recovery_us
-       << ", \"recovery_action\": \"" << s.recovery_action
+       << ", \"recovery_action\": \"" << JsonEscape(s.recovery_action)
        << "\", \"outcome\": \"" << JsonEscape(s.outcome) << "\"}"
        << (i + 1 < scenarios.size() ? "," : "") << "\n";
   }

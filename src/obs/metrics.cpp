@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/fnv.hpp"
 #include "common/table.hpp"
 #include "obs/json.hpp"
 
@@ -118,10 +119,10 @@ void Histogram::MergeFrom(const Histogram& other) {
 std::uint64_t Histogram::Digest() const {
   std::lock_guard lock(mu_);
   if (!retain_samples_) return buckets_.Digest();
-  std::uint64_t h = detail::kFnvOffset;
-  detail::FnvMix(h, static_cast<std::uint64_t>(samples_.size()));
-  for (double v : samples_) detail::FnvMix(h, detail::DoubleBits(v));
-  return h;
+  common::Fnv f;
+  f.U64(samples_.size());
+  for (double v : samples_) f.F64(v);
+  return f.h;
 }
 
 LogHistogram Histogram::log_buckets() const {

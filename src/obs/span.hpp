@@ -1,7 +1,7 @@
 // Scoped wall-clock spans for the compile half of the flow.
 //
-// The runtime half of the system already has a timeline (ocl::ProfiledEvent
-// on the simulated clock); compilation happens in real time, so spans use a
+// The runtime half of the system already has a timeline (ocl::EventPool on
+// the simulated clock); compilation happens in real time, so spans use a
 // monotonic wall clock (steady_clock) relative to the owning Tracer's
 // epoch. Spans nest lexically: a ScopedSpan opened while another is alive
 // records one greater depth, which both the summary table (indentation) and

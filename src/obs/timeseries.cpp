@@ -2,26 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+
+#include "common/fnv.hpp"
 
 namespace clflow::obs {
 
-namespace detail {
-
-std::uint64_t DoubleBits(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace detail
-
 namespace {
-
-using detail::DoubleBits;
-using detail::FnvMix;
-using detail::kFnvOffset;
 
 const double kLogGrowth = std::log(LogHistogram::kGrowth);
 
@@ -96,14 +82,14 @@ std::size_t LogHistogram::bucket_count() const {
 }
 
 std::uint64_t LogHistogram::Digest() const {
-  std::uint64_t h = kFnvOffset;
-  FnvMix(h, static_cast<std::uint64_t>(count_));
-  FnvMix(h, static_cast<std::uint64_t>(zero_count_));
+  common::Fnv f;
+  f.U64(static_cast<std::uint64_t>(count_));
+  f.U64(static_cast<std::uint64_t>(zero_count_));
   for (const auto& [index, count] : buckets_) {
-    FnvMix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(index)));
-    FnvMix(h, static_cast<std::uint64_t>(count));
+    f.I64(index);
+    f.U64(static_cast<std::uint64_t>(count));
   }
-  return h;
+  return f.h;
 }
 
 // ---------------------------------------------------------------------------
@@ -252,18 +238,18 @@ void TimeSeries::MergeFrom(const TimeSeries& other) {
 }
 
 std::uint64_t TimeSeries::Digest() const {
-  std::uint64_t h = kFnvOffset;
-  FnvMix(h, static_cast<std::uint64_t>(spec_.resolution.ps()));
-  FnvMix(h, static_cast<std::uint64_t>(spec_.windows));
-  if (!has_data()) return h;
+  common::Fnv f;
+  f.I64(spec_.resolution.ps());
+  f.U64(spec_.windows);
+  if (!has_data()) return f.h;
   for (std::int64_t i = base_index_; i <= last_index_; ++i) {
     const std::size_t slot = Slot(i);
-    FnvMix(h, static_cast<std::uint64_t>(i));
-    FnvMix(h, static_cast<std::uint64_t>(counts_[slot]));
-    FnvMix(h, DoubleBits(values_[slot]));
+    f.I64(i);
+    f.U64(static_cast<std::uint64_t>(counts_[slot]));
+    f.F64(values_[slot]);
   }
-  FnvMix(h, static_cast<std::uint64_t>(dropped_late_));
-  return h;
+  f.U64(static_cast<std::uint64_t>(dropped_late_));
+  return f.h;
 }
 
 void TimeSeries::Clear() {

@@ -35,23 +35,6 @@
 
 namespace clflow::obs {
 
-namespace detail {
-/// FNV-1a building blocks shared by the obs digests (histograms, series,
-/// loadgen request records). Mixing u64s byte-by-byte keeps digests
-/// endian-stable.
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-inline void FnvMix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
-
-[[nodiscard]] std::uint64_t DoubleBits(double v);
-}  // namespace detail
-
 /// Windowing geometry shared by every time series of one campaign:
 /// fixed resolution on the simulated clock, ring capacity in windows.
 struct WindowSpec {

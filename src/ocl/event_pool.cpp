@@ -94,26 +94,4 @@ std::optional<EventPool::View> EventPool::Find(EventId id) const {
   return std::nullopt;
 }
 
-std::vector<ProfiledEvent> EventPool::Snapshot() const {
-  std::vector<ProfiledEvent> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    const View v = (*this)[i];
-    ProfiledEvent ev;
-    ev.label = std::string(v.label);
-    ev.kind = v.kind;
-    ev.queue = v.queue;
-    ev.queued = v.queued;
-    ev.start = v.start;
-    ev.end = v.end;
-    ev.stall = v.stall;
-    ev.bytes = v.bytes;
-    ev.trace_id = v.trace_id;
-    ev.span_id = v.span_id;
-    ev.parent_span_id = v.parent_span_id;
-    out.push_back(std::move(ev));
-  }
-  return out;
-}
-
 }  // namespace clflow::ocl

@@ -1,7 +1,7 @@
 // SoA event pool for the discrete-event runtime.
 //
-// The runtime records one ProfiledEvent per completed command slice.
-// Storing them as a vector of AoS structs made the hot enqueue path pay a
+// The runtime records one event per completed command slice, mirroring
+// OpenCL event profiling info. Storing them as a vector of AoS structs made the hot enqueue path pay a
 // heap-allocated std::string per event (the label) plus reallocation
 // copies of every prior event's string as the vector grew; a steady-state
 // serving loop (ClearEvents per request) re-paid those allocations every
@@ -17,9 +17,9 @@
 //     EventId that is never reused, even as slots are: ids remain valid
 //     correlation keys across ClearEvents/AbortBatch/failover replays.
 //
-// Readers iterate Views: lightweight per-event proxies with the same
-// field names as ProfiledEvent (label as string_view), so the trace/prof
-// consumers template over either representation.
+// The pool is the only event representation: readers (trace export, SLO
+// summaries, the profiler) iterate Views, lightweight per-event proxies
+// assembled from the columns.
 #pragma once
 
 #include <array>
@@ -36,31 +36,6 @@ namespace clflow::ocl {
 
 enum class CommandKind { kWriteBuffer, kReadBuffer, kKernel };
 
-/// Completed-command record, mirroring OpenCL event profiling info. The
-/// AoS form: what Snapshot() materializes and what external callers (and
-/// tests) construct directly.
-struct ProfiledEvent {
-  std::string label;
-  CommandKind kind = CommandKind::kKernel;
-  int queue = 0;
-  SimTime queued, start, end;
-  /// Time this command spent blocked waiting for channel data (kernels
-  /// only): start minus the moment it was otherwise ready to run.
-  SimTime stall;
-  /// Payload size for transfer commands; 0 for kernels.
-  std::int64_t bytes = 0;
-  /// Request-scoped causal identity, stamped by the runtime at record
-  /// time: which Deployment::Run this command served (0 outside any
-  /// request), this command's own span id (monotonic enqueue order on the
-  /// single host thread, hence deterministic), and the request span it
-  /// descends from. ExportChromeTrace turns these into flow arrows.
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_span_id = 0;
-
-  [[nodiscard]] SimTime duration() const { return end - start; }
-};
-
 class EventPool {
  public:
   using EventId = std::uint64_t;
@@ -69,15 +44,23 @@ class EventPool {
   /// two ways, so a pair of labels hashing to one set never thrashes.
   static constexpr std::size_t kLabelMemoSets = 16;
 
-  /// Non-owning view of one live event. Field names mirror ProfiledEvent
-  /// so readers template over both. The label view stays valid for the
-  /// pool's lifetime (interned), not just the event's.
+  /// Non-owning view of one live event. The label view stays valid for
+  /// the pool's lifetime (interned), not just the event's.
   struct View {
     std::string_view label;
     CommandKind kind = CommandKind::kKernel;
     int queue = 0;
-    SimTime queued, start, end, stall;
+    SimTime queued, start, end;
+    /// Time this command spent blocked waiting for channel data (kernels
+    /// only): start minus the moment it was otherwise ready to run.
+    SimTime stall;
+    /// Payload size for transfer commands; 0 for kernels.
     std::int64_t bytes = 0;
+    /// Request-scoped causal identity, stamped by the runtime at record
+    /// time: which Deployment::Run this command served (0 outside any
+    /// request), this command's own span id (monotonic enqueue order on
+    /// the single host thread, hence deterministic), and the request span
+    /// it descends from. ExportChromeTrace turns these into flow arrows.
     std::uint64_t trace_id = 0;
     std::uint64_t span_id = 0;
     std::uint64_t parent_span_id = 0;
@@ -116,9 +99,6 @@ class EventPool {
   /// Looks up a live event by id; nullopt if it was cleared (or never
   /// existed). Linear in size().
   [[nodiscard]] std::optional<View> Find(EventId id) const;
-
-  /// Materializes AoS copies of the live events, in record order.
-  [[nodiscard]] std::vector<ProfiledEvent> Snapshot() const;
 
   // Range over live Views in record order.
   class Iterator {

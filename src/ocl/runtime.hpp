@@ -63,9 +63,6 @@ class Buffer {
 };
 using BufferPtr = std::shared_ptr<Buffer>;
 
-// CommandKind and ProfiledEvent moved to ocl/event_pool.hpp; the include
-// above keeps them visible to every existing user of this header.
-
 /// A kernel launch: timing comes from the synthesized design + per-launch
 /// dynamic stats; functionality from an optional functor over buffer views.
 struct KernelLaunch {
@@ -155,7 +152,7 @@ class Runtime {
 
   // --- Telemetry ------------------------------------------------------------
 
-  /// Installs the request context stamped into every ProfiledEvent (and
+  /// Installs the request context stamped into every recorded event (and
   /// flight-recorder entry) recorded until clear_trace_context().
   /// Deployment::Run brackets its command stream with these.
   void set_trace_context(const telemetry::TraceContext& ctx) {
@@ -204,11 +201,6 @@ class Runtime {
   /// The live event stream as an indexable SoA pool (record order). The
   /// trace/prof/slo readers consume this directly.
   [[nodiscard]] const EventPool& event_pool() const { return events_; }
-  /// AoS materialization of the live events -- convenience for tests and
-  /// one-shot consumers; each call copies. Hot readers use event_pool().
-  [[nodiscard]] std::vector<ProfiledEvent> events() const {
-    return events_.Snapshot();
-  }
   /// Recycles every live event's slot (ids are never reused; column
   /// capacity and the interned label pool are retained, so steady-state
   /// serving loops allocate nothing here).

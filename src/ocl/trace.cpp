@@ -30,11 +30,7 @@ void EmitProcessName(std::ostringstream& os, int pid,
      << ",\"args\":{\"name\":\"" << JsonEscape(name) << "\"}}";
 }
 
-// The emitters template over the event range so both representations --
-// std::vector<ProfiledEvent> (AoS snapshots, tests) and the runtime's
-// EventPool (SoA views) -- serialize through one code path.
-template <typename Events>
-void EmitRuntimeEvents(std::ostringstream& os, const Events& events,
+void EmitRuntimeEvents(std::ostringstream& os, const EventPool& events,
                        int pid) {
   for (const auto& ev : events) {
     // Autorun kernels (queue -1) land on tid 0; queue q on tid q+1.
@@ -65,8 +61,8 @@ void EmitRuntimeEvents(std::ostringstream& os, const Events& events,
 /// the middle, "f" binding-to-enclosing at the last), so Perfetto renders
 /// the request's path across queues. Events are already in span order
 /// (the recorder numbers them on the single host thread).
-template <typename Events>
-void EmitFlowEvents(std::ostringstream& os, const Events& events, int pid) {
+void EmitFlowEvents(std::ostringstream& os, const EventPool& events,
+                    int pid) {
   // Pool iteration yields Views by value, so group (queue, start) copies
   // rather than pointers into the range.
   struct FlowPoint {
@@ -98,8 +94,7 @@ void EmitFlowEvents(std::ostringstream& os, const Events& events, int pid) {
 /// how many transfer bytes are in flight at each instant. Deltas at equal
 /// timestamps merge into one sample, so zero-duration events contribute
 /// nothing (correctly).
-template <typename Events>
-void EmitCounterTracks(std::ostringstream& os, const Events& events,
+void EmitCounterTracks(std::ostringstream& os, const EventPool& events,
                        int pid) {
   std::map<double, double> occupancy;    // ts -> delta concurrent commands
   std::map<double, double> outstanding;  // ts -> delta in-flight bytes
@@ -141,9 +136,10 @@ void EmitCompileSpans(std::ostringstream& os,
   }
 }
 
-template <typename Events>
-std::string ExportChromeTraceImpl(const Events& events,
-                                  const std::string& process_name) {
+}  // namespace
+
+std::string ExportChromeTrace(const EventPool& events,
+                              const std::string& process_name) {
   std::ostringstream os;
   os << "{\"traceEvents\":[";
   EmitProcessName(os, 1, process_name);
@@ -154,10 +150,9 @@ std::string ExportChromeTraceImpl(const Events& events,
   return os.str();
 }
 
-template <typename Events>
-std::string ExportChromeTraceImpl(
-    const Events& events, const std::vector<obs::SpanRecord>& compile_spans,
-    const std::string& process_name) {
+std::string ExportChromeTrace(const EventPool& events,
+                              const std::vector<obs::SpanRecord>& compile_spans,
+                              const std::string& process_name) {
   std::ostringstream os;
   os << "{\"traceEvents\":[";
   EmitProcessName(os, 1, process_name + " compile (wall clock)");
@@ -171,9 +166,8 @@ std::string ExportChromeTraceImpl(
   return os.str();
 }
 
-template <typename Events>
-telemetry::RequestSummary SummarizeRequestImpl(const Events& events,
-                                               std::uint64_t trace_id) {
+telemetry::RequestSummary SummarizeRequest(const EventPool& events,
+                                           std::uint64_t trace_id) {
   telemetry::RequestSummary req;
   req.trace_id = trace_id;
   SimTime first_queued, last_end;
@@ -198,40 +192,6 @@ telemetry::RequestSummary SummarizeRequestImpl(const Events& events,
   req.max_stall_us = worst_stall.us();
   if (any) req.latency_us = (last_end - first_queued).us();
   return req;
-}
-
-}  // namespace
-
-std::string ExportChromeTrace(const std::vector<ProfiledEvent>& events,
-                              const std::string& process_name) {
-  return ExportChromeTraceImpl(events, process_name);
-}
-
-std::string ExportChromeTrace(const EventPool& events,
-                              const std::string& process_name) {
-  return ExportChromeTraceImpl(events, process_name);
-}
-
-std::string ExportChromeTrace(const std::vector<ProfiledEvent>& events,
-                              const std::vector<obs::SpanRecord>& compile_spans,
-                              const std::string& process_name) {
-  return ExportChromeTraceImpl(events, compile_spans, process_name);
-}
-
-std::string ExportChromeTrace(const EventPool& events,
-                              const std::vector<obs::SpanRecord>& compile_spans,
-                              const std::string& process_name) {
-  return ExportChromeTraceImpl(events, compile_spans, process_name);
-}
-
-telemetry::RequestSummary SummarizeRequest(
-    const std::vector<ProfiledEvent>& events, std::uint64_t trace_id) {
-  return SummarizeRequestImpl(events, trace_id);
-}
-
-telemetry::RequestSummary SummarizeRequest(const EventPool& events,
-                                           std::uint64_t trace_id) {
-  return SummarizeRequestImpl(events, trace_id);
 }
 
 }  // namespace clflow::ocl

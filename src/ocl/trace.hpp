@@ -29,28 +29,17 @@ namespace clflow::ocl {
 /// plot queue occupancy (concurrent commands) and outstanding transfer
 /// bytes over time.
 [[nodiscard]] std::string ExportChromeTrace(
-    const std::vector<ProfiledEvent>& events,
-    const std::string& process_name = "clflow");
-
-/// Pool overload: iterates the runtime's SoA event pool directly, without
-/// materializing an AoS snapshot first.
-[[nodiscard]] std::string ExportChromeTrace(
     const EventPool& events, const std::string& process_name = "clflow");
 
 /// Same, plus compile-phase spans as an extra process ("compile, wall
 /// clock"). Span nesting renders via duration containment on one track.
 ///
-/// Events stamped with a request trace context (ProfiledEvent::trace_id
+/// Events stamped with a request trace context (EventPool::View::trace_id
 /// != 0) additionally emit causal flow arrows (ph "s"/"t"/"f", flow id =
 /// trace_id) chaining every command of one request across its queues, so
 /// Perfetto draws each inference request as one connected path instead of
 /// flat per-queue slices. Flow ids are the deterministic trace ids, so
 /// the export is bit-stable across runs and thread counts.
-[[nodiscard]] std::string ExportChromeTrace(
-    const std::vector<ProfiledEvent>& events,
-    const std::vector<obs::SpanRecord>& compile_spans,
-    const std::string& process_name = "clflow");
-
 [[nodiscard]] std::string ExportChromeTrace(
     const EventPool& events, const std::vector<obs::SpanRecord>& compile_spans,
     const std::string& process_name = "clflow");
@@ -61,9 +50,6 @@ namespace clflow::ocl {
 /// the dominant stall. `ok` is left true; the caller flips it when the
 /// request faulted. Lives in ocl (not telemetry) so clflow_telemetry
 /// never depends on the runtime layer.
-[[nodiscard]] telemetry::RequestSummary SummarizeRequest(
-    const std::vector<ProfiledEvent>& events, std::uint64_t trace_id);
-
 [[nodiscard]] telemetry::RequestSummary SummarizeRequest(
     const EventPool& events, std::uint64_t trace_id);
 

@@ -56,16 +56,14 @@ std::string_view BottleneckName(Bottleneck b) {
 
 namespace {
 
-// Templated over the event range so the runtime's SoA EventPool (Views
-// with string_view labels) and AoS std::vector<ProfiledEvent> snapshots
-// both attribute through one implementation.
-template <typename Events>
-Profile AttributeEventsImpl(const core::Deployment& d, const Events& events,
-                            double makespan_us,
-                            const std::vector<double>& queue_busy_us,
-                            const std::vector<double>& queue_idle_us,
-                            const ProfileOptions& opts) {
-  (void)opts;
+/// Attributes an event stream that was already collected (the runtime's
+/// pool since the last ClearEvents, covering `makespan_us`), without
+/// running anything. `queue_busy_us`/`queue_idle_us` give per-queue usage
+/// for the same window.
+Profile AttributeEvents(const core::Deployment& d,
+                        const ocl::EventPool& events, double makespan_us,
+                        const std::vector<double>& queue_busy_us,
+                        const std::vector<double>& queue_idle_us) {
   if (!d.ok()) {
     throw Error("cannot profile a deployment that did not synthesize: " +
                 d.bitstream().status_detail);
@@ -214,27 +212,8 @@ Profile AttributeEventsImpl(const core::Deployment& d, const Events& events,
 
 }  // namespace
 
-Profile AttributeEvents(const core::Deployment& d,
-                        const std::vector<ocl::ProfiledEvent>& events,
-                        double makespan_us,
-                        const std::vector<double>& queue_busy_us,
-                        const std::vector<double>& queue_idle_us,
-                        const ProfileOptions& opts) {
-  return AttributeEventsImpl(d, events, makespan_us, queue_busy_us,
-                             queue_idle_us, opts);
-}
-
-Profile AttributeEvents(const core::Deployment& d,
-                        const ocl::EventPool& events, double makespan_us,
-                        const std::vector<double>& queue_busy_us,
-                        const std::vector<double>& queue_idle_us,
-                        const ProfileOptions& opts) {
-  return AttributeEventsImpl(d, events, makespan_us, queue_busy_us,
-                             queue_idle_us, opts);
-}
-
 Profile BuildProfile(core::Deployment& d, const Tensor& input,
-                     const ProfileOptions& opts) {
+                     const ProfileOptions& /*opts*/) {
   ocl::Runtime& rt = d.runtime();
   const int nq = rt.num_queues();
   std::vector<ocl::Runtime::QueueUsage> before;
@@ -250,9 +229,7 @@ Profile BuildProfile(core::Deployment& d, const Tensor& input,
     busy.push_back((u.busy - before[static_cast<std::size_t>(q)].busy).us());
     idle.push_back((u.idle - before[static_cast<std::size_t>(q)].idle).us());
   }
-  // Attribute straight off the SoA pool -- no AoS snapshot materialized.
-  return AttributeEvents(d, rt.event_pool(), r.latency.us(), busy, idle,
-                         opts);
+  return AttributeEvents(d, rt.event_pool(), r.latency.us(), busy, idle);
 }
 
 void EmitDiagnostics(const Profile& p, analysis::DiagnosticEngine& diags,

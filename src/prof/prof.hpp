@@ -145,22 +145,6 @@ struct ProfileOptions {
 [[nodiscard]] Profile BuildProfile(core::Deployment& d, const Tensor& input,
                                    const ProfileOptions& opts = {});
 
-/// Attributes an event stream that was already collected (the runtime's
-/// events() since the last ClearEvents, covering `makespan_us`), without
-/// running anything. `queue_busy_us`/`queue_idle_us` give per-queue usage
-/// for the same window.
-[[nodiscard]] Profile AttributeEvents(
-    const core::Deployment& d, const std::vector<ocl::ProfiledEvent>& events,
-    double makespan_us, const std::vector<double>& queue_busy_us,
-    const std::vector<double>& queue_idle_us, const ProfileOptions& opts = {});
-
-/// Pool overload: attributes the runtime's SoA event pool in place,
-/// without materializing an AoS snapshot first.
-[[nodiscard]] Profile AttributeEvents(
-    const core::Deployment& d, const ocl::EventPool& events,
-    double makespan_us, const std::vector<double>& queue_busy_us,
-    const std::vector<double>& queue_idle_us, const ProfileOptions& opts = {});
-
 /// Reports the profile's CLF6xx findings into `diags`: CLF601 per
 /// drifting kernel, CLF602 on a broken conservation/matching invariant,
 /// CLF603 when overhead dominates the makespan.

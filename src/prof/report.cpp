@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/table.hpp"
+#include "obs/html.hpp"
 #include "obs/json.hpp"
 
 namespace clflow::prof {
@@ -136,21 +137,7 @@ std::string ToJson(const Profile& p) {
 
 namespace {
 
-/// HTML attribute/text escaping (subset sufficient for kernel names).
-std::string HtmlEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+using obs::HtmlEscape;
 
 const char* SliceColor(const std::string& kind) {
   if (kind == "write") return "#4c8dd6";
@@ -164,19 +151,9 @@ const char* SliceColor(const std::string& kind) {
 
 std::string ToHtml(const Profile& p) {
   std::ostringstream os;
-  os << "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-     << "<title>clflow profile: " << HtmlEscape(p.net) << "</title><style>"
-     << "body{font-family:system-ui,sans-serif;margin:24px;color:#222}"
-     << "h1{font-size:20px}h2{font-size:16px;margin-top:28px}"
-     << "table{border-collapse:collapse;font-size:13px}"
-     << "td,th{border:1px solid #ccc;padding:4px 8px;text-align:right}"
-     << "td:first-child,th:first-child{text-align:left}"
-     << ".bar{display:flex;height:18px;width:480px;background:#eee}"
-     << ".bar div{height:100%}"
-     << ".legend span{display:inline-block;padding:2px 8px;margin-right:6px;"
-     << "font-size:12px;color:#fff}"
-     << "svg text{font-size:10px;font-family:monospace}"
-     << "</style></head><body>";
+  obs::WritePageHead(os, "clflow profile: " + p.net,
+                     ".bar{display:flex;height:18px;width:480px;"
+                     "background:#eee}.bar div{height:100%}");
   os << "<h1>clflow profile &mdash; " << HtmlEscape(p.net) << " on "
      << HtmlEscape(p.board_name) << "</h1>";
   os << "<p>fmax " << Table::Num(p.fmax_mhz, 0) << " MHz (base "

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "core/deployment.hpp"
 #include "ha/replica_set.hpp"
 
@@ -130,7 +131,7 @@ LoadgenReport RunCampaign(
   SimTime server_free = kSimTimeZero;
   std::vector<SimTime> done_times;  // FIFO: monotone completion times
   done_times.reserve(static_cast<std::size_t>(opts.requests));
-  std::uint64_t digest = obs::detail::kFnvOffset;
+  common::Fnv digest;
 
   for (int i = 0; i < opts.requests; ++i) {
     const double rate = rate_at(arrival, i);
@@ -173,17 +174,12 @@ LoadgenReport RunCampaign(
     svc_hist.Observe(r.service().us());
     if (sample_boards) sample_boards(reg, ws, r.completion);
 
-    obs::detail::FnvMix(digest, static_cast<std::uint64_t>(r.arrival.ps()));
-    obs::detail::FnvMix(digest, static_cast<std::uint64_t>(r.start.ps()));
-    obs::detail::FnvMix(digest,
-                        static_cast<std::uint64_t>(r.completion.ps()));
-    obs::detail::FnvMix(
-        digest, static_cast<std::uint64_t>(
-                    static_cast<std::int64_t>(r.board) + 1));
-    obs::detail::FnvMix(digest, (r.ok ? 1ULL : 0ULL) |
-                                    (static_cast<std::uint64_t>(
-                                         r.failovers)
-                                     << 1));
+    digest.I64(r.arrival.ps());
+    digest.I64(r.start.ps());
+    digest.I64(r.completion.ps());
+    digest.I64(static_cast<std::int64_t>(r.board) + 1);
+    digest.U64((r.ok ? 1ULL : 0ULL) |
+               (static_cast<std::uint64_t>(r.failovers) << 1));
     report.requests.push_back(r);
   }
 
@@ -229,7 +225,7 @@ LoadgenReport RunCampaign(
     peak = std::max(peak, w.value / ws.resolution.us());
   }
   report.peak_occupancy = peak;
-  report.digest = digest;
+  report.digest = digest.h;
   return report;
 }
 

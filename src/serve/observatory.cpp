@@ -6,26 +6,14 @@
 #include <sstream>
 
 #include "common/table.hpp"
+#include "obs/html.hpp"
 #include "obs/json.hpp"
 
 namespace clflow::serve {
 
 namespace {
 
-std::string HtmlEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+using obs::HtmlEscape;
 
 /// Exact nearest-rank percentile over an ascending-sorted vector.
 double Pct(const std::vector<double>& sorted, double p) {
@@ -283,19 +271,8 @@ void ChartSvg(std::ostringstream& os, const ObsChart& chart) {
 
 std::string Observatory::ToHtml() const {
   std::ostringstream os;
-  os << "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-     << "<title>clflow observatory: " << HtmlEscape(title)
-     << "</title><style>"
-     << "body{font-family:system-ui,sans-serif;margin:24px;color:#222}"
-     << "h1{font-size:20px}h2{font-size:16px;margin-top:28px}"
-     << "h2 small{color:#888;font-weight:normal}"
-     << "table{border-collapse:collapse;font-size:13px}"
-     << "td,th{border:1px solid #ccc;padding:4px 8px;text-align:right}"
-     << "td:first-child,th:first-child{text-align:left}"
-     << ".legend span{display:inline-block;padding:2px 8px;margin-right:6px;"
-     << "font-size:12px;color:#fff}"
-     << "svg text{font-size:10px;font-family:monospace}"
-     << "</style></head><body>";
+  obs::WritePageHead(os, "clflow observatory: " + title,
+                     "h2 small{color:#888;font-weight:normal}");
   os << "<h1>clflow observatory &mdash; " << HtmlEscape(title) << "</h1>";
   os << "<p>" << HtmlEscape(target) << " &middot; " << HtmlEscape(shape)
      << " trace, seed " << seed << ", " << requests

@@ -177,47 +177,6 @@ void AppendKernel(std::string& out, const SrcKernel& k) {
 
 }  // namespace
 
-SrcExprPtr CloneExpr(const SrcExpr& e) {
-  auto c = std::make_unique<SrcExpr>();
-  c->kind = e.kind;
-  c->int_value = e.int_value;
-  c->float_value = e.float_value;
-  c->text = e.text;
-  c->name = e.name;
-  c->op = e.op;
-  c->line = e.line;
-  c->args.reserve(e.args.size());
-  for (const auto& a : e.args) c->args.push_back(CloneExpr(*a));
-  return c;
-}
-
-bool ExprEquals(const SrcExpr& a, const SrcExpr& b) {
-  if (a.kind != b.kind || a.args.size() != b.args.size()) return false;
-  switch (a.kind) {
-    case SrcExprKind::kIntLit:
-      if (a.int_value != b.int_value) return false;
-      break;
-    case SrcExprKind::kFloatLit:
-      if (a.text != b.text) return false;
-      break;
-    case SrcExprKind::kIdent:
-    case SrcExprKind::kCall:
-      if (a.name != b.name) return false;
-      break;
-    case SrcExprKind::kUnary:
-    case SrcExprKind::kBinary:
-      if (a.op != b.op) return false;
-      break;
-    case SrcExprKind::kTernary:
-    case SrcExprKind::kIndex:
-      break;
-  }
-  for (std::size_t i = 0; i < a.args.size(); ++i) {
-    if (!ExprEquals(*a.args[i], *b.args[i])) return false;
-  }
-  return true;
-}
-
 std::string ToSource(const SrcExpr& e) {
   std::string out;
   AppendExpr(out, e);

@@ -45,11 +45,6 @@ struct SrcExpr {
   int line = 0;
 };
 
-[[nodiscard]] SrcExprPtr CloneExpr(const SrcExpr& e);
-
-/// Structural equality (ignores source lines).
-[[nodiscard]] bool ExprEquals(const SrcExpr& a, const SrcExpr& b);
-
 /// Canonical printing (fully parenthesized, the emitter's formatting).
 [[nodiscard]] std::string ToSource(const SrcExpr& e);
 

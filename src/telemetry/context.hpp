@@ -9,7 +9,7 @@
 // worker-thread count. No wall clock, no randomness.
 //
 // This header is dependency-free on purpose: ocl::Runtime stamps contexts
-// into its ProfiledEvent stream without linking clflow_telemetry.
+// into its event pool (ocl::EventPool) without linking clflow_telemetry.
 #pragma once
 
 #include <cstdint>

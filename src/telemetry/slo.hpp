@@ -4,7 +4,7 @@
 // measurement substrate before a scheduler exists: a declared SloSpec, a
 // sliding window of per-request summaries, and an error-budget burn rate
 // that says how fast the declared objective is being spent. Requests are
-// summarized from the runtime's ProfiledEvent stream (ocl::SummarizeRequest
+// summarized from the runtime's ocl::EventPool (ocl::SummarizeRequest
 // bridges the two layers); the monitor only sees RequestSummary, so
 // clflow_telemetry depends on obs + analysis and nothing above them.
 //
@@ -81,7 +81,7 @@ struct RequestSummary {
   double max_stall_us = 0.0;   ///< largest single-event channel stall
   double queue_wait_us = 0.0;  ///< enqueue-to-start wait, summed
   int queue = 0;               ///< queue carrying the dominant stall
-  std::size_t events = 0;      ///< ProfiledEvents attributed to the request
+  std::size_t events = 0;      ///< runtime events attributed to the request
   bool ok = true;              ///< false when the request faulted
 };
 

@@ -1,4 +1,5 @@
-// Tests for the common substrate: tables, parallel-for, errors, arenas.
+// Tests for the common substrate: tables, parallel-for, errors, arenas,
+// the FNV digest builder.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 
@@ -227,6 +229,20 @@ TEST(StringInterner, ViewsStableAcrossGrowth) {
     EXPECT_EQ(pool.Intern(originals[i]).view.data(), views[i].data());
   }
   EXPECT_EQ(pool.size(), originals.size());
+}
+
+// Pinned outputs: every committed digest (compile-cache keys, histogram,
+// series and loadgen digests, ranked DSE digests) depends on these bytes.
+TEST(Fnv, BuilderOutputIsPinned) {
+  common::Fnv s;
+  s.Bytes("clflow", 6);
+  EXPECT_EQ(s.h, 0xA9BBB024899E7E3CULL);
+  EXPECT_EQ(common::FnvHash("clflow"), 0xA9BBB024899E7E3CULL);
+
+  // U64 mixes little-endian bytes regardless of host order.
+  common::Fnv u;
+  u.U64(0x0123456789ABCDEFULL);
+  EXPECT_EQ(u.h, 0xE1B1F298CFB61863ULL);
 }
 
 TEST(Check, ThrowsWithLocation) {

@@ -197,13 +197,13 @@ TEST(ParamsIo, NetworkRoundTripPreservesInference) {
 // --- Trace export ------------------------------------------------------------------
 
 TEST(Trace, ExportsWellFormedChromeTrace) {
-  std::vector<ocl::ProfiledEvent> events;
-  events.push_back({"write_input", ocl::CommandKind::kWriteBuffer, 0,
-                    SimTime::Us(0), SimTime::Us(1), SimTime::Us(26),
-                    kSimTimeZero, 4096});
-  events.push_back({"k_conv\"1\"", ocl::CommandKind::kKernel, -1,
-                    SimTime::Us(26), SimTime::Us(26), SimTime::Us(80),
-                    kSimTimeZero, 0});
+  ocl::EventPool events;
+  events.Record("write_input", ocl::CommandKind::kWriteBuffer, 0,
+                SimTime::Us(0), SimTime::Us(1), SimTime::Us(26),
+                kSimTimeZero, 4096, 0, 0, 0);
+  events.Record("k_conv\"1\"", ocl::CommandKind::kKernel, -1,
+                SimTime::Us(26), SimTime::Us(26), SimTime::Us(80),
+                kSimTimeZero, 0, 0, 0, 0);
   const std::string json = ocl::ExportChromeTrace(events, "lenet");
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"write_input\""), std::string::npos);

@@ -17,6 +17,7 @@
 #include "ha/chaos.hpp"
 #include "ha/replica_set.hpp"
 #include "nets/nets.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace clflow {
@@ -415,6 +416,23 @@ TEST(Chaos, ReportSerializesScenarioTable) {
   }
   const std::string summary = rep.SummaryTable();
   EXPECT_NE(summary.find("5 passed"), std::string::npos);
+}
+
+TEST(Chaos, ReportJsonEscapesControlBytesInOutcome) {
+  // An outcome can carry arbitrary exception text; control bytes must not
+  // break the document.
+  ha::ChaosReport rep;
+  ha::ChaosScenario s;
+  s.fault_desc = "hang:k_conv1";
+  s.outcome = "watchdog\tfired\r\x01 \"q\" \\ done\n";
+  rep.scenarios.push_back(s);
+  rep.failed = 1;
+  const auto parsed = obs::json::Parse(rep.ToJson());
+  ASSERT_TRUE(parsed.has_value()) << rep.ToJson();
+  const auto* scenarios = parsed->Find("scenarios");
+  ASSERT_NE(scenarios, nullptr);
+  ASSERT_EQ(scenarios->array.size(), 1u);
+  EXPECT_EQ(scenarios->array[0].Find("outcome")->str, s.outcome);
 }
 
 }  // namespace

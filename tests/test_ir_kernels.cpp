@@ -70,6 +70,10 @@ struct ConvCase {
   ConvSchedule sched;
 };
 
+// Without a PrintTo gtest prints a case as its raw bytes, pointers and all,
+// and ctest names each case after that print; the label keeps names stable.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.label; }
+
 class ConvEquivalence : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvEquivalence, MatchesReferenceOp) {
@@ -261,6 +265,8 @@ struct DenseCase {
   DenseSpec spec;
   DenseSchedule sched;
 };
+
+void PrintTo(const DenseCase& c, std::ostream* os) { *os << c.label; }
 
 class DenseEquivalence : public ::testing::TestWithParam<DenseCase> {};
 

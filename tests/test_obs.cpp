@@ -206,10 +206,10 @@ TEST(Json, RegistryCsvHasOneRowPerStat) {
 // --------------------------------------------------------- chrome trace
 
 TEST(Trace, MergedCompileRuntimeTraceIsValidJson) {
-  std::vector<ocl::ProfiledEvent> events;
-  events.push_back({"k_conv\"1\"", ocl::CommandKind::kKernel, 0,
-                    SimTime::Us(1), SimTime::Us(2), SimTime::Us(5),
-                    kSimTimeZero, 0});
+  ocl::EventPool events;
+  events.Record("k_conv\"1\"", ocl::CommandKind::kKernel, 0,
+                SimTime::Us(1), SimTime::Us(2), SimTime::Us(5),
+                kSimTimeZero, 0, 0, 0, 0);
 
   Telemetry telemetry;
   {
@@ -261,7 +261,7 @@ TEST(Trace, MergedCompileRuntimeTraceIsValidJson) {
 
 TEST(Trace, EmptyEventListIsValidJson) {
   const std::string trace = ocl::ExportChromeTrace(
-      std::vector<ocl::ProfiledEvent>{}, "empty@board");
+      ocl::EventPool{}, "empty@board");
   const auto parsed = json::Parse(trace);
   ASSERT_TRUE(parsed.has_value()) << trace;
   // Only the process_name metadata event; no counters for no events.
@@ -269,10 +269,10 @@ TEST(Trace, EmptyEventListIsValidJson) {
 }
 
 TEST(Trace, ZeroDurationEventContributesNoOccupancy) {
-  std::vector<ocl::ProfiledEvent> events;
-  events.push_back({"k_instant", ocl::CommandKind::kKernel, 0,
-                    SimTime::Us(1), SimTime::Us(2), SimTime::Us(2),
-                    kSimTimeZero, 0});
+  ocl::EventPool events;
+  events.Record("k_instant", ocl::CommandKind::kKernel, 0,
+                SimTime::Us(1), SimTime::Us(2), SimTime::Us(2),
+                kSimTimeZero, 0, 0, 0, 0);
   const std::string trace = ocl::ExportChromeTrace(events, "z@board");
   const auto parsed = json::Parse(trace);
   ASSERT_TRUE(parsed.has_value()) << trace;
@@ -284,11 +284,11 @@ TEST(Trace, ZeroDurationEventContributesNoOccupancy) {
 }
 
 TEST(Trace, StallRendersAsDistinguishableSlice) {
-  std::vector<ocl::ProfiledEvent> events;
+  ocl::EventPool events;
   // Dispatched at 4us, blocked on channels until 10us, done at 16us.
-  events.push_back({"k_stalled", ocl::CommandKind::kKernel, 1,
-                    SimTime::Us(3), SimTime::Us(10), SimTime::Us(16),
-                    SimTime::Us(6), 0});
+  events.Record("k_stalled", ocl::CommandKind::kKernel, 1,
+                SimTime::Us(3), SimTime::Us(10), SimTime::Us(16),
+                SimTime::Us(6), 0, 0, 0, 0);
   const std::string trace = ocl::ExportChromeTrace(events, "s@board");
   const auto parsed = json::Parse(trace);
   ASSERT_TRUE(parsed.has_value()) << trace;
@@ -311,13 +311,13 @@ TEST(Trace, StallRendersAsDistinguishableSlice) {
 }
 
 TEST(Trace, TransferBytesCounterAndEscapedLabelsRoundTrip) {
-  std::vector<ocl::ProfiledEvent> events;
-  events.push_back({"h2d \"in\"\n", ocl::CommandKind::kWriteBuffer, 0,
-                    kSimTimeZero, SimTime::Us(0), SimTime::Us(4),
-                    kSimTimeZero, 4096});
-  events.push_back({"d2h", ocl::CommandKind::kReadBuffer, 0,
-                    SimTime::Us(2), SimTime::Us(2), SimTime::Us(6),
-                    kSimTimeZero, 1024});
+  ocl::EventPool events;
+  events.Record("h2d \"in\"\n", ocl::CommandKind::kWriteBuffer, 0,
+                kSimTimeZero, SimTime::Us(0), SimTime::Us(4),
+                kSimTimeZero, 4096, 0, 0, 0);
+  events.Record("d2h", ocl::CommandKind::kReadBuffer, 0,
+                SimTime::Us(2), SimTime::Us(2), SimTime::Us(6),
+                kSimTimeZero, 1024, 0, 0, 0);
   const std::string trace = ocl::ExportChromeTrace(events, "x@board");
   const auto parsed = json::Parse(trace);
   ASSERT_TRUE(parsed.has_value()) << trace;
@@ -590,7 +590,7 @@ TEST(Trace, FlowEventIdsAreIdenticalAcrossDseJobCounts) {
     auto d = core::Deployment::Compile(net, opts);
     EXPECT_TRUE(d.ok());
     for (int i = 0; i < 2; ++i) (void)d.Run(image, /*functional=*/false);
-    return ocl::ExportChromeTrace(d.runtime().events());
+    return ocl::ExportChromeTrace(d.runtime().event_pool());
   };
 
   const std::string serial = trace_with_jobs(1);

@@ -60,7 +60,7 @@ TEST(Runtime, WriteKernelReadOrdering) {
   // Functional copy happened.
   EXPECT_FLOAT_EQ(dst[7], 2.5f);
   // Events are ordered: write < kernel < read.
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   ASSERT_EQ(ev.size(), 3u);
   EXPECT_LE(ev[0].end, ev[1].start);
   EXPECT_LE(ev[1].end, ev[2].start);
@@ -73,7 +73,7 @@ TEST(Runtime, InOrderQueueSerializesAndPaysLaunch) {
   rt.EnqueueKernel(0, {.name = "k0", .stats = FixedCycles(10000), .functional = {}, .reads_channels = {}, .writes_channels = {}});
   rt.EnqueueKernel(0, {.name = "k1", .stats = FixedCycles(10000), .functional = {}, .reads_channels = {}, .writes_channels = {}});
   rt.Finish();
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   ASSERT_EQ(ev.size(), 2u);
   // Second kernel starts at least launch-overhead after the first ends.
   const double gap_us = (ev[1].start - ev[0].end).us();
@@ -87,7 +87,7 @@ TEST(Runtime, ConcurrentQueuesOverlap) {
   rt.EnqueueKernel(0, {.name = "k0", .stats = FixedCycles(100000), .functional = {}, .reads_channels = {}, .writes_channels = {}});
   rt.EnqueueKernel(q1, {.name = "k1", .stats = FixedCycles(100000), .functional = {}, .reads_channels = {}, .writes_channels = {}});
   const SimTime t = rt.Finish();
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   // Independent kernels on separate queues overlap almost entirely.
   EXPECT_LT(ev[1].start, ev[0].end);
   EXPECT_LT(t.us(), 2.0 * ev[0].duration().us());
@@ -106,7 +106,7 @@ TEST(Runtime, ChannelsChainProducerToConsumer) {
                         .reads_channels = {"ch"},
                         .writes_channels = {}});
   rt.Finish();
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   EXPECT_GE(ev[1].start, ev[0].end);
 }
 
@@ -198,7 +198,7 @@ TEST(Runtime, AutorunSkipsDispatchOverhead) {
                        .functional = {}, .reads_channels = {"b"},
                        .writes_channels = {}});
   rt.Finish();
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   ASSERT_EQ(ev.size(), 3u);
   // The autorun kernel starts the moment its channel is ready: no gap.
   EXPECT_EQ(ev[1].start.ps(), ev[0].end.ps());
@@ -303,7 +303,7 @@ TEST(Runtime, ChannelStallAttributedToBlockedReader) {
   ASSERT_EQ(rt.channel_stall().count("ch"), 1u);
   EXPECT_GT(rt.channel_stall().at("ch"), kSimTimeZero);
   // The reader's profiled event carries its own stall time.
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   ASSERT_EQ(ev.size(), 2u);
   EXPECT_EQ(ev[0].stall, kSimTimeZero);
   EXPECT_GT(ev[1].stall, kSimTimeZero);
@@ -371,7 +371,7 @@ TEST(Runtime, ClearEventsKeepsCumulativeUsage) {
 
   rt.ClearEvents();
   // The event log is gone but the accumulated accounting is not.
-  EXPECT_TRUE(rt.events().empty());
+  EXPECT_TRUE(rt.event_pool().empty());
   EXPECT_EQ(rt.queue_usage(0).busy.ps(), usage_before.busy.ps());
   EXPECT_EQ(rt.queue_usage(0).idle.ps(), usage_before.idle.ps());
   EXPECT_EQ(rt.kernel_usage().at("k0").invocations, 1);
@@ -381,7 +381,7 @@ TEST(Runtime, ClearEventsKeepsCumulativeUsage) {
                        .functional = {}, .reads_channels = {},
                        .writes_channels = {}});
   rt.Finish();
-  EXPECT_EQ(rt.events().size(), 1u);
+  EXPECT_EQ(rt.event_pool().size(), 1u);
   EXPECT_GT(rt.queue_usage(0).busy, usage_before.busy);
   EXPECT_EQ(rt.kernel_usage().at("k0").invocations, 2);
 }
@@ -440,21 +440,25 @@ TEST(EventPool, ViewsAndSnapshotAgreeInRecordOrder) {
                 SimTime::Us(i), SimTime::Us(i + 1), SimTime::Us(i + 2),
                 SimTime(), 100 + i, 7, static_cast<std::uint64_t>(i), 3);
   }
-  const auto snap = pool.Snapshot();
-  ASSERT_EQ(snap.size(), 5u);
-  std::size_t i = 0;
+  ASSERT_EQ(pool.size(), 5u);
+  int i = 0;
   for (const auto view : pool) {
-    EXPECT_EQ(view.label, snap[i].label);
-    EXPECT_EQ(view.queue, snap[i].queue);
-    EXPECT_EQ(view.start.ps(), snap[i].start.ps());
-    EXPECT_EQ(view.bytes, snap[i].bytes);
-    EXPECT_EQ(view.trace_id, snap[i].trace_id);
-    EXPECT_EQ(view.span_id, snap[i].span_id);
-    EXPECT_EQ(view.parent_span_id, snap[i].parent_span_id);
+    EXPECT_EQ(view.label, "ev" + std::to_string(i));
+    EXPECT_EQ(view.kind, CommandKind::kWriteBuffer);
+    EXPECT_EQ(view.queue, i);
+    EXPECT_EQ(view.queued.ps(), SimTime::Us(i).ps());
+    EXPECT_EQ(view.start.ps(), SimTime::Us(i + 1).ps());
+    EXPECT_EQ(view.end.ps(), SimTime::Us(i + 2).ps());
+    EXPECT_EQ(view.bytes, 100 + i);
+    EXPECT_EQ(view.trace_id, 7u);
+    EXPECT_EQ(view.span_id, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(view.parent_span_id, 3u);
+    EXPECT_EQ(view.id, static_cast<std::uint64_t>(i + 1));
     ++i;
   }
-  EXPECT_EQ(snap[3].label, "ev3");
-  EXPECT_EQ(snap[3].queue, 3);
+  EXPECT_EQ(i, 5);
+  EXPECT_EQ(pool[3].label, "ev3");
+  EXPECT_EQ(pool[3].queue, 3);
 }
 
 TEST(EventPool, LabelMemoVerifiesContentNotCallerPointer) {
@@ -539,7 +543,7 @@ TEST(Runtime, BackToBackAutorunBatches) {
   EXPECT_NEAR(makespans[0].us(), makespans[1].us(), 5.0);
   // Autorun activations are attributed to their own batch: the second
   // batch's autorun event starts after the first batch fully drained.
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   ASSERT_EQ(ev.size(), 6u);
   EXPECT_GE(ev[4].start, ev[2].end);
   EXPECT_EQ(ev[4].queue, -1);

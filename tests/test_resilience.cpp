@@ -134,7 +134,7 @@ TEST(Resilience, TransferFailureRetriesAndRecovers) {
   // Backoff is exponential: 50us + 100us with the default policy.
   EXPECT_NEAR(rt.backoff_time().us(), 150.0, 1e-6);
   // Every attempt is a distinct profiled event with an attempt marker.
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   ASSERT_EQ(ev.size(), 4u);  // fail#0, fail#1, clean write, read
   EXPECT_NE(ev[0].label.find("[fail#0]"), std::string::npos);
   EXPECT_NE(ev[1].label.find("[fail#1]"), std::string::npos);
@@ -207,7 +207,7 @@ TEST(Resilience, KernelCorruptionRerunsAndCharges) {
   // Two discarded executions cost real simulated time.
   EXPECT_GT(faulted.us(), 2.5 * clean.us());
   // Reruns are visible as separate events.
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   ASSERT_EQ(ev.size(), 3u);
   EXPECT_EQ(ev[0].label, "k0");
   EXPECT_NE(ev[1].label.find("[rerun#1]"), std::string::npos);
@@ -291,8 +291,8 @@ TEST(Resilience, FmaxDroopSlowsEveryKernel) {
                             .writes_channels = {}});
   slow_rt.Finish();
 
-  const double clean_us = clean_rt.events()[0].duration().us();
-  const double slow_us = slow_rt.events()[0].duration().us();
+  const double clean_us = clean_rt.event_pool()[0].duration().us();
+  const double slow_us = slow_rt.event_pool()[0].duration().us();
   EXPECT_NEAR(slow_us, 2.0 * clean_us, 0.05 * clean_us);
 }
 
@@ -307,7 +307,7 @@ TEST(Resilience, DeviceResetChargesReprogram) {
 
   EXPECT_EQ(rt.reprograms(), 1);
   EXPECT_GE(makespan, rt.retry_policy().reprogram_cost);
-  const auto& ev = rt.events();
+  const auto& ev = rt.event_pool();
   ASSERT_EQ(ev.size(), 2u);
   EXPECT_NE(ev[0].label.find("reprogram"), std::string::npos);
 }
@@ -337,8 +337,9 @@ TEST(Resilience, SamePlanSameSeedIsBitIdentical) {
     std::vector<std::string> log;
     for (const auto& f : injector->injected()) log.push_back(f.ToString());
     std::vector<std::string> stream;
-    for (const auto& e : rt.events()) {
-      stream.push_back(e.label + "@" + std::to_string(e.start.ps()) + "-" +
+    for (const auto& e : rt.event_pool()) {
+      stream.push_back(std::string(e.label) + "@" +
+                       std::to_string(e.start.ps()) + "-" +
                        std::to_string(e.end.ps()) + " q" +
                        std::to_string(e.queue));
     }
@@ -396,7 +397,7 @@ TEST(Resilience, DeploymentRecoversSeededPlanBitExactly) {
   EXPECT_DOUBLE_EQ(reg.gauge("ocl.resilience.kernel_reruns").value(), 1.0);
   EXPECT_GT(reg.gauge("ocl.resilience.backoff_us").value(), 0.0);
   const std::string trace = ocl::ExportChromeTrace(
-      rt.events(), d.telemetry().tracer.spans(), "faulted");
+      rt.event_pool(), d.telemetry().tracer.spans(), "faulted");
   EXPECT_NE(trace.find("[fail#0]"), std::string::npos);
   EXPECT_NE(trace.find("[rerun#1]"), std::string::npos);
 }

@@ -249,6 +249,9 @@ struct SnippetCase {
   bool is_error;
 };
 
+// A stable print keeps the ctest case names free of pointer bytes.
+void PrintTo(const SnippetCase& c, std::ostream* os) { *os << c.mode; }
+
 class SrclintSnippet : public ::testing::TestWithParam<SnippetCase> {};
 
 TEST_P(SrclintSnippet, FiresExactlyItsCode) {

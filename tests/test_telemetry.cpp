@@ -1,5 +1,5 @@
 // Tests for the telemetry layer: request-scoped trace-context propagation
-// (Deployment::Run -> ocl::Runtime -> ProfiledEvent -> Chrome-trace flow
+// (Deployment::Run -> ocl::Runtime -> EventPool -> Chrome-trace flow
 // arrows), the flight-recorder ring and its dump-on-fault postmortem, and
 // the SLO monitor's window/burn-rate/diagnostic semantics (CLF701-703).
 #include <gtest/gtest.h>
@@ -71,7 +71,7 @@ TEST(TraceContext, RunStampsEveryEventWithItsRequestId) {
 
   std::set<std::uint64_t> trace_ids;
   std::set<std::uint64_t> span_ids;
-  for (const auto& ev : d.runtime().events()) {
+  for (const auto& ev : d.runtime().event_pool()) {
     trace_ids.insert(ev.trace_id);
     EXPECT_NE(ev.span_id, 0u);  // every recorded event gets a span id
     EXPECT_TRUE(span_ids.insert(ev.span_id).second)
@@ -88,7 +88,7 @@ TEST(TraceContext, ChromeTraceEmitsFlowArrowsPerRequest) {
   (void)d.Run(image, /*functional=*/false);
   (void)d.Run(image, /*functional=*/false);
 
-  const std::string trace = ocl::ExportChromeTrace(d.runtime().events());
+  const std::string trace = ocl::ExportChromeTrace(d.runtime().event_pool());
   const auto doc = obs::json::Parse(trace);
   ASSERT_TRUE(doc.has_value());
   const auto* events = doc->Find("traceEvents");
@@ -128,8 +128,8 @@ TEST(TraceContext, TraceIdsAreBitStableAcrossFreshDeployments) {
     (void)d1.Run(image, /*functional=*/false);
     (void)d2.Run(image, /*functional=*/false);
   }
-  EXPECT_EQ(ocl::ExportChromeTrace(d1.runtime().events()),
-            ocl::ExportChromeTrace(d2.runtime().events()));
+  EXPECT_EQ(ocl::ExportChromeTrace(d1.runtime().event_pool()),
+            ocl::ExportChromeTrace(d2.runtime().event_pool()));
 }
 
 // --- flight recorder ---------------------------------------------------------
@@ -321,8 +321,8 @@ TEST(FlightRecorderTest, AttachingARecorderNeverChangesSpanNumbering) {
   auto without = CompileLenet(LenetPipelinedOptions());
   (void)with.Run(image, /*functional=*/false);
   (void)without.Run(image, /*functional=*/false);
-  EXPECT_EQ(ocl::ExportChromeTrace(with.runtime().events()),
-            ocl::ExportChromeTrace(without.runtime().events()));
+  EXPECT_EQ(ocl::ExportChromeTrace(with.runtime().event_pool()),
+            ocl::ExportChromeTrace(without.runtime().event_pool()));
 }
 
 // --- SLO monitor -------------------------------------------------------------
@@ -437,7 +437,7 @@ TEST(Slo, Clf701FiresUnderInjectedFmaxDroop) {
   for (int i = 0; i < 8; ++i) {
     const auto r = d.Run(image, /*functional=*/false);
     EXPECT_GT(r.latency.us(), spec.latency_objective_us);
-    mon.ObserveRequest(ocl::SummarizeRequest(rt.events(), r.trace_id),
+    mon.ObserveRequest(ocl::SummarizeRequest(rt.event_pool(), r.trace_id),
                        &diags);
   }
   EXPECT_GT(mon.burn_rate(), 1.0);
