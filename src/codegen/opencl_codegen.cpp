@@ -29,8 +29,6 @@ using ir::StmtKind;
 /// not just once per shipped .cl file.
 class Emitter {
  public:
-  explicit Emitter(const CodegenOptions& options) : options_(options) {}
-
   std::string Kernel(const ir::Kernel& k) {
     k.Validate();
     out_.clear();
@@ -63,8 +61,7 @@ class Emitter {
     for (const auto& b : k.buffer_args) {
       if (!first) out_ += ", ";
       first = false;
-      const bool readonly = options_.const_qualify_readonly &&
-                            stored.find(b.get()) == stored.end();
+      const bool readonly = stored.find(b.get()) == stored.end();
       out_ += b->scope == MemScope::kConstant ? "__constant " : "__global ";
       if (readonly) out_ += "const ";
       out_ += ClTypeName(b->dtype);
@@ -332,7 +329,6 @@ class Emitter {
     }
   }
 
-  const CodegenOptions& options_;
   std::string out_;
   int indent_ = 0;
 };
@@ -343,20 +339,17 @@ std::string_view ClTypeName(ir::ScalarType t) {
   return t == ir::ScalarType::kFloat32 ? "float" : "int";
 }
 
-std::string EmitKernel(const ir::Kernel& kernel,
-                       const CodegenOptions& options) {
-  Emitter emitter(options);
+std::string EmitKernel(const ir::Kernel& kernel) {
+  Emitter emitter;
   return emitter.Kernel(kernel);
 }
 
 std::string EmitExpr(const ir::Expr& expr) {
-  CodegenOptions options;
-  Emitter emitter(options);
+  Emitter emitter;
   return emitter.Expr(expr);
 }
 
-std::string EmitProgram(const std::vector<const ir::Kernel*>& kernels,
-                        const CodegenOptions& options) {
+std::string EmitProgram(const std::vector<const ir::Kernel*>& kernels) {
   std::string out;
   // Gather channels across all kernels, by pointer identity, emit once.
   std::set<const ir::BufferNode*> channels;
@@ -366,7 +359,7 @@ std::string EmitProgram(const std::vector<const ir::Kernel*>& kernels,
   }
   const bool any_channels = !channels.empty();
 
-  if (any_channels && options.declare_channel_extension) {
+  if (any_channels) {
     out += "#pragma OPENCL EXTENSION cl_intel_channels : enable\n\n";
   }
   for (const auto* c : channels) {
@@ -387,7 +380,7 @@ std::string EmitProgram(const std::vector<const ir::Kernel*>& kernels,
   }
   if (any_channels) out += '\n';
 
-  Emitter emitter(options);
+  Emitter emitter;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     if (i) out += '\n';
     out += emitter.Kernel(*kernels[i]);

@@ -17,21 +17,15 @@
 
 namespace clflow::codegen {
 
-struct CodegenOptions {
-  bool declare_channel_extension = true;
-  /// Emit "__global const float* restrict" for buffers never stored to.
-  bool const_qualify_readonly = true;
-};
+/// Emits one kernel definition (no channel declarations). Buffers the
+/// kernel never stores to are const-qualified.
+[[nodiscard]] std::string EmitKernel(const ir::Kernel& kernel);
 
-/// Emits one kernel definition (no channel declarations).
-[[nodiscard]] std::string EmitKernel(const ir::Kernel& kernel,
-                                     const CodegenOptions& options = {});
-
-/// Emits a full .cl translation unit: extension pragma, channel
-/// declarations (deduplicated across kernels), then every kernel.
+/// Emits a full .cl translation unit: the cl_intel_channels extension
+/// pragma and channel declarations (deduplicated across kernels) when any
+/// kernel uses channels, then every kernel.
 [[nodiscard]] std::string EmitProgram(
-    const std::vector<const ir::Kernel*>& kernels,
-    const CodegenOptions& options = {});
+    const std::vector<const ir::Kernel*>& kernels);
 
 /// Emits a single expression (exposed for tests).
 [[nodiscard]] std::string EmitExpr(const ir::Expr& expr);

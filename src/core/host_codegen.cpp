@@ -14,8 +14,7 @@ std::string ActBuffer(graph::NodeId id) {
 
 }  // namespace
 
-std::string EmitHostProgram(const Deployment& d,
-                            const HostCodegenOptions& options) {
+std::string EmitHostProgram(const Deployment& d) {
   const graph::Graph& g = d.fused_graph();
   std::ostringstream os;
 
@@ -43,8 +42,7 @@ std::string EmitHostProgram(const Deployment& d,
      << "  cl_int err;\n"
      << "  cl_context context = clCreateContext(nullptr, 1, &device, nullptr, nullptr, &err); CL_OK(err);\n"
      << "  // Program the FPGA with the offline-compiled bitstream.\n"
-     << "  std::vector<unsigned char> aocx; // load " << options.aocx_name
-     << "\n"
+     << "  std::vector<unsigned char> aocx; // load network.aocx\n"
      << "  // ... clCreateProgramWithBinary + clBuildProgram ...\n"
      << "  cl_program program = nullptr; (void)program;\n\n";
 

@@ -15,12 +15,7 @@
 
 namespace clflow::core {
 
-struct HostCodegenOptions {
-  /// Name used for the emitted aocx file.
-  std::string aocx_name = "network.aocx";
-};
-
-[[nodiscard]] std::string EmitHostProgram(
-    const Deployment& deployment, const HostCodegenOptions& options = {});
+/// The host program loads the bitstream from "network.aocx".
+[[nodiscard]] std::string EmitHostProgram(const Deployment& deployment);
 
 }  // namespace clflow::core

@@ -6,8 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "srclint/cfg.hpp"
-
 namespace clflow::srclint {
 
 namespace {
@@ -162,9 +160,8 @@ class PlanValidator {
  public:
   PlanValidator(const SrcProgram& program,
                 const std::vector<const ir::Kernel*>& kernels,
-                const LintOptions& options, analysis::DiagnosticEngine& diags)
-      : program_(program), kernels_(kernels), options_(options),
-        diags_(diags) {}
+                analysis::DiagnosticEngine& diags)
+      : program_(program), kernels_(kernels), diags_(diags) {}
 
   void Run() {
     std::map<std::string, const SrcKernel*> by_name;
@@ -234,8 +231,7 @@ class PlanValidator {
     for (std::size_t i = 0; i < k.buffer_args.size(); ++i) {
       const ir::BufferPtr& b = k.buffer_args[i];
       const SrcParam& p = sk.params[i];
-      const bool want_const = options_.expect_readonly_const &&
-                              stored.find(b.get()) == stored.end();
+      const bool want_const = stored.find(b.get()) == stored.end();
       if (!p.is_pointer) {
         Sig(k.name, b->name,
             AtLine(p.line) + "argument " + std::to_string(i) +
@@ -396,8 +392,7 @@ class PlanValidator {
                                      std::move(message)));
     };
 
-    if (!want.empty() && options_.expect_channel_extension &&
-        !program_.channels_extension) {
+    if (!want.empty() && !program_.channels_extension) {
       report("", "cl_intel_channels extension pragma is missing");
     }
     std::set<std::string> seen;
@@ -435,7 +430,6 @@ class PlanValidator {
 
   const SrcProgram& program_;
   const std::vector<const ir::Kernel*>& kernels_;
-  const LintOptions& options_;
   analysis::DiagnosticEngine& diags_;
 };
 
@@ -586,22 +580,17 @@ struct ArrayAccess {
 
 class KernelLinter {
  public:
-  KernelLinter(const SrcKernel& kernel, const LintOptions& options,
-               analysis::DiagnosticEngine& diags)
-      : kernel_(kernel), options_(options), diags_(diags) {
+  KernelLinter(const SrcKernel& kernel, analysis::DiagnosticEngine& diags)
+      : kernel_(kernel), diags_(diags) {
     for (const auto& l : kernel.locals) locals_[l.name] = &l;
   }
 
   void Run() {
-    if (options_.hygiene) {
-      CheckRestrict();
-      CheckInitAndDeadStores();
-    }
-    if (options_.dependence) {
-      CheckLoopCarried(kernel_.body);
-      Env env;
-      CheckBounds(kernel_.body, env, false);
-    }
+    CheckRestrict();
+    CheckInitAndDeadStores();
+    CheckLoopCarried(kernel_.body);
+    Env env;
+    CheckBounds(kernel_.body, env, false);
   }
 
  private:
@@ -619,126 +608,95 @@ class KernelLinter {
     }
   }
 
-  // --- CLF808 / CLF809 (CFG dataflow) ---------------------------------------
-
-  enum class Init3 { kNo, kMaybe, kYes };
-  using InitState = std::map<std::string, Init3>;
-
-  static Init3 Get(const InitState& s, const std::string& var) {
-    const auto it = s.find(var);
-    return it == s.end() ? Init3::kNo : it->second;
-  }
-
-  static bool JoinInto(InitState& into, const InitState& from) {
-    bool changed = false;
-    std::set<std::string> keys;
-    for (const auto& [k, v] : into) { (void)v; keys.insert(k); }
-    for (const auto& [k, v] : from) { (void)v; keys.insert(k); }
-    for (const auto& key : keys) {
-      const Init3 a = Get(into, key);
-      const Init3 b = Get(from, key);
-      const Init3 joined = a == b ? a : Init3::kMaybe;
-      if (joined != a) {
-        into[key] = joined;
-        changed = true;
-      }
-    }
-    return changed;
-  }
+  // --- CLF808 / CLF809 (one walk in execution order) ------------------------
+  //
+  // `stored` is the set of locals that some path to the current point has
+  // stored to. A read of a local outside it is reached by no store at all
+  // (CLF809; a store on only one branch keeps the read silent). Loop
+  // bodies are walked once: per variable a body either adds the store or
+  // leaves the set alone, so a later iteration only sees more stores and
+  // cannot produce a new finding; nor can skipping the loop, because the
+  // set only grows along the body.
 
   void CheckInitAndDeadStores() {
-    const Cfg cfg = BuildCfg(kernel_);
-    const std::size_t n = cfg.nodes.size();
+    std::set<std::string> stored;
+    WalkStores(kernel_.body, stored);
 
     // CLF808: variable-granularity liveness -- an on-chip buffer that is
     // stored to but never loaded burns BRAM/registers for nothing.
-    std::set<std::string> read_vars, written_vars;
-    std::map<std::string, int> first_write_line;
-    for (const auto& node : cfg.nodes) {
-      for (const auto& ev : node.events) {
-        if (locals_.find(ev.var) == locals_.end()) continue;
-        if (ev.is_write) {
-          written_vars.insert(ev.var);
-          if (first_write_line.find(ev.var) == first_write_line.end()) {
-            first_write_line[ev.var] = ev.line;
-          }
-        } else {
-          read_vars.insert(ev.var);
-        }
-      }
-    }
     for (const auto& l : kernel_.locals) {
-      if (written_vars.count(l.name) != 0 && read_vars.count(l.name) == 0) {
+      const auto first = first_store_line_.find(l.name);
+      if (first != first_store_line_.end() && read_vars_.count(l.name) == 0) {
         diags_.Report(Diagnostic::Make(
             analysis::kSrcDeadStore, DiagLocation{kernel_.name, "", l.name},
-            AtLine(first_write_line[l.name]) + "on-chip buffer '" + l.name +
+            AtLine(first->second) + "on-chip buffer '" + l.name +
                 "' is written but its value is never read"));
       }
     }
-
-    // CLF809: forward may/must-init dataflow to a fixpoint. A read is
-    // reported only when its in-state is definitely-uninitialized
-    // (conditional init joins to kMaybe and stays silent).
-    std::vector<InitState> in(n);
-    std::vector<std::vector<int>> preds(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const int succ : cfg.nodes[i].succs) {
-        preds[static_cast<std::size_t>(succ)].push_back(static_cast<int>(i));
-      }
-    }
-    auto transfer = [&](std::size_t node, InitState state) {
-      for (const auto& ev : cfg.nodes[node].events) {
-        if (ev.is_write && locals_.find(ev.var) != locals_.end()) {
-          state[ev.var] = Init3::kYes;
-        }
-      }
-      return state;
-    };
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (static_cast<int>(i) == cfg.entry) continue;
-        InitState merged;
-        bool first = true;
-        for (const int p : preds[i]) {
-          const InitState out = transfer(static_cast<std::size_t>(p),
-                                         in[static_cast<std::size_t>(p)]);
-          if (first) {
-            merged = out;
-            first = false;
-          } else {
-            JoinInto(merged, out);
-          }
-        }
-        if (merged != in[i]) {
-          in[i] = std::move(merged);
-          changed = true;
-        }
-      }
-    }
-
-    std::map<std::string, int> uninit;  // var -> first offending line
-    for (std::size_t i = 0; i < n; ++i) {
-      InitState state = in[i];
-      for (const auto& ev : cfg.nodes[i].events) {
-        if (locals_.find(ev.var) == locals_.end()) continue;
-        if (ev.is_write) {
-          state[ev.var] = Init3::kYes;
-        } else if (Get(state, ev.var) == Init3::kNo) {
-          const auto it = uninit.find(ev.var);
-          if (it == uninit.end() || ev.line < it->second) {
-            uninit[ev.var] = ev.line;
-          }
-        }
-      }
-    }
-    for (const auto& [var, line] : uninit) {
+    for (const auto& [var, line] : uninit_line_) {
       diags_.Report(Diagnostic::Make(
           analysis::kSrcUninitSrcRead, DiagLocation{kernel_.name, "", var},
           AtLine(line) + "'" + var +
               "' is read before any store reaches it (first iteration sees "
               "undefined data)"));
+    }
+  }
+
+  void ReadsOf(const SrcExpr& e, const std::set<std::string>& stored) {
+    if (e.kind != SrcExprKind::kIdent) {
+      for (const auto& a : e.args) ReadsOf(*a, stored);
+      return;
+    }
+    if (locals_.find(e.name) == locals_.end()) return;
+    read_vars_.insert(e.name);
+    if (stored.count(e.name) != 0) return;
+    const auto [it, fresh] = uninit_line_.emplace(e.name, e.line);
+    if (!fresh) it->second = std::min(it->second, e.line);
+  }
+
+  void StoreTo(const std::string& var, int line,
+               std::set<std::string>& stored) {
+    if (locals_.find(var) == locals_.end()) return;
+    stored.insert(var);
+    first_store_line_.emplace(var, line);
+  }
+
+  void WalkStores(const std::vector<SrcStmtPtr>& body,
+                  std::set<std::string>& stored) {
+    for (const auto& sp : body) {
+      const SrcStmt& s = *sp;
+      switch (s.kind) {
+        case SrcStmtKind::kAssign:
+          // Value and target indices are evaluated before the element is
+          // written, so `acc = acc + x` reads before it writes.
+          ReadsOf(*s.value, stored);
+          if (s.target->kind == SrcExprKind::kIndex) {
+            for (std::size_t i = 1; i < s.target->args.size(); ++i) {
+              ReadsOf(*s.target->args[i], stored);
+            }
+            StoreTo(s.target->args[0]->name, s.line, stored);
+          } else {
+            StoreTo(s.target->name, s.line, stored);
+          }
+          break;
+        case SrcStmtKind::kCallStmt:
+          ReadsOf(*s.call, stored);
+          break;
+        case SrcStmtKind::kIf: {
+          ReadsOf(*s.cond, stored);
+          std::set<std::string> then_stored = stored;
+          WalkStores(s.then_body, then_stored);
+          WalkStores(s.else_body, stored);
+          stored.insert(then_stored.begin(), then_stored.end());
+          break;
+        }
+        case SrcStmtKind::kFor:
+          ReadsOf(*s.init, stored);
+          ReadsOf(*s.bound, stored);
+          StoreTo(s.loop_var, s.line, stored);
+          WalkStores(s.body, stored);
+          break;
+      }
     }
   }
 
@@ -977,25 +935,26 @@ class KernelLinter {
   }
 
   const SrcKernel& kernel_;
-  const LintOptions& options_;
   analysis::DiagnosticEngine& diags_;
   std::map<std::string, const SrcLocalDecl*> locals_;
   std::set<std::pair<std::string, int>> reported_oob_;
+  std::set<std::string> read_vars_;
+  std::map<std::string, int> first_store_line_;  // var -> first store
+  std::map<std::string, int> uninit_line_;       // var -> first bad read
 };
 
 }  // namespace
 
 void ValidateAgainstPlan(const SrcProgram& program,
                          const std::vector<const ir::Kernel*>& kernels,
-                         const LintOptions& options,
                          analysis::DiagnosticEngine& diags) {
-  PlanValidator validator(program, kernels, options, diags);
+  PlanValidator validator(program, kernels, diags);
   validator.Run();
 }
 
-void LintKernelSource(const SrcKernel& kernel, const LintOptions& options,
+void LintKernelSource(const SrcKernel& kernel,
                       analysis::DiagnosticEngine& diags) {
-  KernelLinter linter(kernel, options, diags);
+  KernelLinter linter(kernel, diags);
   linter.Run();
 }
 

@@ -10,12 +10,11 @@ namespace clflow::srclint {
 /// CLF801-804: proves the parsed program matches the planned kernels.
 void ValidateAgainstPlan(const SrcProgram& program,
                          const std::vector<const ir::Kernel*>& kernels,
-                         const LintOptions& options,
                          analysis::DiagnosticEngine& diags);
 
 /// CLF805-809: plan-free dependence, bounds, and hygiene lints on one
 /// parsed kernel.
-void LintKernelSource(const SrcKernel& kernel, const LintOptions& options,
+void LintKernelSource(const SrcKernel& kernel,
                       analysis::DiagnosticEngine& diags);
 
 }  // namespace clflow::srclint

@@ -1,5 +1,5 @@
-// Source-level AST for the emitted OpenCL C dialect (CLF8xx tentpole,
-// stage 2 of 3).
+// Source-level AST for the emitted OpenCL C dialect: what the parser
+// builds and the CLF8xx analyses walk.
 //
 // This AST deliberately mirrors the *source*, not clflow's tensor IR: the
 // whole point of the translation validator is that it reconstructs the

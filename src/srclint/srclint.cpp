@@ -14,8 +14,7 @@ std::string_view ExpectedTypeName(ir::ScalarType t) {
 }
 
 std::optional<SrcProgram> LintSource(const std::string& source,
-                                     analysis::DiagnosticEngine& diags,
-                                     const LintOptions& options) {
+                                     analysis::DiagnosticEngine& diags) {
   SrcProgram program;
   try {
     program = ParseProgram(source);
@@ -26,19 +25,18 @@ std::optional<SrcProgram> LintSource(const std::string& source,
     return std::nullopt;
   }
   for (const auto& kernel : program.kernels) {
-    LintKernelSource(kernel, options, diags);
+    LintKernelSource(kernel, diags);
   }
   return program;
 }
 
 bool LintProgram(const std::string& source,
                  const std::vector<const ir::Kernel*>& kernels,
-                 analysis::DiagnosticEngine& diags,
-                 const LintOptions& options) {
+                 analysis::DiagnosticEngine& diags) {
   const int errors_before = diags.error_count();
-  const auto program = LintSource(source, diags, options);
+  const auto program = LintSource(source, diags);
   if (program) {
-    ValidateAgainstPlan(*program, kernels, options, diags);
+    ValidateAgainstPlan(*program, kernels, diags);
   }
   return diags.error_count() == errors_before;
 }

@@ -2,9 +2,8 @@
 //
 // The rest of the flow trusts the emitter: the IR verifier, dataflow
 // checker, and perf lints all run on the *plan*. srclint closes the loop
-// by re-parsing the emitted .cl text (lexer/parser/cfg) and proving,
-// from the text alone, that it matches the scheduled kernels -- the
-// CLF8xx family:
+// by re-parsing the emitted .cl text (lexer/parser) and proving, from the
+// text alone, that it matches the scheduled kernels -- the CLF8xx family:
 //
 //   CLF800  source does not parse as the emitted dialect
 //   CLF801  kernel signature / attributes / locals diverge from the plan
@@ -35,20 +34,6 @@
 
 namespace clflow::srclint {
 
-struct LintOptions {
-  /// Expect read-only global buffers to be 'const'-qualified (mirror of
-  /// CodegenOptions::const_qualify_readonly; the expectation is derived
-  /// from the plan's store set, not from codegen).
-  bool expect_readonly_const = true;
-  /// Expect the cl_intel_channels extension pragma when channels exist
-  /// (mirror of CodegenOptions::declare_channel_extension).
-  bool expect_channel_extension = true;
-  /// Run the hygiene warnings (CLF807-809).
-  bool hygiene = true;
-  /// Run the dependence/bounds analyses (CLF805-806).
-  bool dependence = true;
-};
-
 /// srclint's own dtype spelling. Intentionally NOT codegen::ClTypeName:
 /// the cross-check must fail if the emitter's mapping is wrong.
 [[nodiscard]] std::string_view ExpectedTypeName(ir::ScalarType t);
@@ -56,15 +41,13 @@ struct LintOptions {
 /// Parses `source` and runs the plan-free analyses (CLF805-809).
 /// A parse failure reports CLF800 and returns nullopt.
 std::optional<SrcProgram> LintSource(const std::string& source,
-                                     analysis::DiagnosticEngine& diags,
-                                     const LintOptions& options = {});
+                                     analysis::DiagnosticEngine& diags);
 
 /// Full translation validation: LintSource plus the CLF801-804
 /// cross-checks of `source` against the planned kernels. Returns false
 /// iff this call reported at least one error-severity diagnostic.
 bool LintProgram(const std::string& source,
                  const std::vector<const ir::Kernel*>& kernels,
-                 analysis::DiagnosticEngine& diags,
-                 const LintOptions& options = {});
+                 analysis::DiagnosticEngine& diags);
 
 }  // namespace clflow::srclint

@@ -1,5 +1,5 @@
 // Tests for clflow::srclint, the source-level linter / translation
-// validator (CLF8xx): lexer and parser units, the peeled CFG, one
+// validator (CLF8xx): lexer and parser units, the CLF808/809 walk, one
 // injected-defect test per code proving it fires, clean runs over the
 // shipped recipes, the Compile-gate rejection path, and the
 // channel-dtype emitter bug re-detected from the source alone.
@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "core/deployment.hpp"
 #include "nets/nets.hpp"
-#include "srclint/cfg.hpp"
 #include "srclint/inject.hpp"
 #include "srclint/lexer.hpp"
 #include "srclint/parser.hpp"
@@ -126,29 +125,97 @@ TEST(SrcParser, RejectsNonCanonicalFor) {
       SrcParseError);
 }
 
-// --- CFG --------------------------------------------------------------------
+// --- CLF808 / CLF809 -------------------------------------------------------
 
-TEST(SrcCfg, LoopIsPeeledAndOrdersEvents) {
-  const SrcProgram p = ParseProgram(
-      "__kernel void k_cfg(__global float* restrict out) {\n"
-      "  float acc[4];\n"
-      "  for (int i = 0; i < 4; ++i) {\n"
-      "    acc[i] = 0.0f;\n"
-      "  }\n"
-      "  out[0] = acc[0];\n"
-      "}\n");
-  const Cfg cfg = BuildCfg(p.kernels[0]);
-  // Peeling duplicates the body: the store to acc must appear as a write
-  // event at least twice (first-iteration path + repeat path).
-  int acc_writes = 0;
-  for (const auto& n : cfg.nodes) {
-    for (const auto& ev : n.events) {
-      if (ev.is_write && ev.var == "acc") ++acc_writes;
-    }
+/// "CODE line N" for every finding, in report order.
+std::vector<std::string> Findings(const analysis::DiagnosticEngine& diags) {
+  std::vector<std::string> out;
+  for (const auto& d : diags.diagnostics()) {
+    out.push_back(d.code + " " + d.message.substr(0, d.message.find(':')));
   }
-  EXPECT_GE(acc_writes, 2);
-  EXPECT_LT(cfg.entry, static_cast<int>(cfg.nodes.size()));
-  EXPECT_LT(cfg.exit, static_cast<int>(cfg.nodes.size()));
+  return out;
+}
+
+constexpr const char* kInitKernelHead =
+    "__kernel void k_init(__global const float* restrict in, "
+    "__global float* restrict out) {\n"
+    "  float acc[4];\n";  // the body starts on line 3
+
+TEST(SrclintInit, ReportsOnlyReadsNoStoreReaches) {
+  struct Case {
+    const char* name;
+    const char* body;
+    std::vector<std::string> want;
+  };
+  const std::vector<Case> cases = {
+      {"init loop, then read",
+       "  for (int i = 0; i < 4; ++i) {\n"
+       "    acc[i] = 0.0f;\n"
+       "  }\n"
+       "  out[0] = acc[0];\n",
+       {}},
+      {"accumulate without zeroing",
+       "  for (int i = 0; i < 4; ++i) {\n"
+       "    acc[i] = (acc[i] + out[i]);\n"
+       "  }\n"
+       "  out[0] = acc[0];\n",
+       {"CLF809 line 4"}},
+      {"store in then, read in else",
+       "  if ((in[0] > 0.0f)) {\n"
+       "    acc[0] = 1.0f;\n"
+       "  } else {\n"
+       "    out[0] = acc[0];\n"
+       "  }\n",
+       {"CLF809 line 6"}},
+      {"store in then, read after the if",
+       "  if ((in[0] > 0.0f)) {\n"
+       "    acc[0] = 1.0f;\n"
+       "  }\n"
+       "  out[0] = acc[0];\n",
+       {}},
+      {"store in a loop that may not run, read after it",
+       "  for (int i = 0; i < 4; ++i) {\n"
+       "    for (int j = 0; j < i; ++j) {\n"
+       "      acc[j] = in[j];\n"
+       "    }\n"
+       "    out[i] = acc[0];\n"
+       "  }\n",
+       {}},
+      {"read before the store in the same loop body",
+       "  for (int i = 0; i < 4; ++i) {\n"
+       "    out[i] = acc[i];\n"
+       "    acc[i] = in[i];\n"
+       "  }\n",
+       {"CLF809 line 4"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    analysis::DiagnosticEngine diags;
+    ASSERT_TRUE(
+        LintSource(std::string(kInitKernelHead) + c.body + "}\n", diags)
+            .has_value());
+    EXPECT_EQ(Findings(diags), c.want) << diags.ToText();
+  }
+}
+
+TEST(SrclintInit, DeadStoreCitesTheFirstStoreInExecutionOrder) {
+  // The store in the else branch (line 6) runs before the one after the
+  // if (line 8); CLF808 must cite line 6.
+  analysis::DiagnosticEngine diags;
+  ASSERT_TRUE(LintSource(
+      "__kernel void k_dead(__global const float* restrict in, "
+      "__global float* restrict out) {\n"
+      "  float t[2];\n"
+      "  if ((in[0] > 0.0f)) {\n"
+      "    out[1] = 0.0f;\n"
+      "  } else {\n"
+      "    t[0] = 1.0f;\n"
+      "  }\n"
+      "  t[1] = 2.0f;\n"
+      "}\n",
+      diags).has_value());
+  EXPECT_EQ(Findings(diags), std::vector<std::string>{"CLF808 line 6"})
+      << diags.ToText();
 }
 
 // --- Injected defects: every CLF8xx code fires ------------------------------
