@@ -226,9 +226,6 @@ int main(int argc, char** argv) {
                static_cast<double>(result.considered));
     json.Metric(board.key + ".feasible",
                static_cast<double>(result.feasible_total));
-    obs::Registry reg;
-    result.ExportMetrics(reg);
-    json.Registry(board.key + ".dse", reg);
 
     // Compare with the hand-picked Table 6.7 configuration.
     auto hand =

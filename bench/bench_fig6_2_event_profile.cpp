@@ -36,10 +36,6 @@ int main() {
       json.Metric(tag + ".kernel_us", breakdown.kernel.us());
       json.Metric(tag + ".write_us", breakdown.write.us());
       json.Metric(tag + ".read_us", breakdown.read.us());
-      obs::Registry snapshot;
-      d.ExportRuntimeMetrics(
-          snapshot, {{"board", board.key}, {"bitstream", recipe_name}});
-      json.Registry(tag, snapshot);
     }
   }
   table.Print();

@@ -136,9 +136,6 @@ int main() {
   json.Metric("batches_completed",
               static_cast<double>(faulted.batches_completed()));
   json.Metric("fallback_runs", static_cast<double>(faulted.fallback_runs()));
-  obs::Registry reg;
-  faulted.ExportMetrics(reg);
-  json.Registry("ha", reg);
   json.Write();
 
   // The acceptance gate: every batch completes and goodput retained stays

@@ -146,8 +146,7 @@ double MedianUs(int reps, const Fn& fn) {
     times.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  return bench::Median(std::move(times));
 }
 
 bool BitExact(const Tensor& a, const Tensor& b) {

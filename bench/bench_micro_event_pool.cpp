@@ -123,11 +123,6 @@ double PoolSteadyUs(std::uint64_t* checksum) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
 
-double MedianOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 }  // namespace
 
 int main() {
@@ -162,13 +157,13 @@ int main() {
     return 1;
   }
 
-  const double aos = MedianOf(aos_us);
-  const double pool = MedianOf(pool_us);
+  const double aos = bench::Median(aos_us);
+  const double pool = bench::Median(pool_us);
   const double per_event_ns_aos =
       aos * 1e3 / (static_cast<double>(kBatches) * kEventsPerBatch);
   const double per_event_ns_pool =
       pool * 1e3 / (static_cast<double>(kBatches) * kEventsPerBatch);
-  const double speedup = MedianOf(ratios);
+  const double speedup = bench::Median(ratios);
 
   std::printf("%d batches x %d events, median of %d reps:\n", kBatches,
               kEventsPerBatch, kReps);

@@ -147,8 +147,6 @@ int main() {
   Record(json, "healthy", h);
   Record(json, "faulted", f);
   json.Metric("quantile_drift", drift);
-  json.Registry("serve_healthy", *h.metrics);
-  json.Registry("serve_faulted", *f.metrics);
   json.Write();
 
   // Acceptance gates: reproducible schedules, bounded quantile drift, and

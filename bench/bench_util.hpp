@@ -6,6 +6,7 @@
 // shape directly (see EXPERIMENTS.md for the full ledger).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -64,13 +65,18 @@ inline void Banner(const char* what, const char* paper_ref) {
               paper_ref);
 }
 
+/// Median of a non-empty sample: the upper middle element after sorting.
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 /// Machine-readable bench output, the schema prof::ParseBenchSnapshot and
 /// the bench_diff tool consume:
 ///
 ///   {"bench":"<name>",
 ///    "git_describe":"...",                 // when CLFLOW_GIT_DESCRIBE set
-///    "metrics":{"<key>":<number>,...},     // flat, sorted by key
-///    "registries":{"<label>":{...}, ...}}  // optional Registry::ToJson
+///    "metrics":{"<key>":<number>,...}}     // flat, sorted by key
 ///
 /// Every bench binary writes BENCH_<name>.json next to itself so runs can
 /// be diffed (CI gates the LeNet and DSE benches against the committed
@@ -81,12 +87,6 @@ class BenchSnapshot {
   explicit BenchSnapshot(std::string name) : name_(std::move(name)) {}
 
   void Metric(const std::string& key, double v) { metrics_[key] = v; }
-
-  /// Embeds a full metrics snapshot (counters/gauges/histograms) under
-  /// `registries.<label>`; informational, not diffed by bench_diff.
-  void Registry(const std::string& label, const obs::Registry& registry) {
-    registries_.emplace_back(label, registry.ToJson());
-  }
 
   /// Writes BENCH_<name>.json; prints the path on success and exits the
   /// process with status 1 when the file cannot be written.
@@ -103,12 +103,6 @@ class BenchSnapshot {
       first = false;
       out += "\"" + obs::JsonEscape(key) + "\":" + obs::JsonNum(v);
     }
-    out += "},\"registries\":{";
-    for (std::size_t i = 0; i < registries_.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"" + obs::JsonEscape(registries_[i].first) +
-             "\":" + registries_[i].second;
-    }
     out += "}}";
     const std::string path = "BENCH_" + name_ + ".json";
     std::ofstream f(path);
@@ -118,14 +112,12 @@ class BenchSnapshot {
       std::exit(1);
     }
     f << out << "\n";
-    std::printf("\nwrote %s (%zu metrics, %zu registry snapshots)\n",
-                path.c_str(), metrics_.size(), registries_.size());
+    std::printf("\nwrote %s (%zu metrics)\n", path.c_str(), metrics_.size());
   }
 
  private:
   std::string name_;
   std::map<std::string, double> metrics_;
-  std::vector<std::pair<std::string, std::string>> registries_;
 };
 
 }  // namespace clflow::bench

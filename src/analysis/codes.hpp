@@ -14,8 +14,8 @@
 //           clflow::prof when attributing runtime behaviour
 //   CLF7xx  telemetry: request-level SLO and flight-recorder findings
 //           raised by clflow::telemetry while monitoring Deployment::Run
-//   CLF8xx  source linter: clflow::srclint re-parses the emitted OpenCL C
-//           and proves it matches the plan (translation validation), plus
+//   CLF8xx  source linter: clflow::srclint proves the emitted OpenCL C
+//           source matches the plan (translation validation), plus
 //           source-level dependence/bounds/hygiene lints
 //
 // This header is intentionally free of dependencies (and of a .cpp) so

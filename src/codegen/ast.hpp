@@ -1,14 +1,13 @@
-// Source-level AST for the emitted OpenCL C dialect: what the parser
-// builds and the CLF8xx analyses walk.
+// Source-level AST for the emitted OpenCL C dialect: what the emitter
+// builds, ToSource prints, and srclint's CLF8xx analyses walk.
 //
-// This AST deliberately mirrors the *source*, not clflow's tensor IR: the
-// whole point of the translation validator is that it reconstructs the
-// kernel's structure from the text alone and only then compares it
-// against the plan. Nothing here holds ir:: pointers.
-//
-// ToSource() re-prints a program in the emitter's canonical formatting;
-// Parse(ToSource(Parse(s))) == Parse(s) is a property test (srclint's
-// round-trip harness fuzzes it across recipes and DSE schedules).
+// This AST deliberately mirrors the *source*, not clflow's tensor IR:
+// nothing here holds ir:: pointers, so the translation validator checks
+// it against expectations it derives from the plan on its own. srclint's
+// parser rebuilds the same tree from text; a round-trip test pins
+// ParseProgram(ToSource(BuildProgram(k))) to BuildProgram(k) field by
+// field. The types keep srclint's namespace; codegen, which builds them,
+// owns the files.
 #pragma once
 
 #include <cstdint>
@@ -38,12 +37,40 @@ struct SrcExpr {
   SrcExprKind kind = SrcExprKind::kIntLit;
   std::int64_t int_value = 0;
   double float_value = 0.0;
-  std::string text;  ///< float literal spelling, verbatim from the source
+  std::string text;  ///< float literal spelling, 'f' suffix included
   std::string name;  ///< identifier / callee
   std::string op;    ///< unary/binary operator spelling
   std::vector<SrcExprPtr> args;
   int line = 0;
 };
+
+// Node factories, shaped as the parser reads the printed text: literals
+// are non-negative (a negative one is kUnary("-") over its magnitude), and
+// `line` stays 0 until ToSourceNumbered stamps it.
+
+/// An argument list of nodes (an initializer list cannot hold them).
+template <typename... T>
+[[nodiscard]] std::vector<SrcExprPtr> Args(T... args) {
+  std::vector<SrcExprPtr> v;
+  v.reserve(sizeof...(args));
+  (v.push_back(std::move(args)), ...);
+  return v;
+}
+
+/// Integer literal; negative values become kUnary("-") over |v|.
+[[nodiscard]] SrcExprPtr Int(std::int64_t v);
+/// Float literal: `text` is the spelling ("0.5f"), `value` what a reader
+/// of that spelling gets back. Both must be non-negative.
+[[nodiscard]] SrcExprPtr Float(std::string text, double value);
+[[nodiscard]] SrcExprPtr Ident(std::string name);
+[[nodiscard]] SrcExprPtr Unary(std::string op, SrcExprPtr operand);
+[[nodiscard]] SrcExprPtr Bin(std::string op, SrcExprPtr a, SrcExprPtr b);
+[[nodiscard]] SrcExprPtr Ternary(SrcExprPtr cond, SrcExprPtr then_arm,
+                                 SrcExprPtr else_arm);
+[[nodiscard]] SrcExprPtr Call(std::string name, std::vector<SrcExprPtr> args);
+/// base[i0][i1]...; with no indices the base itself.
+[[nodiscard]] SrcExprPtr Index(SrcExprPtr base,
+                               std::vector<SrcExprPtr> indices);
 
 /// Canonical printing (fully parenthesized, the emitter's formatting).
 [[nodiscard]] std::string ToSource(const SrcExpr& e);
@@ -130,8 +157,12 @@ struct SrcProgram {
   std::vector<SrcKernel> kernels;
 };
 
-/// Re-prints the whole translation unit in canonical emitter formatting.
+/// Prints the whole translation unit in canonical emitter formatting.
 [[nodiscard]] std::string ToSource(const SrcProgram& program);
-[[nodiscard]] std::string ToSource(const SrcKernel& kernel);
+
+/// ToSource that also stamps every node's `line` with the line it is
+/// printed on -- the value ParseProgram of the result assigns -- so
+/// diagnostics on a built tree cite lines of the printed text.
+[[nodiscard]] std::string ToSourceNumbered(SrcProgram& program);
 
 }  // namespace clflow::srclint

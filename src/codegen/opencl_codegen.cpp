@@ -1,13 +1,13 @@
 #include "codegen/opencl_codegen.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 
 namespace clflow::codegen {
@@ -15,377 +15,263 @@ namespace clflow::codegen {
 namespace {
 
 using ir::BinOp;
-using ir::Expr;
 using ir::ExprKind;
 using ir::MemScope;
 using ir::ScalarType;
-using ir::Stmt;
 using ir::StmtKind;
+using srclint::Args;
+using srclint::SrcExprPtr;
+using srclint::SrcStmt;
+using srclint::SrcStmtKind;
+using srclint::SrcStmtPtr;
 
-/// Single-pass emitter: every production appends into one output string
-/// (no intermediate per-subexpression strings, no stream formatting on
-/// the hot compile path -- ROADMAP item 4a). The DSE fingerprints
-/// pipelined kernels through this code, so its cost is paid per candidate,
-/// not just once per shipped .cl file.
-class Emitter {
- public:
-  std::string Kernel(const ir::Kernel& k) {
-    k.Validate();
-    out_.clear();
-    out_.reserve(4096);
-    AppendKernel(k);
-    return std::move(out_);
-  }
+/// The OpenCL C spelling of a scalar type, shared by parameters, locals
+/// and channel declarations so every emission site agrees on it.
+std::string_view ClTypeName(ScalarType t) {
+  return t == ScalarType::kFloat32 ? "float" : "int";
+}
 
-  std::string Expr(const ir::Expr& e) {
-    out_.clear();
-    AppendExpr(e);
-    return std::move(out_);
-  }
-
-  void AppendKernel(const ir::Kernel& k) {
-    // Collect buffers that are only read (for const qualification).
-    std::unordered_set<const ir::BufferNode*> stored;
-    ir::VisitStmts(k.body, [&](const Stmt& s) {
-      if (s->kind == StmtKind::kStore) stored.insert(s->buffer.get());
-    });
-
-    if (k.autorun) {
-      out_ += "__attribute__((max_global_work_dim(0)))\n"
-              "__attribute__((autorun))\n";
-    }
-    out_ += "__kernel void ";
-    out_ += k.name;
-    out_ += '(';
-    bool first = true;
-    for (const auto& b : k.buffer_args) {
-      if (!first) out_ += ", ";
-      first = false;
-      const bool readonly = stored.find(b.get()) == stored.end();
-      out_ += b->scope == MemScope::kConstant ? "__constant " : "__global ";
-      if (readonly) out_ += "const ";
-      out_ += ClTypeName(b->dtype);
-      out_ += "* restrict ";
-      out_ += b->name;
-    }
-    for (const auto& v : k.scalar_args) {
-      if (!first) out_ += ", ";
-      first = false;
-      out_ += "int ";
-      out_ += v->name;
-    }
-    out_ += ") {\n";
-    indent_ = 1;
-    for (const auto& b : k.local_buffers) {
-      Indent();
-      if (b->scope == MemScope::kLocal) out_ += "__local ";
-      out_ += ClTypeName(b->dtype);
-      out_ += ' ';
-      out_ += b->name;
-      for (const auto& d : b->shape) {
-        out_ += '[';
-        AppendExpr(d);
-        out_ += ']';
-      }
-      out_ += ";\n";
-    }
-    AppendStmt(k.body);
-    out_ += "}\n";
-  }
-
-  void AppendExpr(const ir::Expr& e) {
-    switch (e->kind) {
-      case ExprKind::kIntImm:
-        AppendInt(e->int_value);
-        return;
-      case ExprKind::kFloatImm:
-        AppendFloat(e->float_value);
-        return;
-      case ExprKind::kVar:
-        out_ += e->var->name;
-        return;
-      case ExprKind::kBinary:
-        AppendBinary(e);
-        return;
-      case ExprKind::kLoad: {
-        out_ += e->buffer->name;
-        for (const auto& idx : LinearizedIndices(e->buffer, e->indices)) {
-          out_ += '[';
-          AppendExpr(idx);
-          out_ += ']';
-        }
-        return;
-      }
-      case ExprKind::kCall: {
-        if (e->callee == "read_channel") {
-          out_ += "read_channel_intel(";
-          out_ += e->buffer->name;
-          out_ += ')';
-          return;
-        }
-        out_ += e->callee;
-        out_ += '(';
-        for (std::size_t i = 0; i < e->args.size(); ++i) {
-          if (i) out_ += ", ";
-          AppendExpr(e->args[i]);
-        }
-        out_ += ')';
-        return;
-      }
-      case ExprKind::kSelect:
-        out_ += '(';
-        AppendExpr(e->a);
-        out_ += " ? ";
-        AppendExpr(e->b);
-        out_ += " : ";
-        AppendExpr(e->c);
-        out_ += ')';
-        return;
-    }
-    throw IrError("codegen: bad expression");
-  }
-
- private:
-  void AppendInt(std::int64_t v) {
-    char buf[24];
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    (void)ec;
-    out_.append(buf, end);
-  }
-
-  void AppendFloat(double v) { out_ += FloatLiteral(v); }
-
-  /// Formatted float literal, interned per distinct value per thread: the
-  /// same constants (0.0f activation clamps, pool divisors, quant scales)
-  /// recur across every kernel of a sweep, and snprintf dominates the
-  /// cost of emitting them.
-  static std::string_view FloatLiteral(double v) {
-    struct Memo {
-      common::StringInterner pool{4 * 1024};
-      std::unordered_map<std::uint64_t, std::string_view> by_bits;
-    };
-    thread_local Memo memo;
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    if (auto it = memo.by_bits.find(bits); it != memo.by_bits.end()) {
-      return it->second;
-    }
-    // "%.9g" matches ostringstream with precision(9) (default float
-    // format), which the golden tests pin down.
-    char buf[44];
-    int n = std::snprintf(buf, sizeof(buf) - 4, "%.9g", v);
-    const std::string_view mantissa(buf, static_cast<std::size_t>(n));
-    if (mantissa.find('.') == std::string_view::npos &&
-        mantissa.find('e') == std::string_view::npos) {
-      buf[n++] = '.';
-      buf[n++] = '0';
-    }
-    buf[n++] = 'f';
-    const std::string_view lit =
-        memo.pool.Intern(std::string_view(buf, static_cast<std::size_t>(n)))
-            .view;
-    memo.by_bits.emplace(bits, lit);
-    return lit;
-  }
-
-  /// Global buffers are flat pointers in OpenCL C: multi-dimensional
-  /// accesses are linearized (with explicit strides when present). Local
-  /// and private arrays keep their array-of-array form.
-  std::vector<ir::Expr> LinearizedIndices(const ir::BufferPtr& buffer,
-                                          const std::vector<ir::Expr>& indices) {
-    if (buffer->scope == MemScope::kLocal ||
-        buffer->scope == MemScope::kPrivate) {
-      return indices;
-    }
-    ir::Expr flat;
-    if (!buffer->strides.empty()) {
-      flat = ir::IntImm(0);
-      for (std::size_t d = 0; d < indices.size(); ++d) {
-        flat = ir::Add(flat, ir::Mul(indices[d], buffer->strides[d]));
-      }
-    } else {
-      flat = ir::IntImm(0);
-      for (std::size_t d = 0; d < indices.size(); ++d) {
-        flat = ir::Add(ir::Mul(flat, buffer->shape[d]), indices[d]);
-      }
-    }
-    return {ir::Simplify(flat)};
-  }
-
-  void AppendBinary(const ir::Expr& e) {
-    const bool is_float = e->dtype == ScalarType::kFloat32;
-    std::string_view infix;
-    switch (e->op) {
-      case BinOp::kMin:
-      case BinOp::kMax: {
-        out_ += e->op == BinOp::kMin ? (is_float ? "fmin(" : "min(")
-                                     : (is_float ? "fmax(" : "max(");
-        AppendExpr(e->a);
-        out_ += ", ";
-        AppendExpr(e->b);
-        out_ += ')';
-        return;
-      }
-      case BinOp::kAdd: infix = " + "; break;
-      case BinOp::kSub: infix = " - "; break;
-      case BinOp::kMul: infix = " * "; break;
-      case BinOp::kDiv: infix = " / "; break;
-      case BinOp::kMod: infix = " % "; break;
-      case BinOp::kLt: infix = " < "; break;
-      case BinOp::kGe: infix = " >= "; break;
-      case BinOp::kEq: infix = " == "; break;
-      case BinOp::kAnd: infix = " && "; break;
-      default:
-        throw IrError("codegen: bad binary op");
-    }
-    out_ += '(';
-    AppendExpr(e->a);
-    out_ += infix;
-    AppendExpr(e->b);
-    out_ += ')';
-  }
-
-  void Indent() { out_.append(static_cast<std::size_t>(indent_) * 2, ' '); }
-
-  void AppendStmt(const Stmt& s) {
-    if (!s) return;
-    switch (s->kind) {
-      case StmtKind::kFor: {
-        if (s->ann.unroll == -1 || s->ann.vectorized) {
-          Indent();
-          out_ += "#pragma unroll\n";
-        } else if (s->ann.unroll > 1) {
-          Indent();
-          out_ += "#pragma unroll ";
-          AppendInt(s->ann.unroll);
-          out_ += '\n';
-        }
-        Indent();
-        const std::string& v = s->var->name;
-        out_ += "for (int ";
-        out_ += v;
-        out_ += " = ";
-        AppendExpr(s->min);
-        out_ += "; ";
-        out_ += v;
-        out_ += " < ";
-        AppendExpr(ir::Simplify(ir::Add(s->min, s->extent)));
-        out_ += "; ++";
-        out_ += v;
-        out_ += ") {\n";
-        ++indent_;
-        AppendStmt(s->body);
-        --indent_;
-        Indent();
-        out_ += "}\n";
-        break;
-      }
-      case StmtKind::kStore: {
-        Indent();
-        out_ += s->buffer->name;
-        for (const auto& idx : LinearizedIndices(s->buffer, s->indices)) {
-          out_ += '[';
-          AppendExpr(idx);
-          out_ += ']';
-        }
-        out_ += " = ";
-        AppendExpr(s->value);
-        out_ += ";\n";
-        break;
-      }
-      case StmtKind::kBlock:
-        for (const auto& child : s->stmts) AppendStmt(child);
-        break;
-      case StmtKind::kIf: {
-        Indent();
-        out_ += "if (";
-        AppendExpr(s->cond);
-        out_ += ") {\n";
-        ++indent_;
-        AppendStmt(s->then_body);
-        --indent_;
-        Indent();
-        out_ += "}";
-        if (s->else_body) {
-          out_ += " else {\n";
-          ++indent_;
-          AppendStmt(s->else_body);
-          --indent_;
-          Indent();
-          out_ += "}";
-        }
-        out_ += '\n';
-        break;
-      }
-      case StmtKind::kWriteChannel: {
-        Indent();
-        out_ += "write_channel_intel(";
-        out_ += s->buffer->name;
-        out_ += ", ";
-        AppendExpr(s->value);
-        out_ += ");\n";
-        break;
-      }
-    }
-  }
-
-  std::string out_;
-  int indent_ = 0;
+/// A float literal split as the parser reads it: sign, then the unsigned
+/// spelling and the value a reader of that spelling gets back.
+struct FloatSpelling {
+  std::string text;
+  double value = 0.0;
+  bool negative = false;
 };
+
+/// Formatted float literal, memoized per distinct value per thread: the
+/// same constants (0.0f activation clamps, pool divisors, quant scales)
+/// recur across every kernel of a sweep, and snprintf dominates the cost
+/// of emitting them.
+const FloatSpelling& FloatLiteral(double v) {
+  thread_local std::unordered_map<std::uint64_t, FloatSpelling> memo;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  const auto [it, fresh] = memo.try_emplace(bits);
+  if (!fresh) return it->second;
+  // "%.9g" matches ostringstream with precision(9) (default float
+  // format), which the golden tests pin down.
+  char buf[44];
+  int n = std::snprintf(buf, sizeof(buf) - 4, "%.9g", v);
+  const std::string_view mantissa(buf, static_cast<std::size_t>(n));
+  if (mantissa.find('.') == std::string_view::npos &&
+      mantissa.find('e') == std::string_view::npos) {
+    buf[n++] = '.';
+    buf[n++] = '0';
+  }
+  buf[n] = '\0';
+  FloatSpelling& f = it->second;
+  f.negative = buf[0] == '-';
+  const char* digits = buf + (f.negative ? 1 : 0);
+  f.value = std::strtod(digits, nullptr);
+  f.text = std::string(digits) + 'f';
+  return f;
+}
+
+/// Global buffers are flat pointers in OpenCL C: multi-dimensional
+/// accesses are linearized (with explicit strides when present). Local
+/// and private arrays keep their array-of-array form.
+std::vector<ir::Expr> LinearizedIndices(const ir::BufferPtr& buffer,
+                                        const std::vector<ir::Expr>& indices) {
+  if (buffer->scope == MemScope::kLocal ||
+      buffer->scope == MemScope::kPrivate) {
+    return indices;
+  }
+  ir::Expr flat = ir::IntImm(0);
+  for (std::size_t d = 0; d < indices.size(); ++d) {
+    flat = buffer->strides.empty()
+               ? ir::Add(ir::Mul(flat, buffer->shape[d]), indices[d])
+               : ir::Add(flat, ir::Mul(indices[d], buffer->strides[d]));
+  }
+  return {ir::Simplify(flat)};
+}
+
+SrcExprPtr BuildExpr(const ir::Expr& e);
+
+/// buffer[i0][i1]... as the source spells the access.
+SrcExprPtr Access(const ir::BufferPtr& buffer,
+                  const std::vector<ir::Expr>& indices) {
+  const std::vector<ir::Expr> flat = LinearizedIndices(buffer, indices);
+  std::vector<SrcExprPtr> idx;
+  idx.reserve(flat.size() + 1);  // Index puts the base in front
+  for (const auto& i : flat) idx.push_back(BuildExpr(i));
+  return srclint::Index(srclint::Ident(buffer->name), std::move(idx));
+}
+
+SrcExprPtr BuildBinary(const ir::Expr& e) {
+  const bool is_float = e->dtype == ScalarType::kFloat32;
+  const char* op = nullptr;
+  switch (e->op) {
+    case BinOp::kMin:
+    case BinOp::kMax:
+      return srclint::Call(e->op == BinOp::kMin ? (is_float ? "fmin" : "min")
+                                                : (is_float ? "fmax" : "max"),
+                           Args(BuildExpr(e->a), BuildExpr(e->b)));
+    case BinOp::kAdd: op = "+"; break;
+    case BinOp::kSub: op = "-"; break;
+    case BinOp::kMul: op = "*"; break;
+    case BinOp::kDiv: op = "/"; break;
+    case BinOp::kMod: op = "%"; break;
+    case BinOp::kLt: op = "<"; break;
+    case BinOp::kGe: op = ">="; break;
+    case BinOp::kEq: op = "=="; break;
+    case BinOp::kAnd: op = "&&"; break;
+    default:
+      throw IrError("codegen: bad binary op");
+  }
+  return srclint::Bin(op, BuildExpr(e->a), BuildExpr(e->b));
+}
+
+SrcExprPtr BuildExpr(const ir::Expr& e) {
+  switch (e->kind) {
+    case ExprKind::kIntImm:
+      return srclint::Int(e->int_value);
+    case ExprKind::kFloatImm: {
+      const FloatSpelling& f = FloatLiteral(e->float_value);
+      SrcExprPtr lit = srclint::Float(f.text, f.value);
+      return f.negative ? srclint::Unary("-", std::move(lit)) : std::move(lit);
+    }
+    case ExprKind::kVar:
+      return srclint::Ident(e->var->name);
+    case ExprKind::kBinary:
+      return BuildBinary(e);
+    case ExprKind::kLoad:
+      return Access(e->buffer, e->indices);
+    case ExprKind::kCall: {
+      if (e->callee == "read_channel") {
+        return srclint::Call("read_channel_intel",
+                             Args(srclint::Ident(e->buffer->name)));
+      }
+      std::vector<SrcExprPtr> args;
+      args.reserve(e->args.size());
+      for (const auto& a : e->args) args.push_back(BuildExpr(a));
+      return srclint::Call(e->callee, std::move(args));
+    }
+    case ExprKind::kSelect:
+      return srclint::Ternary(BuildExpr(e->a), BuildExpr(e->b),
+                              BuildExpr(e->c));
+  }
+  throw IrError("codegen: bad expression");
+}
+
+/// Appends `s` to `out`; blocks flatten into the enclosing body.
+void BuildStmt(const ir::Stmt& s, std::vector<SrcStmtPtr>& out) {
+  if (!s) return;
+  if (s->kind == StmtKind::kBlock) {
+    for (const auto& child : s->stmts) BuildStmt(child, out);
+    return;
+  }
+  auto st = std::make_unique<SrcStmt>();
+  switch (s->kind) {
+    case StmtKind::kFor:
+      st->kind = SrcStmtKind::kFor;
+      st->loop_var = s->var->name;
+      st->init = BuildExpr(s->min);
+      st->bound = BuildExpr(ir::Simplify(ir::Add(s->min, s->extent)));
+      if (s->ann.unroll == -1 || s->ann.vectorized) {
+        st->unroll = -1;
+      } else if (s->ann.unroll > 1) {
+        st->unroll = s->ann.unroll;
+      }
+      BuildStmt(s->body, st->body);
+      break;
+    case StmtKind::kStore:
+      st->kind = SrcStmtKind::kAssign;
+      st->target = Access(s->buffer, s->indices);
+      st->value = BuildExpr(s->value);
+      break;
+    case StmtKind::kIf:
+      st->kind = SrcStmtKind::kIf;
+      st->cond = BuildExpr(s->cond);
+      BuildStmt(s->then_body, st->then_body);
+      BuildStmt(s->else_body, st->else_body);
+      break;
+    case StmtKind::kWriteChannel:
+      st->kind = SrcStmtKind::kCallStmt;
+      st->call = srclint::Call(
+          "write_channel_intel",
+          Args(srclint::Ident(s->buffer->name), BuildExpr(s->value)));
+      break;
+    case StmtKind::kBlock:  // flattened above
+      return;
+  }
+  out.push_back(std::move(st));
+}
 
 }  // namespace
 
-std::string_view ClTypeName(ir::ScalarType t) {
-  return t == ir::ScalarType::kFloat32 ? "float" : "int";
+srclint::SrcKernel BuildKernel(const ir::Kernel& k) {
+  k.Validate();
+  // Collect buffers that are only read (for const qualification).
+  std::unordered_set<const ir::BufferNode*> stored;
+  ir::VisitStmts(k.body, [&](const ir::Stmt& s) {
+    if (s->kind == StmtKind::kStore) stored.insert(s->buffer.get());
+  });
+
+  srclint::SrcKernel out;
+  out.name = k.name;
+  out.attr_autorun = k.autorun;
+  out.attr_max_global_work_dim0 = k.autorun;
+  out.params.reserve(k.buffer_args.size() + k.scalar_args.size());
+  out.locals.reserve(k.local_buffers.size());
+  for (const auto& b : k.buffer_args) {
+    srclint::SrcParam& p = out.params.emplace_back();
+    p.is_pointer = true;
+    p.constant_space = b->scope == MemScope::kConstant;
+    p.is_const = stored.find(b.get()) == stored.end();
+    p.is_restrict = true;
+    p.type = ClTypeName(b->dtype);
+    p.name = b->name;
+  }
+  for (const auto& v : k.scalar_args) {
+    srclint::SrcParam& p = out.params.emplace_back();
+    p.type = "int";
+    p.name = v->name;
+  }
+  for (const auto& b : k.local_buffers) {
+    srclint::SrcLocalDecl& d = out.locals.emplace_back();
+    d.local = b->scope == MemScope::kLocal;
+    d.type = ClTypeName(b->dtype);
+    d.name = b->name;
+    for (const auto& dim : b->shape) d.dims.push_back(BuildExpr(dim));
+  }
+  BuildStmt(k.body, out.body);
+  return out;
 }
 
-std::string EmitKernel(const ir::Kernel& kernel) {
-  Emitter emitter;
-  return emitter.Kernel(kernel);
-}
-
-std::string EmitExpr(const ir::Expr& expr) {
-  Emitter emitter;
-  return emitter.Expr(expr);
-}
-
-std::string EmitProgram(const std::vector<const ir::Kernel*>& kernels) {
-  std::string out;
-  // Gather channels across all kernels, by pointer identity, emit once.
+srclint::SrcProgram BuildProgram(
+    const std::vector<const ir::Kernel*>& kernels) {
+  srclint::SrcProgram program;
+  // Gather channels across all kernels, by pointer identity, declare once.
   std::set<const ir::BufferNode*> channels;
   for (const auto* k : kernels) {
     for (const auto& c : k->channels_read) channels.insert(c.get());
     for (const auto& c : k->channels_written) channels.insert(c.get());
   }
-  const bool any_channels = !channels.empty();
-
-  if (any_channels) {
-    out += "#pragma OPENCL EXTENSION cl_intel_channels : enable\n\n";
-  }
+  program.channels_extension = !channels.empty();
   for (const auto* c : channels) {
     // The element type follows the channel buffer's dtype: a quantized
     // (int) channel declared "channel float" compiles under AOC but
     // reinterprets every payload -- exactly the emitter-trusted-blindly
     // class of bug srclint's CLF804 cross-check exists to catch.
-    out += "channel ";
-    out += ClTypeName(c->dtype);
-    out += ' ';
-    out += c->name;
-    if (c->channel_depth > 0) {
-      out += " __attribute__((depth(";
-      out += std::to_string(c->channel_depth);
-      out += ")))";
-    }
-    out += ";\n";
+    srclint::SrcChannelDecl& decl = program.channels.emplace_back();
+    decl.type = ClTypeName(c->dtype);
+    decl.name = c->name;
+    decl.depth = std::max<std::int64_t>(c->channel_depth, 0);
   }
-  if (any_channels) out += '\n';
+  program.kernels.reserve(kernels.size());
+  for (const auto* k : kernels) program.kernels.push_back(BuildKernel(*k));
+  return program;
+}
 
-  Emitter emitter;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    if (i) out += '\n';
-    out += emitter.Kernel(*kernels[i]);
-  }
-  return out;
+std::string EmitKernel(const ir::Kernel& kernel) {
+  srclint::SrcProgram program;
+  program.kernels.push_back(BuildKernel(kernel));
+  return srclint::ToSource(program);
+}
+
+std::string EmitProgram(const std::vector<const ir::Kernel*>& kernels) {
+  return srclint::ToSource(BuildProgram(kernels));
 }
 
 }  // namespace clflow::codegen

@@ -96,11 +96,12 @@ class CompileCache {
   };
 
   /// Fingerprint of (kernel content, representative bindings, AOC flags,
-  /// cost model). Kernel content is the generated OpenCL translation unit
-  /// for this kernel alone -- deterministic, and it captures everything
-  /// synthesis reads (loop structure, unroll pragmas, channel depths,
-  /// memory scopes, symbolic arguments). This is the fallback for kernels
-  /// without a schedule content key (the pipelined planner); emitting the
+  /// cost model). Kernel content is the printed source tree of this
+  /// kernel alone, ToSource(codegen::BuildProgram({&kernel})) --
+  /// deterministic, and it captures everything synthesis reads (loop
+  /// structure, unroll pragmas, channel depths, memory scopes, symbolic
+  /// arguments). This is the fallback for kernels without a schedule
+  /// content key (the pipelined planner); building and printing the
   /// source costs more than the analytical synthesis it memoizes, so the
   /// folded planner uses DesignKeyFromContent instead.
   [[nodiscard]] static DesignKey DesignKeyFor(const ir::Kernel& kernel,

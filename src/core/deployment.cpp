@@ -852,23 +852,30 @@ void Deployment::RunAnalysisGate() {
     span.Arg("warnings", static_cast<std::int64_t>(diags_->warning_count()));
   }
   if (options_.analysis.lint_source) {
-    // Translation validation: re-parse the .cl text the emitter just
-    // produced and prove it matches the plan (CLF8xx). This is the only
-    // gate that checks the *source* rather than the IR, so an emitter
-    // bug cannot ship a kernel the static analyses never saw.
-    obs::ScopedSpan span(tracer, "srclint");
-    std::vector<const ir::Kernel*> kernels;
-    kernels.reserve(kernels_.size());
-    for (const auto& pk : kernels_) kernels.push_back(&pk.built.kernel);
-    std::string source = codegen::EmitProgram(kernels);
-    if (!options_.analysis.srclint_inject.empty()) {
-      if (auto corrupted = srclint::InjectDefect(
-              options_.analysis.srclint_inject, source)) {
-        source = std::move(*corrupted);
-      }
+    // Translation validation: prove the emitted source matches the plan
+    // (CLF8xx), so an emitter bug cannot ship a kernel the static
+    // analyses never saw. The gate lints the tree the emitter built;
+    // printing it once numbers the lines diagnostics cite, and the text
+    // is kept for GeneratedSource().
+    const std::vector<const ir::Kernel*> kernels = KernelPtrs();
+    srclint::SrcProgram program;
+    {
+      obs::ScopedSpan span(tracer, "codegen");
+      program = codegen::BuildProgram(kernels);
+      generated_source_ = srclint::ToSourceNumbered(program);
+      span.Arg("bytes", static_cast<std::int64_t>(generated_source_.size()));
     }
-    srclint::LintProgram(source, kernels, *diags_);
-    span.Arg("bytes", static_cast<std::int64_t>(source.size()));
+    obs::ScopedSpan span(tracer, "srclint");
+    const std::string& inject = options_.analysis.srclint_inject;
+    if (inject.empty()) {
+      srclint::LintProgram(program, kernels, *diags_);
+    } else {
+      // Injected defects corrupt text by design, so this demo path lints
+      // the corrupted text through the parser.
+      srclint::LintProgram(srclint::InjectDefect(inject, generated_source_)
+                               .value_or(generated_source_),
+                           kernels, *diags_);
+    }
     span.Arg("errors", static_cast<std::int64_t>(diags_->error_count()));
   }
   diags_->MirrorToTrace(telemetry_->tracer);
@@ -1113,12 +1120,17 @@ EventBreakdown Deployment::ProfileEvents(const Tensor& input) {
   return breakdown;
 }
 
-std::string Deployment::GeneratedSource() const {
-  obs::ScopedSpan span(&telemetry_->tracer, "codegen");
+std::vector<const ir::Kernel*> Deployment::KernelPtrs() const {
   std::vector<const ir::Kernel*> kernels;
   kernels.reserve(kernels_.size());
   for (const auto& pk : kernels_) kernels.push_back(&pk.built.kernel);
-  std::string source = codegen::EmitProgram(kernels);
+  return kernels;
+}
+
+std::string Deployment::GeneratedSource() const {
+  if (!generated_source_.empty()) return generated_source_;
+  obs::ScopedSpan span(&telemetry_->tracer, "codegen");
+  std::string source = codegen::EmitProgram(KernelPtrs());
   span.Arg("bytes", static_cast<std::int64_t>(source.size()));
   return source;
 }

@@ -170,7 +170,9 @@ class Deployment {
   /// serializes the host, as on real hardware).
   [[nodiscard]] EventBreakdown ProfileEvents(const Tensor& input);
 
-  /// The generated OpenCL C translation unit for the whole design.
+  /// The generated OpenCL C translation unit for the whole design: the
+  /// text the source-lint gate printed and checked, or a fresh emission
+  /// when that gate did not run.
   [[nodiscard]] std::string GeneratedSource() const;
 
   /// Compile-side telemetry: per-phase wall-clock spans (fusion, lowering,
@@ -218,6 +220,7 @@ class Deployment {
   void RecordCompileMetrics();
   void AssignQueues();
   void RunAnalysisGate();
+  [[nodiscard]] std::vector<const ir::Kernel*> KernelPtrs() const;
   void PrepareRuntime();
   /// Mirrors accumulated diagnostics into the recorder and writes it to
   /// options_.flightrec_path (no-op when the path is empty). Reports
@@ -239,6 +242,8 @@ class Deployment {
   std::vector<PlannedKernel> kernels_;
   std::vector<PlannedInvocation> invocations_;
   fpga::Bitstream bitstream_;
+  /// The .cl text the source-lint gate printed; empty when it did not run.
+  std::string generated_source_;
 
   // Runtime state (valid when ok()).
   std::unique_ptr<ocl::Runtime> runtime_;

@@ -103,7 +103,7 @@ struct DseOptions {
   /// linter / source lint) on every candidate compile. Off by default:
   /// candidates are evaluated for synthesis feasibility only (the
   /// builders emit verified schedules, and the winning recipe gets the
-  /// full analysis gate -- including srclint's emit+reparse -- when the
+  /// full analysis gate -- including srclint's source lint -- when the
   /// caller compiles it), and the gate costs more than a cache-warm
   /// compile.
   /// Never affects the ranking -- analysis reads the plan, synthesis

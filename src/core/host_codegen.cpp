@@ -1,5 +1,6 @@
 #include "core/host_codegen.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -46,7 +47,8 @@ std::string EmitHostProgram(const Deployment& d) {
      << "  // ... clCreateProgramWithBinary + clBuildProgram ...\n"
      << "  cl_program program = nullptr; (void)program;\n\n";
 
-  // Command queues: one per kernel when concurrent execution is enabled.
+  // Command queues as Deployment::AssignQueues planned them (autorun
+  // kernels get none).
   const bool ce = d.options().recipe.concurrent_execution &&
                   d.options().recipe.channels;
   if (ce) {
@@ -54,7 +56,9 @@ std::string EmitHostProgram(const Deployment& d) {
   } else {
     os << "  // Single in-order command queue.\n";
   }
-  const int queues = ce ? static_cast<int>(d.kernels().size()) : 1;
+  const std::vector<int>& queue_of = d.invocation_queues();
+  int queues = 1;
+  for (const int q : queue_of) queues = std::max(queues, q + 1);
   for (int q = 0; q < queues; ++q) {
     os << "  cl_command_queue q" << q
        << " = clCreateCommandQueue(context, device, "
@@ -112,8 +116,9 @@ std::string EmitHostProgram(const Deployment& d) {
      << "  CL_OK(clEnqueueWriteBuffer(q0, " << ActBuffer(g.input_id())
      << ", CL_FALSE, 0, input.size() * 4, input.data(), 0, nullptr, nullptr));\n\n";
 
-  int queue_idx = 0;
-  for (const auto& inv : d.invocations()) {
+  int last_queue = 0;
+  for (std::size_t i = 0; i < d.invocations().size(); ++i) {
+    const auto& inv = d.invocations()[i];
     const auto& pk = d.kernels()[static_cast<std::size_t>(inv.kernel_index)];
     const auto& kern = pk.built.kernel;
     const auto& n = g.node(inv.node);
@@ -156,16 +161,15 @@ std::string EmitHostProgram(const Deployment& d) {
          << kern.name << ", " << arg++ << ", sizeof(cl_int), &v)); } // "
          << v->name << "\n";
     }
-    const int q = ce ? queue_idx : 0;
-    os << "  CL_OK(clEnqueueTask(q" << q << ", " << kern.name
+    last_queue = queue_of[i];
+    os << "  CL_OK(clEnqueueTask(q" << last_queue << ", " << kern.name
        << ", 0, nullptr, nullptr));\n";
-    ++queue_idx;
   }
 
   const graph::NodeId out_id = g.output_id();
   os << "\n  std::vector<float> output("
      << g.node(out_id).output_shape.NumElements() << ");\n"
-     << "  CL_OK(clEnqueueReadBuffer(q" << (ce ? queue_idx - 1 : 0) << ", "
+     << "  CL_OK(clEnqueueReadBuffer(q" << last_queue << ", "
      << ActBuffer(out_id)
      << ", CL_TRUE, 0, output.size() * 4, output.data(), 0, nullptr, "
         "nullptr));\n"

@@ -6,8 +6,10 @@
 //
 //   {"bench":"<name>",
 //    "git_describe":"...",          // optional (CLFLOW_GIT_DESCRIBE env)
-//    "metrics":{"<key>":<number>,...},
-//    "registries":{"<label>":<obs::Registry::ToJson()>, ...}}  // optional
+//    "metrics":{"<key>":<number>,...}}
+//
+// Other top-level keys are ignored, so snapshots from older benches that
+// embedded a "registries" object still parse.
 //
 // DiffSnapshots compares the flat "metrics" maps of two snapshots under
 // per-key tolerances (longest matching key prefix wins) and classifies

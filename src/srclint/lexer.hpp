@@ -1,8 +1,8 @@
-// Lexer for the OpenCL C dialect clflow's emitter produces (CLF8xx
-// tentpole, stage 1 of 3: lex -> parse -> analyze).
+// Lexer for the OpenCL C dialect clflow's emitter produces, the first
+// stage of parsing text (see parser.hpp for who parses).
 //
-// The token set covers exactly the surface the emitter can generate
-// (src/codegen/opencl_codegen.cpp): identifiers and keywords, integer and
+// The token set covers exactly the surface the printer can generate
+// (srclint::ToSource, codegen/ast.cpp): identifiers and keywords, integer and
 // float literals (with exponents and the 'f' suffix), the punctuation of
 // fully-parenthesized expressions, '#pragma ...' lines (captured whole,
 // the parser interprets them), and '__attribute__((...))' spellings.

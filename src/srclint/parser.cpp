@@ -29,14 +29,6 @@ class Parser {
     return program;
   }
 
-  SrcExprPtr Expr() { return Ternary(); }
-
-  void ExpectEof() {
-    if (!Is(TokKind::kEof)) {
-      throw SrcParseError("trailing tokens after expression", Peek().line);
-    }
-  }
-
  private:
   // --- token helpers --------------------------------------------------------
 
@@ -298,18 +290,16 @@ class Parser {
 
   // --- expressions (standard C precedence, lowest first) --------------------
 
+  SrcExprPtr Expr() { return Ternary(); }
+
   SrcExprPtr Ternary() {
     auto cond = Or();
     if (!AcceptPunct("?")) return cond;
-    auto e = std::make_unique<SrcExpr>();
-    e->kind = SrcExprKind::kTernary;
-    e->line = cond->line;
+    const int line = cond->line;
     auto then_arm = Expr();
     ExpectPunct(":");
-    auto else_arm = Expr();
-    e->args.push_back(std::move(cond));
-    e->args.push_back(std::move(then_arm));
-    e->args.push_back(std::move(else_arm));
+    auto e = srclint::Ternary(std::move(cond), std::move(then_arm), Expr());
+    e->line = line;
     return e;
   }
 
@@ -335,15 +325,9 @@ class Parser {
       bool matched = false;
       for (const auto op : ops) {
         if (IsPunct(op)) {
-          const int line = Peek().line;
-          Next();
-          auto e = std::make_unique<SrcExpr>();
-          e->kind = SrcExprKind::kBinary;
-          e->op = std::string(op);
-          e->line = line;
-          e->args.push_back(std::move(lhs));
-          e->args.push_back(sub());
-          lhs = std::move(e);
+          const int line = Next().line;
+          lhs = Bin(std::string(op), std::move(lhs), sub());
+          lhs->line = line;
           matched = true;
           break;
         }
@@ -354,11 +338,9 @@ class Parser {
 
   SrcExprPtr Unary() {
     if (IsPunct("-") || IsPunct("!")) {
-      auto e = std::make_unique<SrcExpr>();
-      e->kind = SrcExprKind::kUnary;
-      e->line = Peek().line;
-      e->op = Next().text;
-      e->args.push_back(Unary());
+      const Token& op = Next();
+      auto e = srclint::Unary(op.text, Unary());
+      e->line = op.line;
       return e;
     }
     return Postfix();
@@ -380,16 +362,14 @@ class Parser {
         continue;
       }
       if (IsPunct("[")) {
-        if (e->kind != SrcExprKind::kIndex) {
-          auto idx = std::make_unique<SrcExpr>();
-          idx->kind = SrcExprKind::kIndex;
-          idx->line = e->line;
-          idx->args.push_back(std::move(e));
-          e = std::move(idx);
+        std::vector<SrcExprPtr> indices;
+        while (AcceptPunct("[")) {
+          indices.push_back(Expr());
+          ExpectPunct("]");
         }
-        Next();
-        e->args.push_back(Expr());
-        ExpectPunct("]");
+        const int line = e->line;
+        e = Index(std::move(e), std::move(indices));
+        e->line = line;
         continue;
       }
       return e;
@@ -397,27 +377,19 @@ class Parser {
   }
 
   SrcExprPtr Primary() {
-    auto e = std::make_unique<SrcExpr>();
-    e->line = Peek().line;
+    const int line = Peek().line;
+    SrcExprPtr e;
     if (Is(TokKind::kIntLit)) {
-      e->kind = SrcExprKind::kIntLit;
-      e->int_value = Next().int_value;
-      return e;
-    }
-    if (Is(TokKind::kFloatLit)) {
+      e = Int(Next().int_value);
+    } else if (Is(TokKind::kFloatLit)) {
       const Token& t = Next();
-      e->kind = SrcExprKind::kFloatLit;
-      e->float_value = t.float_value;
-      e->text = t.text;
-      if (e->text.find('f') == std::string::npos &&
-          e->text.find('F') == std::string::npos) {
-        e->text += 'f';  // normalize spelling; the emitter always suffixes
-      }
-      return e;
+      // Normalize the spelling; the emitter always suffixes.
+      e = Float(t.text + 'f', t.float_value);
+    } else if (Is(TokKind::kIdent)) {
+      e = Ident(Next().text);
     }
-    if (Is(TokKind::kIdent)) {
-      e->kind = SrcExprKind::kIdent;
-      e->name = Next().text;
+    if (e) {
+      e->line = line;
       return e;
     }
     if (AcceptPunct("(")) {
@@ -438,13 +410,6 @@ class Parser {
 SrcProgram ParseProgram(const std::string& source) {
   Parser parser(Lex(source));
   return parser.Program();
-}
-
-SrcExprPtr ParseExpr(const std::string& source) {
-  Parser parser(Lex(source));
-  auto e = parser.Expr();
-  parser.ExpectEof();
-  return e;
 }
 
 }  // namespace clflow::srclint

@@ -1,7 +1,9 @@
-// Recursive-descent parser for the emitted OpenCL C dialect (CLF8xx
-// tentpole, stage 2 of 3).
+// Recursive-descent parser for the emitted OpenCL C dialect: rebuilds
+// from text the tree codegen::BuildProgram builds. The compile gate
+// lints the built tree directly; this parser serves `--lint-src`, the
+// `--srclint-inject` text corruptions and the round-trip test.
 //
-// Accepts exactly the shape src/codegen/opencl_codegen.cpp produces:
+// Accepts exactly the shape srclint::ToSource prints:
 // an optional cl_intel_channels extension pragma, channel declarations
 // with optional depth attributes, then kernels whose bodies are
 // canonical for-loops (`for (int v = E; v < E; ++v)`), assignments,
@@ -12,7 +14,7 @@
 
 #include <string>
 
-#include "srclint/ast.hpp"
+#include "codegen/ast.hpp"
 #include "srclint/lexer.hpp"
 
 namespace clflow::srclint {
@@ -20,8 +22,5 @@ namespace clflow::srclint {
 /// Parses a whole .cl translation unit. Throws SrcParseError (reported
 /// upstream as CLF800) when the source leaves the emitted dialect.
 [[nodiscard]] SrcProgram ParseProgram(const std::string& source);
-
-/// Parses a single expression (exposed for tests).
-[[nodiscard]] SrcExprPtr ParseExpr(const std::string& source);
 
 }  // namespace clflow::srclint

@@ -30,6 +30,15 @@ std::optional<SrcProgram> LintSource(const std::string& source,
   return program;
 }
 
+bool LintProgram(const SrcProgram& program,
+                 const std::vector<const ir::Kernel*>& kernels,
+                 analysis::DiagnosticEngine& diags) {
+  const int errors_before = diags.error_count();
+  for (const auto& kernel : program.kernels) LintKernelSource(kernel, diags);
+  ValidateAgainstPlan(program, kernels, diags);
+  return diags.error_count() == errors_before;
+}
+
 bool LintProgram(const std::string& source,
                  const std::vector<const ir::Kernel*>& kernels,
                  analysis::DiagnosticEngine& diags) {

@@ -1,9 +1,9 @@
 // clflow::srclint -- source-level OpenCL linter & translation validator.
 //
-// The rest of the flow trusts the emitter: the IR verifier, dataflow
-// checker, and perf lints all run on the *plan*. srclint closes the loop
-// by re-parsing the emitted .cl text (lexer/parser) and proving, from the
-// text alone, that it matches the scheduled kernels -- the CLF8xx family:
+// The IR verifier, dataflow checker, and perf lints all run on the
+// *plan*. srclint closes the loop on the emitted source (the tree the
+// emitter built, codegen/ast.hpp) and proves that it matches the
+// scheduled kernels -- the CLF8xx family:
 //
 //   CLF800  source does not parse as the emitted dialect
 //   CLF801  kernel signature / attributes / locals diverge from the plan
@@ -20,8 +20,10 @@
 // dtype -> type-name mapping and derives every expectation from
 // ir::Kernel directly, so a bug in the emitter's own mapping (the
 // "channel float for an int channel" class) is catchable rather than
-// mirrored. Deployment::Compile runs LintProgram as a gate after
-// emission; `flow_inspector --lint-src` exposes the same check offline.
+// mirrored. Deployment::Compile's gate lints the tree the emitter built,
+// with no parse; the text entry points parse first and serve
+// `flow_inspector --lint-src`, the `--srclint-inject` corruptions and the
+// round-trip test.
 #pragma once
 
 #include <optional>
@@ -30,12 +32,12 @@
 
 #include "analysis/diag.hpp"
 #include "ir/stmt.hpp"
-#include "srclint/ast.hpp"
+#include "codegen/ast.hpp"
 
 namespace clflow::srclint {
 
-/// srclint's own dtype spelling. Intentionally NOT codegen::ClTypeName:
-/// the cross-check must fail if the emitter's mapping is wrong.
+/// srclint's own dtype spelling, intentionally not the emitter's: the
+/// cross-check must fail if the emitter's mapping is wrong.
 [[nodiscard]] std::string_view ExpectedTypeName(ir::ScalarType t);
 
 /// Parses `source` and runs the plan-free analyses (CLF805-809).
@@ -43,9 +45,14 @@ namespace clflow::srclint {
 std::optional<SrcProgram> LintSource(const std::string& source,
                                      analysis::DiagnosticEngine& diags);
 
-/// Full translation validation: LintSource plus the CLF801-804
-/// cross-checks of `source` against the planned kernels. Returns false
-/// iff this call reported at least one error-severity diagnostic.
+/// Full translation validation of a source tree: the plan-free analyses
+/// plus the CLF801-804 cross-checks against the planned kernels. Returns
+/// false iff this call reported at least one error-severity diagnostic.
+bool LintProgram(const SrcProgram& program,
+                 const std::vector<const ir::Kernel*>& kernels,
+                 analysis::DiagnosticEngine& diags);
+
+/// The same on text, via LintSource.
 bool LintProgram(const std::string& source,
                  const std::vector<const ir::Kernel*>& kernels,
                  analysis::DiagnosticEngine& diags);

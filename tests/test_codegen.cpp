@@ -14,21 +14,41 @@ bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
+/// The right-hand side of `out[0] = value;` as EmitKernel prints it.
+std::string EmitStored(const ir::Expr& value) {
+  ir::Kernel k;
+  k.name = "k";
+  auto out = ir::MakeBuffer("out", {ir::IntImm(1)}, ir::MemScope::kGlobal,
+                            /*is_arg=*/true, value->dtype);
+  k.buffer_args = {out};
+  k.body = ir::Store(out, {ir::IntImm(0)}, value);
+  const std::string src = EmitKernel(k);
+  const std::string lhs = "  out[0] = ";
+  const auto begin = src.find(lhs);
+  if (begin == std::string::npos) return src;
+  const auto rhs = begin + lhs.size();
+  return src.substr(rhs, src.find(";\n", rhs) - rhs);
+}
+
 TEST(EmitExpr, ArithmeticAndIntrinsics) {
   auto i = ir::MakeVar("i");
-  EXPECT_EQ(EmitExpr(ir::Add(ir::VarRef(i), ir::IntImm(3))), "(i + 3)");
-  EXPECT_EQ(EmitExpr(ir::Max(ir::FloatImm(0.0), ir::FloatImm(1.0))),
+  EXPECT_EQ(EmitStored(ir::Add(ir::VarRef(i), ir::IntImm(3))), "(i + 3)");
+  EXPECT_EQ(EmitStored(ir::Max(ir::FloatImm(0.0), ir::FloatImm(1.0))),
             "fmax(0.0f, 1.0f)");
-  EXPECT_EQ(EmitExpr(ir::Min(ir::IntImm(2), ir::IntImm(4))), "min(2, 4)");
-  EXPECT_EQ(EmitExpr(ir::CallIntrinsic("exp", {ir::FloatImm(1.0)})),
+  EXPECT_EQ(EmitStored(ir::Min(ir::IntImm(2), ir::IntImm(4))), "min(2, 4)");
+  EXPECT_EQ(EmitStored(ir::CallIntrinsic("exp", {ir::FloatImm(1.0)})),
             "exp(1.0f)");
+  // Negative literals print with their sign attached.
+  EXPECT_EQ(EmitStored(ir::Mul(ir::VarRef(i), ir::IntImm(-2))), "(i * -2)");
+  EXPECT_EQ(EmitStored(ir::Max(ir::FloatImm(-0.5), ir::FloatImm(1.0))),
+            "fmax(-0.5f, 1.0f)");
 }
 
 TEST(EmitExpr, SelectBecomesTernary) {
   auto i = ir::MakeVar("i");
   auto e = ir::Select(ir::Binary(ir::BinOp::kGe, ir::VarRef(i), ir::IntImm(2)),
                       ir::FloatImm(1.0), ir::FloatImm(0.0));
-  EXPECT_EQ(EmitExpr(e), "((i >= 2) ? 1.0f : 0.0f)");
+  EXPECT_EQ(EmitStored(e), "((i >= 2) ? 1.0f : 0.0f)");
 }
 
 TEST(EmitKernel, NaiveConvLooksLikeListing51) {

@@ -2,6 +2,9 @@
 // generator.
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <set>
+
 #include "core/host_codegen.hpp"
 #include "fpga/report.hpp"
 #include "ir/op_kernels.hpp"
@@ -141,6 +144,46 @@ TEST(HostCodegen, ConcurrentExecutionCreatesQueuePerKernel) {
   EXPECT_TRUE(Contains(src, "command queue per kernel"));
   EXPECT_TRUE(Contains(src, "cl_command_queue q5"));
   EXPECT_TRUE(Contains(src, "autorun"));
+}
+
+/// Queue indices `pattern` captures across `src`.
+std::set<int> QueueIds(const std::string& src, const std::regex& pattern) {
+  std::set<int> ids;
+  for (auto it = std::sregex_iterator(src.begin(), src.end(), pattern);
+       it != std::sregex_iterator(); ++it) {
+    ids.insert(std::stoi((*it)[1].str()));
+  }
+  return ids;
+}
+
+TEST(HostCodegen, CreatesExactlyTheQueuesItEnqueuesOn) {
+  // The host program follows Deployment::AssignQueues: autorun kernels get
+  // no queue, so every created queue carries at least one command.
+  const std::regex created(R"(cl_command_queue q(\d+) =)");
+  const std::regex used(R"(clEnqueue\w+\(q(\d+),)");
+  Rng rng(34);
+  graph::Graph net = nets::BuildLeNet5(rng);
+  std::vector<core::DeployOptions> configs;
+  for (const auto& recipe : core::PipelineLadder()) {
+    core::DeployOptions o;
+    o.mode = core::ExecutionMode::kPipelined;
+    o.recipe = recipe;
+    o.recipe.concurrent_execution = true;
+    configs.push_back(o);
+  }
+  core::DeployOptions folded;
+  folded.mode = core::ExecutionMode::kFolded;
+  folded.recipe = core::FoldedBase();
+  configs.push_back(folded);
+  for (auto& o : configs) {
+    o.board = fpga::Stratix10SX();
+    auto d = core::Deployment::Compile(net, o);
+    ASSERT_TRUE(d.ok()) << o.recipe.name;
+    const std::string src = core::EmitHostProgram(d);
+    const std::set<int> queues = QueueIds(src, created);
+    EXPECT_FALSE(queues.empty()) << o.recipe.name;
+    EXPECT_EQ(queues, QueueIds(src, used)) << o.recipe.name;
+  }
 }
 
 }  // namespace

@@ -104,7 +104,9 @@ TEST(SrcParser, ReconstructsProgramStructure) {
 TEST(SrcParser, ExpressionPrecedenceWithoutParens) {
   // The emitter parenthesizes everything; a hand-edited source must
   // still parse with C precedence.
-  const auto e = ParseExpr("a + b * c");
+  const SrcProgram p =
+      ParseProgram("__kernel void k() {\n  x = a + b * c;\n}\n");
+  const auto& e = p.kernels.at(0).body.at(0)->value;
   ASSERT_EQ(e->kind, SrcExprKind::kBinary);
   EXPECT_EQ(e->op, "+");
   EXPECT_EQ(e->args[1]->kind, SrcExprKind::kBinary);

@@ -1,15 +1,18 @@
-// Property tests for the srclint parser: every source the emitter can
-// produce -- across the pipelined ladder, the shipped folded recipes,
-// and a DSE candidate sweep -- must (1) parse, (2) survive a
-// print -> parse -> print fixpoint, and (3) still validate cleanly
-// against its plan after reprinting. Together these prove the AST is a
-// faithful reconstruction: nothing the emitter writes is dropped or
-// distorted by the parser.
+// Property tests for the srclint parser against the emitter: every source
+// the emitter can produce -- across the pipelined ladder, the shipped
+// folded recipes, and a DSE candidate sweep -- must (1) parse back to
+// exactly the tree codegen::BuildProgram built, every field including
+// `line`, `text` and `float_value`, (2) reprint to the emitted bytes, and
+// (3) still validate cleanly against its plan. The compile gate lints the
+// built tree without parsing, so this agreement is what keeps
+// `--lint-src` (which parses) and the gate (which does not) equivalent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "codegen/opencl_codegen.hpp"
 #include "core/deployment.hpp"
 #include "core/dse.hpp"
 #include "nets/nets.hpp"
@@ -25,9 +28,118 @@ std::vector<const ir::Kernel*> Planned(const core::Deployment& d) {
   return kernels;
 }
 
-/// The round-trip property for one deployment: parse the emission,
-/// reprint it canonically, and require (a) the reprint is a fixpoint and
-/// (b) the reprint still lints clean against the same plan.
+/// Field-by-field comparison of two source trees. `first` names the first
+/// field that differs (empty when the trees are equal).
+struct TreeDiff {
+  std::string first;
+
+  template <typename T>
+  void Field(const std::string& path, const char* field, const T& a,
+             const T& b) {
+    if (first.empty() && !(a == b)) first = path + field;
+  }
+
+  template <typename T, typename Each>
+  void List(const std::string& path, const std::vector<T>& a,
+            const std::vector<T>& b, Each each) {
+    Field(path, ".size", a.size(), b.size());
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      each(path + "[" + std::to_string(i) + "]", a[i], b[i]);
+    }
+  }
+
+  void Expr(const std::string& path, const SrcExprPtr& a,
+            const SrcExprPtr& b) {
+    Field(path, " (null)", a == nullptr, b == nullptr);
+    if (!a || !b) return;
+    Field(path, ".kind", a->kind, b->kind);
+    Field(path, ".int_value", a->int_value, b->int_value);
+    Field(path, ".float_value", a->float_value, b->float_value);
+    Field(path, ".text", a->text, b->text);
+    Field(path, ".name", a->name, b->name);
+    Field(path, ".op", a->op, b->op);
+    Field(path, ".line", a->line, b->line);
+    Exprs(path + ".args", a->args, b->args);
+  }
+
+  void Exprs(const std::string& path, const std::vector<SrcExprPtr>& a,
+             const std::vector<SrcExprPtr>& b) {
+    List(path, a, b, [this](const std::string& p, const auto& x,
+                            const auto& y) { Expr(p, x, y); });
+  }
+
+  void Stmts(const std::string& path, const std::vector<SrcStmtPtr>& a,
+             const std::vector<SrcStmtPtr>& b) {
+    List(path, a, b, [this](const std::string& p, const auto& x,
+                            const auto& y) { Stmt(p, *x, *y); });
+  }
+
+  void Stmt(const std::string& path, const SrcStmt& a, const SrcStmt& b) {
+    Field(path, ".kind", a.kind, b.kind);
+    Field(path, ".loop_var", a.loop_var, b.loop_var);
+    Expr(path + ".init", a.init, b.init);
+    Expr(path + ".bound", a.bound, b.bound);
+    Field(path, ".unroll", a.unroll, b.unroll);
+    Stmts(path + ".body", a.body, b.body);
+    Expr(path + ".target", a.target, b.target);
+    Expr(path + ".value", a.value, b.value);
+    Expr(path + ".cond", a.cond, b.cond);
+    Stmts(path + ".then", a.then_body, b.then_body);
+    Stmts(path + ".else", a.else_body, b.else_body);
+    Expr(path + ".call", a.call, b.call);
+    Field(path, ".line", a.line, b.line);
+  }
+
+  void Kernel(const std::string& path, const SrcKernel& a,
+              const SrcKernel& b) {
+    Field(path, ".name", a.name, b.name);
+    Field(path, ".attr_autorun", a.attr_autorun, b.attr_autorun);
+    Field(path, ".attr_max_global_work_dim0", a.attr_max_global_work_dim0,
+          b.attr_max_global_work_dim0);
+    Field(path, ".line", a.line, b.line);
+    List(path + ".params", a.params, b.params,
+         [this](const std::string& p, const SrcParam& x, const SrcParam& y) {
+           Field(p, ".is_pointer", x.is_pointer, y.is_pointer);
+           Field(p, ".constant_space", x.constant_space, y.constant_space);
+           Field(p, ".is_const", x.is_const, y.is_const);
+           Field(p, ".is_restrict", x.is_restrict, y.is_restrict);
+           Field(p, ".type", x.type, y.type);
+           Field(p, ".name", x.name, y.name);
+           Field(p, ".line", x.line, y.line);
+         });
+    List(path + ".locals", a.locals, b.locals,
+         [this](const std::string& p, const SrcLocalDecl& x,
+                const SrcLocalDecl& y) {
+           Field(p, ".local", x.local, y.local);
+           Field(p, ".type", x.type, y.type);
+           Field(p, ".name", x.name, y.name);
+           Field(p, ".line", x.line, y.line);
+           Exprs(p + ".dims", x.dims, y.dims);
+         });
+    Stmts(path + ".body", a.body, b.body);
+  }
+
+  void Program(const SrcProgram& a, const SrcProgram& b) {
+    Field("program", ".channels_extension", a.channels_extension,
+          b.channels_extension);
+    List("channels", a.channels, b.channels,
+         [this](const std::string& p, const SrcChannelDecl& x,
+                const SrcChannelDecl& y) {
+           Field(p, ".type", x.type, y.type);
+           Field(p, ".name", x.name, y.name);
+           Field(p, ".depth", x.depth, y.depth);
+           Field(p, ".line", x.line, y.line);
+         });
+    List("kernels", a.kernels, b.kernels,
+         [this](const std::string& p, const SrcKernel& x, const SrcKernel& y) {
+           Kernel(p, x, y);
+         });
+  }
+};
+
+/// The round-trip property for one deployment: the emission parses back
+/// to the tree the emitter built (every field) and reprints to the same
+/// bytes, the reprint is a fixpoint, and it lints clean against the plan.
 void ExpectRoundTrip(const core::Deployment& d, const std::string& tag) {
   const std::string emitted = d.GeneratedSource();
   SrcProgram parsed;
@@ -41,6 +153,14 @@ void ExpectRoundTrip(const core::Deployment& d, const std::string& tag) {
   }
 
   const std::string printed = ToSource(parsed);
+  EXPECT_EQ(printed, emitted) << tag << ": printer and parser disagree";
+
+  SrcProgram built = codegen::BuildProgram(Planned(d));
+  EXPECT_EQ(ToSourceNumbered(built), emitted) << tag;
+  TreeDiff diff;
+  diff.Program(built, parsed);
+  EXPECT_EQ(diff.first, "") << tag << ": built and parsed trees differ";
+
   SrcProgram reparsed;
   ASSERT_NO_THROW(reparsed = ParseProgram(printed)) << tag;
   EXPECT_EQ(printed, ToSource(reparsed)) << tag << ": printer not a fixpoint";
@@ -68,6 +188,14 @@ TEST(SrclintRoundTrip, EveryPipelineRecipeOnEveryBoard) {
 
 TEST(SrclintRoundTrip, ShippedFoldedRecipes) {
   Rng rng(77);
+  {
+    graph::Graph net = nets::BuildLeNet5(rng);
+    core::DeployOptions o;
+    o.mode = core::ExecutionMode::kFolded;
+    o.recipe = core::FoldedBase();
+    o.board = fpga::Stratix10SX();
+    ExpectRoundTrip(core::Deployment::Compile(net, o), "folded/lenet");
+  }
   {
     graph::Graph net = nets::BuildMobileNetV1(rng);
     core::DeployOptions o;
