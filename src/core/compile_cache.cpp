@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "codegen/opencl_codegen.hpp"
 #include "common/fnv.hpp"
 #include "obs/metrics.hpp"
 
@@ -71,6 +70,36 @@ void MixBindings(Fnv& f, const ir::Bindings& bindings) {
   }
 }
 
+/// Content-key text: a kind tag, the kernel name, one '|'-separated field
+/// per spec/schedule value, then one group per channel endpoint. Strings
+/// carry their length, so no field can absorb its neighbour.
+template <typename... Fields>
+std::string ContentKey(std::string_view kind, std::string_view name,
+                       const ir::ChannelIO& io, Fields... fields) {
+  std::string key(kind);
+  auto field = [&key](std::int64_t v) {
+    key += '|';
+    key += std::to_string(v);
+  };
+  auto str = [&](std::string_view text) {
+    field(static_cast<std::int64_t>(text.size()));
+    key += ':';
+    key += text;
+  };
+  auto endpoint = [&](std::string_view role, const ir::BufferPtr& chan) {
+    if (!chan) return;
+    key += role;
+    str(chan->name);
+    field(chan->channel_depth);
+    field(static_cast<std::int64_t>(chan->dtype));
+  };
+  str(name);
+  (field(static_cast<std::int64_t>(fields)), ...);
+  endpoint("|in", io.input);
+  endpoint("|out", io.output);
+  return key;
+}
+
 std::int64_t StatsBytes(const std::string& key, const ir::KernelStats& s) {
   return static_cast<std::int64_t>(sizeof(ir::KernelStats)) +
          static_cast<std::int64_t>(key.size()) +
@@ -106,28 +135,6 @@ CompileCacheStats CompileCacheStats::Since(const CompileCacheStats& base)
   return d;
 }
 
-CompileCache::DesignKey CompileCache::DesignKeyFor(
-    const ir::Kernel& kernel, const ir::Bindings& bindings,
-    const fpga::AocOptions& aoc, const fpga::CostModel& model) {
-  const std::string source = codegen::EmitProgram({&kernel});
-  Fnv f;
-  f.Str(source);
-  MixBindings(f, bindings);
-  f.Bool(aoc.fp_relaxed);
-  f.Bool(aoc.fpc);
-  MixCostModel(f, model);
-  return DesignKey{f.h, source.size(), kernel.name};
-}
-
-CompileCache::DesignKey CompileCache::DesignKeyFromContent(
-    const std::string& content_key, bool autorun, const std::string& name,
-    const ir::Bindings& bindings, const fpga::AocOptions& aoc,
-    const fpga::CostModel& model) {
-  return DesignKeyFromContent(
-      common::InternedString{content_key, common::FnvHash(content_key)},
-      autorun, name, bindings, aoc, model);
-}
-
 CompileCache::DesignKey CompileCache::DesignKeyFromContent(
     const common::InternedString& content_key, bool autorun,
     const std::string& name, const ir::Bindings& bindings,
@@ -153,28 +160,58 @@ common::InternedString CompileCache::InternKey(std::string_view key) {
 
 std::string CompileCache::ConvKernelKey(const ir::ConvSpec& spec,
                                         const ir::ConvSchedule& sched,
-                                        const std::string& name) {
-  std::string key = "conv|" + name;
-  auto add = [&key](std::int64_t v) { key += '|' + std::to_string(v); };
-  add(spec.c1);
-  add(spec.h1);
-  add(spec.w1);
-  add(spec.k);
-  add(spec.f);
-  add(spec.stride);
-  add(spec.depthwise);
-  add(spec.has_bias);
-  add(static_cast<std::int64_t>(spec.activation));
-  add(sched.fuse_activation);
-  add(sched.cached_writes);
-  add(sched.unroll_filter);
-  add(sched.tile_c1);
-  add(sched.tile_w2);
-  add(sched.tile_c2);
-  add(sched.weight_cache);
-  add(sched.symbolic);
-  add(sched.pin_strides);
-  return key;
+                                        const std::string& name,
+                                        const ir::ChannelIO& io) {
+  return ContentKey("conv", name, io, spec.c1, spec.h1, spec.w1, spec.k,
+                    spec.f, spec.stride, spec.depthwise, spec.has_bias,
+                    spec.activation, sched.fuse_activation,
+                    sched.cached_writes, sched.unroll_filter, sched.tile_c1,
+                    sched.tile_w2, sched.tile_c2, sched.weight_cache,
+                    sched.symbolic, sched.pin_strides);
+}
+
+std::string CompileCache::DenseKernelKey(const ir::DenseSpec& spec,
+                                         const ir::DenseSchedule& sched,
+                                         const std::string& name,
+                                         const ir::ChannelIO& io) {
+  return ContentKey("dense", name, io, spec.c1, spec.c2, spec.has_bias,
+                    spec.activation, sched.cached_writes, sched.unroll_k,
+                    sched.input_cache);
+}
+
+std::string CompileCache::PoolKernelKey(const ir::PoolSpec& spec,
+                                        const ir::PoolSchedule& sched,
+                                        const std::string& name,
+                                        const ir::ChannelIO& io) {
+  return ContentKey("pool", name, io, spec.c, spec.h1, spec.w1, spec.f,
+                    spec.stride, spec.is_max, sched.optimized);
+}
+
+std::string CompileCache::SoftmaxKernelKey(const ir::SoftmaxSpec& spec,
+                                           bool optimized,
+                                           const std::string& name,
+                                           const ir::ChannelIO& io) {
+  return ContentKey("softmax", name, io, spec.n, optimized);
+}
+
+std::string CompileCache::PadKernelKey(const ir::PadSpec& spec,
+                                       const std::string& name,
+                                       const ir::ChannelIO& io) {
+  return ContentKey("pad", name, io, spec.c, spec.h1, spec.w1, spec.pad,
+                    spec.symbolic);
+}
+
+std::string CompileCache::AddKernelKey(const ir::AddSpec& spec,
+                                       std::int64_t unroll,
+                                       const std::string& name) {
+  return ContentKey("add", name, {}, spec.n, spec.activation, spec.symbolic,
+                    unroll);
+}
+
+std::string CompileCache::CopyKernelKey(std::int64_t n,
+                                        const std::string& name,
+                                        const ir::ChannelIO& io) {
+  return ContentKey("copy", name, io, n);
 }
 
 std::optional<fpga::KernelDesign> CompileCache::LookupDesign(

@@ -3,24 +3,31 @@
 // A design-space sweep compiles many deployments that share most of their
 // kernels: every MobileNet candidate carries the same conv3x3 / conv_dw /
 // pad / dense kernels and only varies the pointwise tiling. The cache
-// memoizes the two expensive per-kernel stages so shared work is done
-// once per *content*, not once per design point:
+// memoizes the expensive per-kernel stages so shared work is done once
+// per *content*, not once per design point. Every planned kernel, in
+// either execution mode, carries a content key (PlannedKernel::
+// content_key): the serialization of the builder spec, schedule, kernel
+// name and channel endpoints its IR is a pure function of, derived by the
+// one *KernelKey function of its spec type below. All three memo tables
+// are keyed by it:
 //
-//   * lowering  -- BuildConv2dKernel results keyed by the full
-//     (ConvSpec, ConvSchedule, name) value: the scheduled IR, its buffers
-//     and its symbolic parameters are immutable after construction, so a
-//     cached BuiltKernel is shared structurally across deployments; plus
-//     ir::AnalyzeKernel results keyed by (kernel content key, bindings),
-//     which is where a folded compile actually spends its time;
-//   * synthesis -- fpga::SynthesizeKernelDesign results keyed by a stable
-//     fingerprint of the kernel's schedule content, the
-//     representative shape bindings, the AOC flags, and every CostModel
-//     constant. The per-kernel design is board-independent (fit/route/
-//     fmax are whole-design properties computed by AssembleBitstream), so
-//     the board is deliberately NOT part of the key; changing the cost
-//     model or AOC flags changes the fingerprint, which is the
-//     invalidation path -- stale entries can never be returned, only
-//     orphaned. Clear() drops them (e.g. between unrelated sweeps).
+//   * lowering  -- ir::Build*Kernel results keyed by the content key: the
+//     scheduled IR, its buffers and its symbolic parameters are immutable
+//     after construction, so a cached BuiltKernel is shared structurally
+//     across deployments (except kernels with channel endpoints, whose IR
+//     holds the planning deployment's own channel buffers);
+//   * analysis  -- ir::AnalyzeKernel results keyed by (content key,
+//     autorun, bindings), which is where a folded compile actually spends
+//     its time;
+//   * synthesis -- fpga::SynthesizeKernelDesign results keyed by a
+//     fingerprint of (content key, autorun, representative bindings, AOC
+//     flags, every CostModel constant). The per-kernel design is
+//     board-independent (fit/route/fmax are whole-design properties
+//     computed by AssembleBitstream), so the board is deliberately NOT
+//     part of the key; changing the cost model or AOC flags changes the
+//     fingerprint, which is the invalidation path -- stale entries can
+//     never be returned, only orphaned. Clear() drops them (e.g. between
+//     unrelated sweeps).
 //
 // Thread safety: all methods are safe to call from concurrent
 // Deployment::Compile workers (core::ExploreFoldedTilings jobs > 1). A
@@ -30,14 +37,13 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-
-#include <map>
 
 #include "common/arena.hpp"
 #include "fpga/synth.hpp"
@@ -80,49 +86,26 @@ struct CompileCacheStats {
 
 class CompileCache {
  public:
-  /// Key of one synthesized kernel design. The 64-bit FNV-1a content hash
-  /// is guarded against collisions by the fingerprinted source length and
-  /// the kernel name.
+  /// Key of one synthesized kernel design. The 64-bit FNV-1a fingerprint
+  /// is guarded against collisions by the content key's length and the
+  /// kernel name.
   struct DesignKey {
     std::uint64_t hash = 0;
-    std::uint64_t source_size = 0;
+    std::uint64_t key_size = 0;
     std::string kernel;
 
     [[nodiscard]] bool operator<(const DesignKey& o) const {
       if (hash != o.hash) return hash < o.hash;
-      if (source_size != o.source_size) return source_size < o.source_size;
+      if (key_size != o.key_size) return key_size < o.key_size;
       return kernel < o.kernel;
     }
   };
 
-  /// Fingerprint of (kernel content, representative bindings, AOC flags,
-  /// cost model). Kernel content is the printed source tree of this
-  /// kernel alone, ToSource(codegen::BuildProgram({&kernel})) --
-  /// deterministic, and it captures everything synthesis reads (loop
-  /// structure, unroll pragmas, channel depths, memory scopes, symbolic
-  /// arguments). This is the fallback for kernels without a schedule
-  /// content key (the pipelined planner); building and printing the
-  /// source costs more than the analytical synthesis it memoizes, so the
-  /// folded planner uses DesignKeyFromContent instead.
-  [[nodiscard]] static DesignKey DesignKeyFor(const ir::Kernel& kernel,
-                                              const ir::Bindings& bindings,
-                                              const fpga::AocOptions& aoc,
-                                              const fpga::CostModel& model);
-
-  /// Fingerprint of (schedule content key, autorun flag, representative
-  /// bindings, AOC flags, cost model) for kernels whose IR is a pure
-  /// function of a builder spec (PlannedKernel::content_key). Equivalent
-  /// to DesignKeyFor -- the spec determines the generated source -- but
-  /// costs a string hash instead of a codegen run.
-  [[nodiscard]] static DesignKey DesignKeyFromContent(
-      const std::string& content_key, bool autorun, const std::string& name,
-      const ir::Bindings& bindings, const fpga::AocOptions& aoc,
-      const fpga::CostModel& model);
-
-  /// Same fingerprint, but seeded from an interned content key's
-  /// precomputed FNV hash (InternKey) -- skips rehashing the key bytes,
-  /// which the folded planner otherwise pays once per kernel per
-  /// candidate.
+  /// Fingerprint of (content key, autorun flag, representative bindings,
+  /// AOC flags, cost model), seeded from the interned key's precomputed
+  /// FNV hash (InternKey) so the key bytes are not rehashed. The content
+  /// key determines the kernel's IR, and with it everything synthesis
+  /// reads; autorun is the one post-lowering mutation the planners make.
   [[nodiscard]] static DesignKey DesignKeyFromContent(
       const common::InternedString& content_key, bool autorun,
       const std::string& name, const ir::Bindings& bindings,
@@ -133,11 +116,34 @@ class CompileCache {
   /// sweep. Thread-safe.
   [[nodiscard]] common::InternedString InternKey(std::string_view key);
 
-  /// Lowering-cache key for a scheduled convolution: every ConvSpec /
-  /// ConvSchedule field plus the kernel name.
+  /// Content keys, one derivation per builder spec type: a kind tag, the
+  /// kernel name, every spec and schedule field, and each channel
+  /// endpoint's name, depth and element type (the builders bake channel
+  /// reads/writes into the IR, and synthesis sizes a channel's FIFO from
+  /// its depth). Equal keys imply identical IR.
   [[nodiscard]] static std::string ConvKernelKey(const ir::ConvSpec& spec,
                                                  const ir::ConvSchedule& sched,
-                                                 const std::string& name);
+                                                 const std::string& name,
+                                                 const ir::ChannelIO& io = {});
+  [[nodiscard]] static std::string DenseKernelKey(
+      const ir::DenseSpec& spec, const ir::DenseSchedule& sched,
+      const std::string& name, const ir::ChannelIO& io = {});
+  [[nodiscard]] static std::string PoolKernelKey(const ir::PoolSpec& spec,
+                                                 const ir::PoolSchedule& sched,
+                                                 const std::string& name,
+                                                 const ir::ChannelIO& io = {});
+  [[nodiscard]] static std::string SoftmaxKernelKey(
+      const ir::SoftmaxSpec& spec, bool optimized, const std::string& name,
+      const ir::ChannelIO& io = {});
+  [[nodiscard]] static std::string PadKernelKey(const ir::PadSpec& spec,
+                                                const std::string& name,
+                                                const ir::ChannelIO& io = {});
+  [[nodiscard]] static std::string AddKernelKey(const ir::AddSpec& spec,
+                                                std::int64_t unroll,
+                                                const std::string& name);
+  [[nodiscard]] static std::string CopyKernelKey(std::int64_t n,
+                                                 const std::string& name,
+                                                 const ir::ChannelIO& io = {});
 
   [[nodiscard]] std::optional<fpga::KernelDesign> LookupDesign(
       const DesignKey& key);

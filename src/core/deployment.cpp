@@ -75,14 +75,140 @@ ir::ChannelIO TailIo(
   return io;
 }
 
-/// Channel endpoints folded into a kernel's content key: the builders bake
-/// channel reads/writes into the IR, so two otherwise-identical specs with
-/// different endpoints are different kernels.
-std::string IoDesc(const ir::ChannelIO& io) {
-  std::string s;
-  if (io.input) s += "|in:" + io.input->name;
-  if (io.output) s += "|out:" + io.output->name;
-  return s;
+/// What a planner chose for one node. The lowering step reads only the
+/// part that belongs to the node's op kind.
+struct NodeSchedule {
+  ir::ConvSchedule conv;
+  ir::DenseSchedule dense;
+  /// Pooling's private accumulator and unrolled window, and softmax's
+  /// hoisted max/sum (Listing 5.8).
+  bool optimized = false;
+  /// Pad and add kernels take their shape as arguments (folded execution).
+  bool symbolic = false;
+  std::int64_t add_unroll = 1;
+};
+
+/// The one lowering step of both planners: builds the node's builder spec
+/// from the graph, derives the kernel's content key from spec, schedule,
+/// name and channel endpoints, and builds the kernel -- through the
+/// cache's lowering memo when there is one. Kernels with channel endpoints
+/// are always built fresh: their IR holds this deployment's channel
+/// buffers, which codegen declares by identity.
+PlannedKernel LowerNode(const Node& n, const Shape& in,
+                        const NodeSchedule& s, const std::string& name,
+                        const ir::ChannelIO& io, CompileCache* cache) {
+  PlannedKernel pk;
+  const bool memo = cache != nullptr && !io.input && !io.output;
+  auto lower = [&](std::string key, const auto& build) {
+    pk.content_key = std::move(key);
+    if (!memo) {
+      pk.built = build();
+    } else if (auto hit = cache->LookupKernel(pk.content_key)) {
+      pk.built = std::move(*hit);
+    } else {
+      pk.built = build();
+      cache->InsertKernel(pk.content_key, pk.built);
+    }
+  };
+  switch (n.kind) {
+    case OpKind::kConv2d:
+    case OpKind::kDepthwiseConv2d: {
+      const ir::ConvSpec spec{.c1 = in.channels(),
+                              .h1 = in.height(),
+                              .w1 = in.width(),
+                              .k = n.filters,
+                              .f = n.window,
+                              .stride = n.stride,
+                              .depthwise = n.kind == OpKind::kDepthwiseConv2d,
+                              .has_bias = n.bias.defined(),
+                              .activation = n.activation};
+      lower(CompileCache::ConvKernelKey(spec, s.conv, name, io),
+            [&] { return ir::BuildConv2dKernel(spec, s.conv, name, io); });
+      pk.op_class = std::to_string(n.window) + "x" +
+                    std::to_string(n.window) +
+                    (spec.depthwise ? " DW conv" : " conv");
+      if (n.window != 1) pk.op_class += " S=" + std::to_string(n.stride);
+      pk.tiling_desc = TilingDesc(s.conv);
+      break;
+    }
+    case OpKind::kDense: {
+      const ir::DenseSpec spec{.c1 = in.NumElements(),
+                               .c2 = n.output_shape.NumElements(),
+                               .has_bias = n.bias.defined(),
+                               .activation = n.activation};
+      lower(CompileCache::DenseKernelKey(spec, s.dense, name, io),
+            [&] { return ir::BuildDenseKernel(spec, s.dense, name, io); });
+      pk.op_class = "dense";
+      pk.tiling_desc = "k unroll " + std::to_string(s.dense.unroll_k);
+      break;
+    }
+    case OpKind::kMaxPool:
+    case OpKind::kAvgPool: {
+      const ir::PoolSpec spec{.c = in.channels(),
+                              .h1 = in.height(),
+                              .w1 = in.width(),
+                              .f = n.window,
+                              .stride = n.stride,
+                              .is_max = n.kind == OpKind::kMaxPool};
+      const ir::PoolSchedule sched{.optimized = s.optimized};
+      lower(CompileCache::PoolKernelKey(spec, sched, name, io),
+            [&] { return ir::BuildPoolKernel(spec, sched, name, io); });
+      pk.op_class = spec.is_max ? "maxpool" : "avgpool";
+      break;
+    }
+    case OpKind::kSoftmax: {
+      const ir::SoftmaxSpec spec{.n = in.NumElements()};
+      lower(CompileCache::SoftmaxKernelKey(spec, s.optimized, name, io), [&] {
+        return ir::BuildSoftmaxKernel(spec, s.optimized, name, io);
+      });
+      pk.op_class = "softmax";
+      break;
+    }
+    case OpKind::kFlatten: {
+      lower(CompileCache::CopyKernelKey(in.NumElements(), name, io),
+            [&] { return ir::BuildCopyKernel(in.NumElements(), name, io); });
+      pk.op_class = "flatten";
+      break;
+    }
+    case OpKind::kPad: {
+      const ir::PadSpec spec{.c = in.channels(),
+                             .h1 = in.height(),
+                             .w1 = in.width(),
+                             .pad = n.pad,
+                             .symbolic = s.symbolic};
+      lower(CompileCache::PadKernelKey(spec, name, io),
+            [&] { return ir::BuildPadKernel(spec, name, io); });
+      pk.op_class = "pad";
+      break;
+    }
+    case OpKind::kAdd: {
+      const ir::AddSpec spec{.n = n.output_shape.NumElements(),
+                             .activation = n.activation,
+                             .symbolic = s.symbolic};
+      lower(CompileCache::AddKernelKey(spec, s.add_unroll, name),
+            [&] { return ir::BuildAddKernel(spec, s.add_unroll, name); });
+      pk.op_class = "add";
+      break;
+    }
+    default:
+      throw ScheduleError("CLF405", "unsupported op " + n.name);
+  }
+  return pk;
+}
+
+/// Per-invocation analysis, memoized by (content key, autorun, bindings):
+/// it runs per layer, not per unique kernel, so it dominates a cache-warm
+/// folded compile.
+ir::KernelStats AnalyzeInvocation(const PlannedKernel& pk,
+                                  const ir::Bindings& bindings,
+                                  CompileCache* cache) {
+  if (cache == nullptr) return ir::AnalyzeKernel(pk.built.kernel, bindings);
+  const std::string key = CompileCache::StatsKeyFor(
+      pk.content_key, pk.built.kernel.autorun, bindings);
+  if (auto hit = cache->LookupStats(key)) return std::move(*hit);
+  ir::KernelStats stats = ir::AnalyzeKernel(pk.built.kernel, bindings);
+  cache->InsertStats(key, stats);
+  return stats;
 }
 
 }  // namespace
@@ -217,6 +343,7 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
     }
   }
 
+  CompileCache* cache = options_.compile_cache.get();
   for (const Node& n : fused_.nodes()) {
     if (n.kind == OpKind::kInput) continue;
     const Node& src = fused_.node(n.inputs[0]);
@@ -228,90 +355,22 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
     }
 
     const Shape& in_shape = src.output_shape;
-    PlannedKernel pk;
     const std::string kname = "k_" + n.name;
     obs::ScopedSpan lower_span("lower:" + kname, "lower");
-    const bool implicit_unroll =
-        naive && options_.board.auto_unrolls_small_loops;
-
-    switch (n.kind) {
-      case OpKind::kConv2d:
-      case OpKind::kDepthwiseConv2d: {
-        ir::ConvSpec spec{.c1 = in_shape.channels(),
-                          .h1 = in_shape.height(),
-                          .w1 = in_shape.width(),
-                          .k = n.filters,
-                          .f = n.window,
-                          .stride = n.stride,
-                          .depthwise = n.kind == OpKind::kDepthwiseConv2d,
-                          .has_bias = n.bias.defined(),
-                          .activation = n.activation};
-        ir::ConvSchedule sched;
-        sched.fuse_activation = recipe.fuse_and_cache;
-        sched.cached_writes = recipe.fuse_and_cache;
-        sched.unroll_filter = recipe.unroll || implicit_unroll;
-        sched.weight_cache = recipe.weight_cache;
-        pk.built = ir::BuildConv2dKernel(spec, sched, kname, io);
-        pk.op_class = spec.depthwise ? "dw conv" : "conv";
-        pk.tiling_desc = TilingDesc(sched);
-        break;
-      }
-      case OpKind::kDense: {
-        ir::DenseSpec spec{.c1 = in_shape.NumElements(),
-                           .c2 = n.output_shape.NumElements(),
-                           .has_bias = n.bias.defined(),
-                           .activation = n.activation};
-        ir::DenseSchedule sched;
-        sched.cached_writes = recipe.fuse_and_cache;
-        sched.unroll_k = recipe.unroll
-                             ? LargestDivisorLE(spec.c1,
-                                                recipe.dense_unroll_limit)
-                             : 1;
-        sched.input_cache = recipe.weight_cache || io.input != nullptr;
-        pk.built = ir::BuildDenseKernel(spec, sched, kname, io);
-        pk.op_class = "dense";
-        pk.tiling_desc = "k unroll " + std::to_string(sched.unroll_k);
-        break;
-      }
-      case OpKind::kMaxPool:
-      case OpKind::kAvgPool: {
-        ir::PoolSpec spec{.c = in_shape.channels(),
-                          .h1 = in_shape.height(),
-                          .w1 = in_shape.width(),
-                          .f = n.window,
-                          .stride = n.stride,
-                          .is_max = n.kind == OpKind::kMaxPool};
-        pk.built = ir::BuildPoolKernel(
-            spec, {.optimized = recipe.fuse_and_cache}, kname, io);
-        pk.op_class = "pool";
-        break;
-      }
-      case OpKind::kSoftmax: {
-        pk.built = ir::BuildSoftmaxKernel({.n = in_shape.NumElements()},
-                                          /*optimized=*/recipe.fuse_and_cache,
-                                          kname, io);
-        pk.op_class = "softmax";
-        break;
-      }
-      case OpKind::kFlatten: {
-        pk.built =
-            ir::BuildCopyKernel(in_shape.NumElements(), kname, io);
-        pk.op_class = "flatten";
-        break;
-      }
-      case OpKind::kPad: {
-        pk.built = ir::BuildPadKernel({.c = in_shape.channels(),
-                                       .h1 = in_shape.height(),
-                                       .w1 = in_shape.width(),
-                                       .pad = n.pad},
-                                      kname, io);
-        pk.op_class = "pad";
-        break;
-      }
-      default:
-        throw ScheduleError("CLF405",
-                            "pipelined planner: unsupported op " + n.name);
-    }
+    NodeSchedule sched;
+    sched.conv.fuse_activation = recipe.fuse_and_cache;
+    sched.conv.cached_writes = recipe.fuse_and_cache;
+    sched.conv.unroll_filter =
+        recipe.unroll || (naive && options_.board.auto_unrolls_small_loops);
+    sched.conv.weight_cache = recipe.weight_cache;
+    sched.dense.cached_writes = recipe.fuse_and_cache;
+    sched.dense.unroll_k =
+        recipe.unroll ? LargestDivisorLE(in_shape.NumElements(),
+                                         recipe.dense_unroll_limit)
+                      : 1;
+    sched.dense.input_cache = recipe.weight_cache || io.input != nullptr;
+    sched.optimized = recipe.fuse_and_cache;
+    PlannedKernel pk = LowerNode(n, in_shape, sched, kname, io, cache);
 
     if (recipe.autorun && pk.built.kernel.buffer_args.empty() &&
         pk.built.kernel.scalar_args.empty()) {
@@ -321,7 +380,7 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
     PlannedInvocation inv;
     inv.kernel_index = static_cast<int>(kernels_.size());
     inv.node = n.id;
-    inv.stats = ir::AnalyzeKernel(pk.built.kernel);
+    inv.stats = AnalyzeInvocation(pk, inv.bindings, cache);
     inv.autorun = pk.built.kernel.autorun;
     if (io.input) inv.reads_channels.push_back(io.input->name);
     if (io.output) inv.writes_channels.push_back(io.output->name);
@@ -370,7 +429,8 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
     }
   }
 
-  // Kernel cache for parameterized groups, keyed by a structural string.
+  // Kernel groups (one kernel, many invocations), keyed by a structural
+  // string; parameterized recipes share one kernel per group.
   std::map<std::string, int> group_kernel;
 
   auto conv_tiling = [&](const Node& n) -> ConvTiling {
@@ -380,104 +440,105 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
     return recipe.conv_large;
   };
 
+  CompileCache* cache = options_.compile_cache.get();
   for (const Node& n : fused_.nodes()) {
     if (n.kind == OpKind::kInput) continue;
     const Node& src = fused_.node(n.inputs[0]);
     const Shape& in_shape = src.output_shape;
+    const Shape& out = n.output_shape;
     PlannedInvocation inv;
     inv.node = n.id;
     obs::ScopedSpan lower_span("lower:" + n.name, "lower");
 
-    auto intern = [&](const std::string& key,
-                      const std::function<PlannedKernel()>& make) {
-      auto it = group_kernel.find(key);
-      if (it != group_kernel.end()) return it->second;
-      const int index = static_cast<int>(kernels_.size());
-      kernels_.push_back(make());
-      group_kernel[key] = index;
-      return index;
-    };
-
+    NodeSchedule sched;
+    sched.optimized = recipe.fuse_and_cache;
+    sched.symbolic = recipe.parameterized;
+    // Interning key of the node's kernel group; empty means one kernel
+    // per node (the classifier ops, which may join the hybrid tail).
+    std::string group;
+    ir::ChannelIO io;
     switch (n.kind) {
       case OpKind::kConv2d:
       case OpKind::kDepthwiseConv2d: {
         const bool dw = n.kind == OpKind::kDepthwiseConv2d;
         const ConvTiling tiling = conv_tiling(n);
-        ir::ConvSchedule sched;
-        sched.fuse_activation = recipe.fuse_and_cache;
-        sched.cached_writes = recipe.fuse_and_cache;
-        sched.unroll_filter = recipe.unroll && tiling.unroll_filter;
-        sched.symbolic = recipe.parameterized;
-        sched.pin_strides = recipe.parameterized && recipe.pin_strides;
+        ir::ConvSchedule& conv = sched.conv;
+        conv.fuse_activation = recipe.fuse_and_cache;
+        conv.cached_writes = recipe.fuse_and_cache;
+        conv.unroll_filter = recipe.unroll && tiling.unroll_filter;
+        conv.symbolic = recipe.parameterized;
+        conv.pin_strides = recipe.parameterized && recipe.pin_strides;
         if (recipe.fuse_and_cache) {
-          sched.tile_c1 = dw ? 1 : tiling.c1;
-          sched.tile_w2 = tiling.w2;
-          sched.tile_c2 = dw ? 1 : tiling.c2;
+          conv.tile_c1 = dw ? 1 : tiling.c1;
+          conv.tile_w2 = tiling.w2;
+          conv.tile_c2 = dw ? 1 : tiling.c2;
         }
         // Divisibility (no epilogue loops, SS4.11 requirement 2).
-        const Shape& out = n.output_shape;
-        if ((!dw && in_shape.channels() % sched.tile_c1 != 0) ||
-            out.width() % sched.tile_w2 != 0 ||
-            (!dw && n.filters % sched.tile_c2 != 0)) {
+        if ((!dw && in_shape.channels() % conv.tile_c1 != 0) ||
+            out.width() % conv.tile_w2 != 0 ||
+            (!dw && n.filters % conv.tile_c2 != 0)) {
           throw ScheduleError("CLF403",
                               "tiling does not divide layer " + n.name,
                               "k_" + n.name, "", out.width());
         }
-
-        ir::ConvSpec spec{.c1 = in_shape.channels(),
-                          .h1 = in_shape.height(),
-                          .w1 = in_shape.width(),
-                          .k = n.filters,
-                          .f = n.window,
-                          .stride = n.stride,
-                          .depthwise = dw,
-                          .has_bias = n.bias.defined(),
-                          .activation = n.activation};
-        std::string key = dw ? "dw" : "conv";
-        key += std::to_string(n.window);
-        key += "_s";
-        key += std::to_string(n.stride);
-        key += "_b";
-        key += spec.has_bias ? '1' : '0';
+        group = dw ? "dw" : "conv";
+        group += std::to_string(n.window);
+        group += "_s";
+        group += std::to_string(n.stride);
+        group += "_b";
+        group += n.bias.defined() ? '1' : '0';
         // Parameterized kernels select their activation at runtime, so
         // activation is not part of the grouping key; constant-shape
         // kernels bake it in.
         if (!recipe.parameterized) {
-          key += "_a";
-          key += std::to_string(static_cast<int>(n.activation));
-          key += "_node";
-          key += std::to_string(n.id);
+          group += "_a";
+          group += std::to_string(static_cast<int>(n.activation));
+          group += "_node";
+          group += std::to_string(n.id);
         }
+        break;
+      }
+      case OpKind::kPad:
+        group = "pad" + std::to_string(n.pad);
+        if (!recipe.parameterized) group += "_node" + std::to_string(n.id);
+        break;
+      case OpKind::kAdd:
+        sched.add_unroll = recipe.fuse_and_cache ? recipe.add_unroll : 1;
+        CLFLOW_CHECK_MSG(out.NumElements() % sched.add_unroll == 0,
+                         "add unroll does not divide");
+        group = "add_a" + std::to_string(static_cast<int>(n.activation));
+        if (!recipe.parameterized) group += "_node" + std::to_string(n.id);
+        break;
+      default:
+        io = TailIo(n.id, tail_start, tail_channel);
+        sched.dense.cached_writes = recipe.fuse_and_cache;
+        sched.dense.unroll_k =
+            recipe.unroll ? LargestDivisorLE(in_shape.NumElements(),
+                                             recipe.dense_unroll_folded)
+                          : 1;
+        sched.dense.input_cache =
+            recipe.fuse_and_cache || io.input != nullptr;
+        break;
+    }
+    if (group.empty()) {
+      inv.kernel_index = static_cast<int>(kernels_.size());
+      kernels_.push_back(
+          LowerNode(n, in_shape, sched, "k_" + n.name, io, cache));
+    } else {
+      const auto [it, inserted] = group_kernel.try_emplace(
+          group, static_cast<int>(kernels_.size()));
+      if (inserted) {
+        kernels_.push_back(
+            LowerNode(n, in_shape, sched, "k_" + group, io, cache));
+      }
+      inv.kernel_index = it->second;
+    }
 
-        inv.kernel_index = intern(key, [&] {
-          PlannedKernel pk;
-          const std::string kname = "k_" + key;
-          pk.content_key = CompileCache::ConvKernelKey(spec, sched, kname);
-          // Lowering cache: scheduled conv IR is immutable after build and
-          // a pure function of (spec, sched, name), so candidates sharing a
-          // conv configuration share one BuildConv2dKernel (folded conv
-          // kernels never take the tail autorun mutation below).
-          if (options_.compile_cache) {
-            if (auto hit =
-                    options_.compile_cache->LookupKernel(pk.content_key)) {
-              pk.built = std::move(*hit);
-            } else {
-              pk.built = ir::BuildConv2dKernel(spec, sched, kname);
-              options_.compile_cache->InsertKernel(pk.content_key, pk.built);
-            }
-          } else {
-            pk.built = ir::BuildConv2dKernel(spec, sched, kname);
-          }
-          pk.op_class = std::to_string(n.window) + "x" +
-                        std::to_string(n.window) +
-                        (dw ? " DW conv" : " conv");
-          if (n.window != 1) pk.op_class += " S=" + std::to_string(n.stride);
-          pk.tiling_desc = TilingDesc(sched);
-          return pk;
-        });
-
-        const auto& built = kernels_[static_cast<std::size_t>(
-                                         inv.kernel_index)].built;
+    const auto& built =
+        kernels_[static_cast<std::size_t>(inv.kernel_index)].built;
+    switch (n.kind) {
+      case OpKind::kConv2d:
+      case OpKind::kDepthwiseConv2d:
         BindParam(built, "C1", in_shape.channels(), inv.bindings);
         BindParam(built, "HW", in_shape.height(), inv.bindings);
         BindParam(built, "K", n.filters, inv.bindings);
@@ -489,8 +550,10 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
                     inv.bindings);
         if (built.weights) {
           BindStrides(built, built.weights,
-                      dw ? Shape{spec.c1, spec.f, spec.f}
-                         : Shape{n.filters, spec.c1, spec.f, spec.f},
+                      n.kind == OpKind::kDepthwiseConv2d
+                          ? Shape{in_shape.channels(), n.window, n.window}
+                          : Shape{n.filters, in_shape.channels(), n.window,
+                                  n.window},
                       inv.bindings);
         }
         BindStrides(built, built.output,
@@ -501,143 +564,15 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
                       inv.bindings);
         }
         break;
-      }
-      case OpKind::kPad: {
-        std::ostringstream key;
-        key << "pad" << n.pad;
-        if (!recipe.parameterized) key << "_node" << n.id;
-        ir::PadSpec spec{.c = in_shape.channels(),
-                         .h1 = in_shape.height(),
-                         .w1 = in_shape.width(),
-                         .pad = n.pad,
-                         .symbolic = recipe.parameterized};
-        inv.kernel_index = intern(key.str(), [&] {
-          PlannedKernel pk;
-          pk.content_key = "pad|k_" + key.str() + '|' +
-                           std::to_string(spec.c) + '|' +
-                           std::to_string(spec.h1) + '|' +
-                           std::to_string(spec.w1) + '|' +
-                           std::to_string(spec.pad) + '|' +
-                           std::to_string(spec.symbolic);
-          pk.built = ir::BuildPadKernel(spec, "k_" + key.str());
-          pk.op_class = "pad";
-          return pk;
-        });
-        const auto& built = kernels_[static_cast<std::size_t>(
-                                         inv.kernel_index)].built;
+      case OpKind::kPad:
         BindParam(built, "C1", in_shape.channels(), inv.bindings);
         BindParam(built, "HW", in_shape.height(), inv.bindings);
         break;
-      }
-      case OpKind::kAdd: {
-        const std::int64_t elems = n.output_shape.NumElements();
-        const std::int64_t unroll =
-            recipe.fuse_and_cache ? recipe.add_unroll : 1;
-        CLFLOW_CHECK_MSG(elems % unroll == 0, "add unroll does not divide");
-        std::ostringstream key;
-        key << "add_a" << static_cast<int>(n.activation);
-        if (!recipe.parameterized) key << "_node" << n.id;
-        inv.kernel_index = intern(key.str(), [&] {
-          PlannedKernel pk;
-          pk.content_key = "add|k_" + key.str() + '|' +
-                           std::to_string(elems) + '|' +
-                           std::to_string(static_cast<int>(n.activation)) +
-                           '|' + std::to_string(recipe.parameterized) + '|' +
-                           std::to_string(unroll);
-          pk.built = ir::BuildAddKernel({.n = elems,
-                                         .activation = n.activation,
-                                         .symbolic = recipe.parameterized},
-                                        unroll, "k_" + key.str());
-          pk.op_class = "add";
-          return pk;
-        });
-        const auto& built = kernels_[static_cast<std::size_t>(
-                                         inv.kernel_index)].built;
-        BindParam(built, "N", elems, inv.bindings);
+      case OpKind::kAdd:
+        BindParam(built, "N", out.NumElements(), inv.bindings);
         break;
-      }
-      case OpKind::kDense: {
-        ir::ChannelIO io = TailIo(n.id, tail_start, tail_channel);
-        ir::DenseSpec spec{.c1 = in_shape.NumElements(),
-                           .c2 = n.output_shape.NumElements(),
-                           .has_bias = n.bias.defined(),
-                           .activation = n.activation};
-        ir::DenseSchedule sched;
-        sched.cached_writes = recipe.fuse_and_cache;
-        sched.unroll_k =
-            recipe.unroll
-                ? LargestDivisorLE(spec.c1, recipe.dense_unroll_folded)
-                : 1;
-        sched.input_cache = recipe.fuse_and_cache || io.input != nullptr;
-        inv.kernel_index = static_cast<int>(kernels_.size());
-        PlannedKernel pk;
-        pk.content_key = "dense|k_" + n.name + '|' +
-                         std::to_string(spec.c1) + '|' +
-                         std::to_string(spec.c2) + '|' +
-                         std::to_string(spec.has_bias) + '|' +
-                         std::to_string(static_cast<int>(spec.activation)) +
-                         '|' + std::to_string(sched.cached_writes) + '|' +
-                         std::to_string(sched.unroll_k) + '|' +
-                         std::to_string(sched.input_cache) + IoDesc(io);
-        pk.built = ir::BuildDenseKernel(spec, sched, "k_" + n.name, io);
-        pk.op_class = "dense";
-        pk.tiling_desc = "k unroll " + std::to_string(sched.unroll_k);
-        kernels_.push_back(std::move(pk));
-        break;
-      }
-      case OpKind::kMaxPool:
-      case OpKind::kAvgPool: {
-        ir::ChannelIO io = TailIo(n.id, tail_start, tail_channel);
-        ir::PoolSpec spec{.c = in_shape.channels(),
-                          .h1 = in_shape.height(),
-                          .w1 = in_shape.width(),
-                          .f = n.window,
-                          .stride = n.stride,
-                          .is_max = n.kind == OpKind::kMaxPool};
-        inv.kernel_index = static_cast<int>(kernels_.size());
-        PlannedKernel pk;
-        pk.content_key = "pool|k_" + n.name + '|' + std::to_string(spec.c) +
-                         '|' + std::to_string(spec.h1) + '|' +
-                         std::to_string(spec.w1) + '|' +
-                         std::to_string(spec.f) + '|' +
-                         std::to_string(spec.stride) + '|' +
-                         std::to_string(spec.is_max) + '|' +
-                         std::to_string(recipe.fuse_and_cache) + IoDesc(io);
-        pk.built = ir::BuildPoolKernel(
-            spec, {.optimized = recipe.fuse_and_cache}, "k_" + n.name, io);
-        pk.op_class = spec.is_max ? "maxpool" : "avgpool";
-        kernels_.push_back(std::move(pk));
-        break;
-      }
-      case OpKind::kSoftmax: {
-        ir::ChannelIO io = TailIo(n.id, tail_start, tail_channel);
-        inv.kernel_index = static_cast<int>(kernels_.size());
-        PlannedKernel pk;
-        pk.content_key = "softmax|k_" + n.name + '|' +
-                         std::to_string(in_shape.NumElements()) + '|' +
-                         std::to_string(recipe.fuse_and_cache) + IoDesc(io);
-        pk.built = ir::BuildSoftmaxKernel({.n = in_shape.NumElements()},
-                                          recipe.fuse_and_cache,
-                                          "k_" + n.name, io);
-        pk.op_class = "softmax";
-        kernels_.push_back(std::move(pk));
-        break;
-      }
-      case OpKind::kFlatten: {
-        ir::ChannelIO io = TailIo(n.id, tail_start, tail_channel);
-        inv.kernel_index = static_cast<int>(kernels_.size());
-        PlannedKernel pk;
-        pk.content_key = "copy|k_" + n.name + '|' +
-                         std::to_string(in_shape.NumElements()) + IoDesc(io);
-        pk.built = ir::BuildCopyKernel(in_shape.NumElements(), "k_" + n.name,
-                                       io);
-        pk.op_class = "flatten";
-        kernels_.push_back(std::move(pk));
-        break;
-      }
       default:
-        throw ScheduleError("CLF405",
-                            "folded planner: unsupported op " + n.name);
+        break;
     }
 
     // Hybrid tail: record channel endpoints and autorun weightless
@@ -659,24 +594,9 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
       }
     }
 
-    // Per-invocation analysis dominates a cache-warm folded compile (it
-    // runs per layer, not per unique kernel), so it is memoized alongside
-    // the lowering results. The key covers the kernel's content key, the
-    // tail autorun mutation above, and the bindings.
-    const PlannedKernel& planned =
-        kernels_[static_cast<std::size_t>(inv.kernel_index)];
-    if (options_.compile_cache && !planned.content_key.empty()) {
-      const std::string skey = CompileCache::StatsKeyFor(
-          planned.content_key, planned.built.kernel.autorun, inv.bindings);
-      if (auto hit = options_.compile_cache->LookupStats(skey)) {
-        inv.stats = std::move(*hit);
-      } else {
-        inv.stats = ir::AnalyzeKernel(planned.built.kernel, inv.bindings);
-        options_.compile_cache->InsertStats(skey, inv.stats);
-      }
-    } else {
-      inv.stats = ir::AnalyzeKernel(planned.built.kernel, inv.bindings);
-    }
+    inv.stats = AnalyzeInvocation(
+        kernels_[static_cast<std::size_t>(inv.kernel_index)], inv.bindings,
+        cache);
     invocations_.push_back(std::move(inv));
   }
 }
@@ -694,47 +614,34 @@ void Deployment::SynthesizeAll() {
       rep[idx] = inv.bindings;
     }
   }
-  if (!options_.compile_cache) {
-    std::vector<fpga::SynthInput> inputs;
-    inputs.reserve(kernels_.size());
-    for (std::size_t i = 0; i < kernels_.size(); ++i) {
-      inputs.push_back({&kernels_[i].built.kernel, rep[i]});
-    }
-    bitstream_ = fpga::Synthesize(inputs, options_.board, options_.recipe.aoc,
-                                  options_.cost_model);
-    return;
-  }
-  // Cached path: per-kernel designs are board-independent, so each is
-  // looked up by content fingerprint and only misses pay the synthesis
+  // Per-kernel designs are board-independent, so with a cache each is
+  // looked up by its content fingerprint and only misses pay the synthesis
   // cost; AssembleBitstream (totals, fit, route, fmax) is cheap and always
   // runs against this deployment's board.
-  CompileCache& cache = *options_.compile_cache;
+  CompileCache* cache = options_.compile_cache.get();
   obs::Registry& reg = telemetry_->registry;
   std::vector<fpga::KernelDesign> designs;
   designs.reserve(kernels_.size());
   for (std::size_t i = 0; i < kernels_.size(); ++i) {
     const ir::Kernel& kernel = kernels_[i].built.kernel;
-    // Content-addressable kernels (folded planner) are fingerprinted by
-    // their schedule content key -- a string hash; only kernels without
-    // one (pipelined planner) pay a codegen run for the fingerprint.
-    const auto key =
-        kernels_[i].content_key.empty()
-            ? CompileCache::DesignKeyFor(kernel, rep[i], options_.recipe.aoc,
-                                         options_.cost_model)
-            : CompileCache::DesignKeyFromContent(
-                  cache.InternKey(kernels_[i].content_key), kernel.autorun,
-                  kernel.name, rep[i], options_.recipe.aoc,
-                  options_.cost_model);
-    if (auto hit = cache.LookupDesign(key)) {
-      hit->kernel = &kernel;  // cached copies carry no deployment pointer
-      designs.push_back(std::move(*hit));
-      reg.counter("compile.cache.hits").Add(1.0);
-      continue;
+    CompileCache::DesignKey key;
+    if (cache != nullptr) {
+      key = CompileCache::DesignKeyFromContent(
+          cache->InternKey(kernels_[i].content_key), kernel.autorun,
+          kernel.name, rep[i], options_.recipe.aoc, options_.cost_model);
+      if (auto hit = cache->LookupDesign(key)) {
+        hit->kernel = &kernel;  // cached copies carry no deployment pointer
+        designs.push_back(std::move(*hit));
+        reg.counter("compile.cache.hits").Add(1.0);
+        continue;
+      }
     }
     designs.push_back(fpga::SynthesizeKernelDesign(
         {&kernel, rep[i]}, options_.recipe.aoc, options_.cost_model));
-    cache.InsertDesign(key, designs.back());
-    reg.counter("compile.cache.misses").Add(1.0);
+    if (cache != nullptr) {
+      cache->InsertDesign(key, designs.back());
+      reg.counter("compile.cache.misses").Add(1.0);
+    }
   }
   bitstream_ = fpga::AssembleBitstream(std::move(designs), options_.board,
                                        options_.recipe.aoc,

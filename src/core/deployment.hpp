@@ -60,11 +60,12 @@ struct DeployOptions {
   int functional_threads = 1;
   AnalysisOptions analysis;
   /// Optional content-hashed compile/synthesis cache (see
-  /// core/compile_cache.hpp). When set, per-kernel lowering (folded conv
-  /// kernels) and per-kernel synthesis results are memoized across Compile
-  /// calls; `compile.cache.hits`/`compile.cache.misses` counters land in
-  /// this deployment's telemetry. Null (the default) compiles everything
-  /// from scratch.
+  /// core/compile_cache.hpp). When set, per-kernel lowering, per-invocation
+  /// analysis and per-kernel synthesis results are memoized across Compile
+  /// calls by each kernel's content key, in both execution modes;
+  /// `compile.cache.hits`/`compile.cache.misses` counters land in this
+  /// deployment's telemetry. Null (the default) compiles everything from
+  /// scratch.
   std::shared_ptr<CompileCache> compile_cache;
   /// Hardening knobs for the simulated runtime this deployment constructs
   /// (Finish() watchdog timeout, retry/backoff caps). Validated at the top
@@ -110,10 +111,10 @@ struct PlannedKernel {
   ir::BuiltKernel built;
   std::string op_class;
   std::string tiling_desc;  ///< human-readable unroll/tile summary
-  /// Schedule content key: serialization of the builder spec this kernel's
-  /// IR is a pure function of (folded planner only; empty means "not
-  /// content-addressable" and the CompileCache falls back to fingerprinting
-  /// the generated source). Keys analysis and synthesis memoization.
+  /// Content key: serialization of the builder spec, schedule, kernel name
+  /// and channel endpoints this kernel's IR is a pure function of (one
+  /// CompileCache::*KernelKey derivation per spec type). Never empty; keys
+  /// the lowering, analysis and synthesis memo tables.
   std::string content_key;
 };
 

@@ -332,7 +332,7 @@ DseResult ExploreFoldedTilings(const graph::Graph& g,
   // redundantly. Seed the cache with one representative candidate first
   // (serially); the counters and ranking are untouched -- the prewarmed
   // candidate is still evaluated below, now against a warm cache.
-  if (cache && options.prewarm_shared_cache && jobs > 1 && !order.empty()) {
+  if (cache && jobs > 1 && !order.empty()) {
     result.prewarm = PrewarmCandidate(fused, survivors[order.front()], board,
                                       model, cache);
   }

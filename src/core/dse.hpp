@@ -92,7 +92,11 @@ struct DseOptions {
   /// Worker threads compiling surviving candidates concurrently (<=1 runs
   /// inline). Thread count never changes the result: enumeration and
   /// filtering happen serially first, compiles land in per-candidate
-  /// slots, and the merge walks them in enumeration order.
+  /// slots, and the merge walks them in enumeration order. With more than
+  /// one job and a cache, one representative candidate is compiled
+  /// serially first, so the backbone kernels every candidate shares are
+  /// cache-resident before the workers start instead of being compiled
+  /// redundantly by a stampede of racing misses (DseResult::prewarm).
   int jobs = 1;
   /// Memoize per-kernel lowering and synthesis across candidates. Uses
   /// `cache` when set, else the process-wide CompileCache::Shared() (so
@@ -111,15 +115,6 @@ struct DseOptions {
   bool verify_candidates = false;
   /// Apply BoundFoldedCandidate before compiling (`rejected_bound`).
   bool prune_bound = true;
-  /// When compiling with multiple jobs, first compile one representative
-  /// candidate serially so the backbone kernels every candidate shares
-  /// are cache-resident before the workers start. Without it, the first
-  /// parallel batch stampedes the cold cache: every worker misses on the
-  /// same conv3x3/depthwise/dense designs and compiles them redundantly
-  /// (racing misses are allowed to compute a design twice). Never changes
-  /// the result -- the prewarmed candidate is still evaluated and counted
-  /// exactly like any other; its compile simply hits the warm cache.
-  bool prewarm_shared_cache = true;
   /// Skip candidates whose unroll widths are <= an already-feasible
   /// candidate's in every dimension (and < in at least one), charged as
   /// `rejected_dominated`. Heuristic, off by default: it assumes fps is
@@ -169,7 +164,7 @@ struct DseResult {
   /// may compute a design twice) -- every other field above is.
   CompileCacheStats cache_stats;
   /// In-sweep prewarm activity (zeros when the sweep ran with one job or
-  /// prewarming was disabled).
+  /// without a cache).
   DsePrewarmStats prewarm;
   /// Wall-clock accounting accumulated over the candidate-compile
   /// ParallelFor batches. Machine-dependent ("wall." semantics -- never

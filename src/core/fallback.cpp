@@ -43,15 +43,14 @@ bool HalveLargestTiling(OptimizationRecipe& recipe, std::string& delta) {
 /// attempts so the (comparatively expensive) exploration runs at most
 /// once.
 bool DegradeFolded(const graph::Graph& g, DeployOptions& cur,
-                   const FallbackPolicy& policy, bool& tried_dse,
-                   std::string& delta) {
+                   bool& tried_dse, std::string& delta) {
   if (HalveLargestTiling(cur.recipe, delta)) return true;
-  if (policy.use_dse && !tried_dse) {
+  if (!tried_dse) {
     tried_dse = true;
     // The sweep shares the ladder's cache: kernels already compiled by
     // earlier rungs are hits inside the exploration.
-    DseOptions dse_opts = policy.dse;
-    if (!dse_opts.cache) dse_opts.cache = cur.compile_cache;
+    DseOptions dse_opts;
+    dse_opts.cache = cur.compile_cache;
     const DseResult dse =
         ExploreFoldedTilings(g, cur.board, dse_opts, cur.cost_model);
     if (!dse.ranked.empty()) {
@@ -77,10 +76,9 @@ bool DegradeFolded(const graph::Graph& g, DeployOptions& cur,
 }
 
 /// Picks the next rung for a pipelined design: shed area-hungry kernel
-/// optimizations first, then the host-side extras, then (policy
-/// permitting) leave pipelined execution entirely.
-bool DegradePipelined(DeployOptions& cur, const FallbackPolicy& policy,
-                      std::string& delta) {
+/// optimizations first, then the host-side extras, then leave pipelined
+/// execution entirely.
+bool DegradePipelined(DeployOptions& cur, std::string& delta) {
   OptimizationRecipe& r = cur.recipe;
   if (r.weight_cache) {
     r.weight_cache = false;
@@ -97,13 +95,10 @@ bool DegradePipelined(DeployOptions& cur, const FallbackPolicy& policy,
     delta = "dropped channels/autorun/concurrency (global-memory handoff)";
     return true;
   }
-  if (policy.allow_mode_switch) {
-    cur.mode = ExecutionMode::kFolded;
-    cur.recipe = FoldedBase();
-    delta = "switched execution mode pipelined -> folded baseline";
-    return true;
-  }
-  return false;
+  cur.mode = ExecutionMode::kFolded;
+  cur.recipe = FoldedBase();
+  delta = "switched execution mode pipelined -> folded baseline";
+  return true;
 }
 
 /// Mirrors the attempt log into the winning deployment's telemetry so the
@@ -143,7 +138,7 @@ FallbackResult CompileWithFallback(const graph::Graph& g,
                                    const FallbackPolicy& policy) {
   FallbackResult result;
   DeployOptions cur = options;
-  if (policy.use_compile_cache && !cur.compile_cache) {
+  if (!cur.compile_cache) {
     cur.compile_cache = CompileCache::SharedPtr();
   }
   std::string delta = "requested recipe";
@@ -184,8 +179,8 @@ FallbackResult CompileWithFallback(const graph::Graph& g,
 
     const bool more =
         cur.mode == ExecutionMode::kFolded
-            ? DegradeFolded(g, cur, policy, tried_dse, delta)
-            : DegradePipelined(cur, policy, delta);
+            ? DegradeFolded(g, cur, tried_dse, delta)
+            : DegradePipelined(cur, delta);
     if (!more) break;
   }
   return result;

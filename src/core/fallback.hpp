@@ -12,8 +12,7 @@
 //                    naive folded baseline;
 //   pipelined designs: drop weight caches, then unrolling, then the
 //                    channels/autorun/concurrency host optimizations, and
-//                    finally (policy permitting) switch the execution mode
-//                    to folded.
+//                    finally switch the execution mode to folded.
 //
 // Every attempt -- including the failed ones -- is recorded in the
 // returned log and, on success, mirrored into the winning deployment's
@@ -31,20 +30,13 @@
 
 namespace clflow::core {
 
+/// The ladder memoizes lowering/synthesis across attempts (and the embedded
+/// DSE sweep) through options.compile_cache, or CompileCache::Shared() when
+/// that is null: the rungs of a ladder differ only in one tiling family, so
+/// most kernels are reused.
 struct FallbackPolicy {
   /// Total compile attempts (the original recipe counts as one).
   int max_attempts = 6;
-  /// Allow pipelined designs to degrade all the way to folded execution.
-  bool allow_mode_switch = true;
-  /// Consult the tiling DSE when halving alone cannot recover a folded
-  /// design.
-  bool use_dse = true;
-  DseOptions dse;
-  /// Memoize lowering/synthesis across ladder attempts (and the embedded
-  /// DSE sweep) via CompileCache::Shared(); the rungs of a ladder differ
-  /// only in one tiling family, so most kernels are reused. An explicit
-  /// options.compile_cache takes precedence.
-  bool use_compile_cache = true;
 };
 
 /// One rung of the ladder: what was compiled and how it went.
