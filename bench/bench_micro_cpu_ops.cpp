@@ -132,21 +132,47 @@ class SnapshotReporter : public benchmark::ConsoleReporter {
   bench::BenchSnapshot* snap_;
 };
 
-/// Median wall time of `fn` over `reps` runs (one warmup discarded).
+/// Wall time of one call of `fn`.
 template <typename Fn>
-double MedianUs(int reps, const Fn& fn) {
-  (void)fn();
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
+double WallUs(const Fn& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  auto out = fn();
+  benchmark::DoNotOptimize(out.data().data());
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::micro>(t1 - t0).count();
+}
+
+struct PairedTiming {
+  double scalar_us = 0.0;  ///< median scalar time
+  double simd_us = 0.0;    ///< median SIMD time
+  double speedup = 0.0;    ///< median of per-pair scalar/SIMD ratios
+};
+
+/// Times `scalar` and `simd` in `reps` back-to-back pairs, alternating
+/// which side runs first (one warmup of each discarded). The speedup is
+/// the median of per-pair ratios, as bench_micro_event_pool gates: pairing
+/// cancels the slow timing drift of a shared host, which two independent
+/// medians taken one after the other pick up as a ratio.
+template <typename Scalar, typename Simd>
+PairedTiming TimePaired(int reps, const Scalar& scalar, const Simd& simd) {
+  (void)scalar();
+  (void)simd();
+  std::vector<double> scalar_us, simd_us, ratios;
   for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto out = fn();
-    benchmark::DoNotOptimize(out.data().data());
-    const auto t1 = std::chrono::steady_clock::now();
-    times.push_back(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    double a = 0, b = 0;
+    if (r % 2 == 0) {
+      a = WallUs(scalar);
+      b = WallUs(simd);
+    } else {
+      b = WallUs(simd);
+      a = WallUs(scalar);
+    }
+    scalar_us.push_back(a);
+    simd_us.push_back(b);
+    ratios.push_back(a / b);
   }
-  return bench::Median(std::move(times));
+  return {bench::Median(std::move(scalar_us)), bench::Median(std::move(simd_us)),
+          bench::Median(std::move(ratios))};
 }
 
 bool BitExact(const Tensor& a, const Tensor& b) {
@@ -156,24 +182,25 @@ bool BitExact(const Tensor& a, const Tensor& b) {
 }
 
 /// Times the SIMD entry point against its *Scalar oracle on identical
-/// data; records wall.simd.<op>.{scalar_us,simd_us} (host-dependent,
-/// ignored by CI) and simd.<op>.speedup (gated). Returns false on any
-/// bitwise mismatch.
+/// data (TimePaired); records wall.simd.<op>.{scalar_us,simd_us}
+/// (host-dependent, ignored by CI) and simd.<op>.speedup (gated). Returns
+/// false on any bitwise mismatch.
 bool SimdVsScalar(bench::BenchSnapshot& snap) {
-  constexpr int kReps = 7;
+  constexpr int kReps = 11;
   Rng rng(bench::kBenchSeed);
   bool exact = true;
-  std::printf("\n--- SIMD vs scalar (median of %d) ---\n", kReps);
+  std::printf("\n--- SIMD vs scalar (median of %d interleaved pairs) ---\n",
+              kReps);
 
-  auto report = [&](const char* op, double scalar_us, double simd_us,
-                    bool ok) {
-    const double speedup = scalar_us / simd_us;
+  auto measure = [&](const char* op, const auto& scalar, const auto& simd) {
+    const PairedTiming t = TimePaired(kReps, scalar, simd);
+    const bool ok = BitExact(scalar(), simd());
     std::printf("%-10s scalar %9.0f us  simd %9.0f us  %5.2fx  %s\n", op,
-                scalar_us, simd_us, speedup,
+                t.scalar_us, t.simd_us, t.speedup,
                 ok ? "bit-exact" : "MISMATCH");
-    snap.Metric(std::string("wall.simd.") + op + ".scalar_us", scalar_us);
-    snap.Metric(std::string("wall.simd.") + op + ".simd_us", simd_us);
-    snap.Metric(std::string("simd.") + op + ".speedup", speedup);
+    snap.Metric(std::string("wall.simd.") + op + ".scalar_us", t.scalar_us);
+    snap.Metric(std::string("wall.simd.") + op + ".simd_us", t.simd_us);
+    snap.Metric(std::string("simd.") + op + ".speedup", t.speedup);
     exact = exact && ok;
   };
 
@@ -183,51 +210,35 @@ bool SimdVsScalar(bench::BenchSnapshot& snap) {
     Tensor bias = Tensor::Random(Shape{32}, rng);
     const cpu::Conv2dParams p{.stride = 1, .pad = 1,
                               .activation = Activation::kRelu};
-    const double scalar_us = MedianUs(
-        kReps, [&] { return cpu::Conv2dScalar(input, w, bias, p, 1); });
-    const double simd_us =
-        MedianUs(kReps, [&] { return cpu::Conv2d(input, w, bias, p, 1); });
-    report("conv3x3", scalar_us, simd_us,
-           BitExact(cpu::Conv2dScalar(input, w, bias, p, 1),
-                    cpu::Conv2d(input, w, bias, p, 1)));
+    measure(
+        "conv3x3", [&] { return cpu::Conv2dScalar(input, w, bias, p, 1); },
+        [&] { return cpu::Conv2d(input, w, bias, p, 1); });
   }
   {
     Tensor input = Tensor::Random(Shape{1, 128, 28, 28}, rng);
     Tensor w = Tensor::Random(Shape{128, 128, 1, 1}, rng);
     const cpu::Conv2dParams p{};
-    const double scalar_us = MedianUs(
-        kReps, [&] { return cpu::Conv2dScalar(input, w, Tensor(), p, 1); });
-    const double simd_us = MedianUs(
-        kReps, [&] { return cpu::Conv2d(input, w, Tensor(), p, 1); });
-    report("conv1x1", scalar_us, simd_us,
-           BitExact(cpu::Conv2dScalar(input, w, Tensor(), p, 1),
-                    cpu::Conv2d(input, w, Tensor(), p, 1)));
+    measure(
+        "conv1x1", [&] { return cpu::Conv2dScalar(input, w, Tensor(), p, 1); },
+        [&] { return cpu::Conv2d(input, w, Tensor(), p, 1); });
   }
   {
     Tensor input = Tensor::Random(Shape{1, 128, 28, 28}, rng);
     Tensor w = Tensor::Random(Shape{128, 1, 3, 3}, rng);
     const cpu::Conv2dParams p{.stride = 1, .pad = 1};
-    const double scalar_us = MedianUs(kReps, [&] {
-      return cpu::DepthwiseConv2dScalar(input, w, Tensor(), p, 1);
-    });
-    const double simd_us = MedianUs(
-        kReps, [&] { return cpu::DepthwiseConv2d(input, w, Tensor(), p, 1); });
-    report("depthwise", scalar_us, simd_us,
-           BitExact(cpu::DepthwiseConv2dScalar(input, w, Tensor(), p, 1),
-                    cpu::DepthwiseConv2d(input, w, Tensor(), p, 1)));
+    measure(
+        "depthwise",
+        [&] { return cpu::DepthwiseConv2dScalar(input, w, Tensor(), p, 1); },
+        [&] { return cpu::DepthwiseConv2d(input, w, Tensor(), p, 1); });
   }
   {
     Tensor x = Tensor::Random(Shape{1, 1024}, rng);
     Tensor w = Tensor::Random(Shape{1000, 1024}, rng);
     Tensor b = Tensor::Random(Shape{1000}, rng);
-    const double scalar_us = MedianUs(kReps, [&] {
-      return cpu::DenseScalar(x, w, b, Activation::kNone, 1);
-    });
-    const double simd_us = MedianUs(
-        kReps, [&] { return cpu::Dense(x, w, b, Activation::kNone, 1); });
-    report("dense", scalar_us, simd_us,
-           BitExact(cpu::DenseScalar(x, w, b, Activation::kNone, 1),
-                    cpu::Dense(x, w, b, Activation::kNone, 1)));
+    measure(
+        "dense",
+        [&] { return cpu::DenseScalar(x, w, b, Activation::kNone, 1); },
+        [&] { return cpu::Dense(x, w, b, Activation::kNone, 1); });
   }
   return exact;
 }

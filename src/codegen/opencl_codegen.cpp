@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -242,14 +241,9 @@ srclint::SrcKernel BuildKernel(const ir::Kernel& k) {
 srclint::SrcProgram BuildProgram(
     const std::vector<const ir::Kernel*>& kernels) {
   srclint::SrcProgram program;
-  // Gather channels across all kernels, by pointer identity, declare once.
-  std::set<const ir::BufferNode*> channels;
-  for (const auto* k : kernels) {
-    for (const auto& c : k->channels_read) channels.insert(c.get());
-    for (const auto& c : k->channels_written) channels.insert(c.get());
-  }
+  const std::vector<ir::BufferPtr> channels = ir::ProgramChannels(kernels);
   program.channels_extension = !channels.empty();
-  for (const auto* c : channels) {
+  for (const auto& c : channels) {
     // The element type follows the channel buffer's dtype: a quantized
     // (int) channel declared "channel float" compiles under AOC but
     // reinterprets every payload -- exactly the emitter-trusted-blindly

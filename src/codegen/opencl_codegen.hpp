@@ -26,8 +26,9 @@ namespace clflow::codegen {
 [[nodiscard]] srclint::SrcKernel BuildKernel(const ir::Kernel& kernel);
 
 /// Builds a full .cl translation unit: the cl_intel_channels extension
-/// pragma and channel declarations (deduplicated across kernels) when any
-/// kernel uses channels, then every kernel.
+/// pragma and one declaration per channel of ir::ProgramChannels (by name,
+/// in first-use order) when any kernel uses channels, then every kernel.
+/// Throws IrError when one channel name carries two types or depths.
 [[nodiscard]] srclint::SrcProgram BuildProgram(
     const std::vector<const ir::Kernel*>& kernels);
 

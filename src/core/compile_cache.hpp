@@ -14,8 +14,9 @@
 //   * lowering  -- ir::Build*Kernel results keyed by the content key: the
 //     scheduled IR, its buffers and its symbolic parameters are immutable
 //     after construction, so a cached BuiltKernel is shared structurally
-//     across deployments (except kernels with channel endpoints, whose IR
-//     holds the planning deployment's own channel buffers);
+//     across deployments. That includes kernels with channel endpoints: a
+//     channel's identity is its name (ir::ProgramChannels), which the
+//     content key covers with the channel's depth and element type;
 //   * analysis  -- ir::AnalyzeKernel results keyed by (content key,
 //     autorun, bindings), which is where a folded compile actually spends
 //     its time;

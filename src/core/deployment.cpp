@@ -58,21 +58,20 @@ void BindParam(const ir::BuiltKernel& built, const std::string& name,
   if (it != built.params.end()) bindings[it->second.get()] = value;
 }
 
-/// Channel endpoints for a hybrid-tail node: input from the predecessor's
-/// channel (when the predecessor is in the tail), output to this node's
-/// channel (when one exists, i.e. it is not the network output).
-ir::ChannelIO TailIo(
-    NodeId id, NodeId tail_start,
-    const std::unordered_map<NodeId, ir::BufferPtr>& tail_channel) {
-  ir::ChannelIO io;
-  if (tail_start < 0 || id < tail_start) return io;
-  auto out_it = tail_channel.find(id);
-  if (out_it != tail_channel.end()) io.output = out_it->second;
-  auto in_it = tail_channel.find(id - 1);
-  if (id > tail_start && in_it != tail_channel.end()) {
-    io.input = in_it->second;
-  }
-  return io;
+/// The channel that carries node `n`'s output. A channel is its name, so
+/// the producer and the consumer each build their own endpoint.
+ir::BufferPtr ChannelOf(const Node& n) {
+  auto chan =
+      ir::MakeBuffer("ch_" + n.name, {ir::IntImm(1)}, ir::MemScope::kChannel);
+  chan->channel_depth = n.output_shape.NumElements();
+  return chan;
+}
+
+std::vector<std::string> ChannelNames(const std::vector<ir::BufferPtr>& cs) {
+  std::vector<std::string> names;
+  names.reserve(cs.size());
+  for (const auto& c : cs) names.push_back(c->name);
+  return names;
 }
 
 /// What a planner chose for one node. The lowering step reads only the
@@ -91,17 +90,14 @@ struct NodeSchedule {
 /// The one lowering step of both planners: builds the node's builder spec
 /// from the graph, derives the kernel's content key from spec, schedule,
 /// name and channel endpoints, and builds the kernel -- through the
-/// cache's lowering memo when there is one. Kernels with channel endpoints
-/// are always built fresh: their IR holds this deployment's channel
-/// buffers, which codegen declares by identity.
+/// cache's lowering memo when there is one.
 PlannedKernel LowerNode(const Node& n, const Shape& in,
                         const NodeSchedule& s, const std::string& name,
                         const ir::ChannelIO& io, CompileCache* cache) {
   PlannedKernel pk;
-  const bool memo = cache != nullptr && !io.input && !io.output;
   auto lower = [&](std::string key, const auto& build) {
     pk.content_key = std::move(key);
-    if (!memo) {
+    if (cache == nullptr) {
       pk.built = build();
     } else if (auto hit = cache->LookupKernel(pk.content_key)) {
       pk.built = std::move(*hit);
@@ -330,29 +326,19 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
                              "kernels (Table 6.4 ladder)");
   }
 
-  // Pre-create channels for every interior edge.
-  std::unordered_map<NodeId, ir::BufferPtr> out_channel;
-  if (recipe.channels) {
-    for (const Node& n : fused_.nodes()) {
-      if (n.kind == OpKind::kInput) continue;
-      if (n.id == fused_.output_id()) continue;
-      auto chan = ir::MakeBuffer("ch_" + n.name, {ir::IntImm(1)},
-                                 ir::MemScope::kChannel);
-      chan->channel_depth = n.output_shape.NumElements();
-      out_channel[n.id] = chan;
-    }
-  }
+  // Every interior edge is a channel.
+  auto channelized = [&](const Node& n) {
+    return recipe.channels && n.kind != OpKind::kInput &&
+           n.id != fused_.output_id();
+  };
 
   CompileCache* cache = options_.compile_cache.get();
   for (const Node& n : fused_.nodes()) {
     if (n.kind == OpKind::kInput) continue;
     const Node& src = fused_.node(n.inputs[0]);
     ir::ChannelIO io;
-    if (recipe.channels) {
-      if (src.kind != OpKind::kInput) io.input = out_channel.at(src.id);
-      auto it = out_channel.find(n.id);
-      if (it != out_channel.end()) io.output = it->second;
-    }
+    if (channelized(src)) io.input = ChannelOf(src);
+    if (channelized(n)) io.output = ChannelOf(n);
 
     const Shape& in_shape = src.output_shape;
     const std::string kname = "k_" + n.name;
@@ -381,9 +367,6 @@ void Deployment::PlanPipelined(const OptimizationRecipe& recipe) {
     inv.kernel_index = static_cast<int>(kernels_.size());
     inv.node = n.id;
     inv.stats = AnalyzeInvocation(pk, inv.bindings, cache);
-    inv.autorun = pk.built.kernel.autorun;
-    if (io.input) inv.reads_channels.push_back(io.input->name);
-    if (io.output) inv.writes_channels.push_back(io.output->name);
     kernels_.push_back(std::move(pk));
     invocations_.push_back(std::move(inv));
   }
@@ -419,15 +402,13 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
     }
     if (chain_ok) tail_start = last_conv + 1;
   }
-  std::unordered_map<NodeId, ir::BufferPtr> tail_channel;
-  if (tail_start >= 0) {
-    for (NodeId id = tail_start; id < fused_.output_id(); ++id) {
-      auto chan = ir::MakeBuffer("ch_" + fused_.node(id).name,
-                                 {ir::IntImm(1)}, ir::MemScope::kChannel);
-      chan->channel_depth = fused_.node(id).output_shape.NumElements();
-      tail_channel[id] = chan;
-    }
-  }
+  auto in_tail = [&](const Node& n) {
+    return tail_start >= 0 && n.id >= tail_start;
+  };
+  // A tail node's output travels over a channel, except the network's.
+  auto channelized = [&](const Node& n) {
+    return in_tail(n) && n.id != fused_.output_id();
+  };
 
   // Kernel groups (one kernel, many invocations), keyed by a structural
   // string; parameterized recipes share one kernel per group.
@@ -457,6 +438,8 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
     // per node (the classifier ops, which may join the hybrid tail).
     std::string group;
     ir::ChannelIO io;
+    if (channelized(src)) io.input = ChannelOf(src);
+    if (channelized(n)) io.output = ChannelOf(n);
     switch (n.kind) {
       case OpKind::kConv2d:
       case OpKind::kDepthwiseConv2d: {
@@ -510,7 +493,6 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
         if (!recipe.parameterized) group += "_node" + std::to_string(n.id);
         break;
       default:
-        io = TailIo(n.id, tail_start, tail_channel);
         sched.dense.cached_writes = recipe.fuse_and_cache;
         sched.dense.unroll_k =
             recipe.unroll ? LargestDivisorLE(in_shape.NumElements(),
@@ -575,22 +557,12 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
         break;
     }
 
-    // Hybrid tail: record channel endpoints and autorun weightless
-    // kernels (no dispatch).
-    if (tail_start >= 0 && inv.node >= tail_start) {
-      auto& pk = kernels_[static_cast<std::size_t>(inv.kernel_index)];
-      auto in_it = tail_channel.find(fused_.node(inv.node).inputs[0]);
-      if (in_it != tail_channel.end()) {
-        inv.reads_channels.push_back(in_it->second->name);
-      }
-      auto out_it = tail_channel.find(inv.node);
-      if (out_it != tail_channel.end()) {
-        inv.writes_channels.push_back(out_it->second->name);
-      }
-      if (pk.built.kernel.buffer_args.empty() &&
-          pk.built.kernel.scalar_args.empty()) {
-        pk.built.kernel.autorun = true;
-        inv.autorun = true;
+    // Hybrid tail: autorun weightless kernels (no dispatch).
+    if (in_tail(n)) {
+      ir::Kernel& kernel =
+          kernels_[static_cast<std::size_t>(inv.kernel_index)].built.kernel;
+      if (kernel.buffer_args.empty() && kernel.scalar_args.empty()) {
+        kernel.autorun = true;
       }
     }
 
@@ -687,7 +659,7 @@ void Deployment::AssignQueues() {
                   options_.recipe.channels;
   if (ce) {
     for (std::size_t i = 0; i < invocations_.size(); ++i) {
-      if (invocations_[i].autorun) continue;
+      if (KernelOf(invocations_[i]).autorun) continue;
       // The first kernel shares queue 0 with the input write so the
       // in-order queue sequences it after the transfer.
       invocation_queues_[i] = i == 0 ? 0 : num_queues_++;
@@ -703,30 +675,26 @@ analysis::Plan Deployment::AnalysisPlan() const {
   }
   for (std::size_t i = 0; i < invocations_.size(); ++i) {
     const auto& inv = invocations_[i];
-    const ir::Kernel& kernel =
-        kernels_[static_cast<std::size_t>(inv.kernel_index)].built.kernel;
+    const ir::Kernel& kernel = KernelOf(inv);
     analysis::PlanStep step;
     step.kernel = kernel.name;
     step.queue = i < invocation_queues_.size()
                      ? invocation_queues_[i]
                      : 0;
-    step.autorun = inv.autorun;
+    step.autorun = kernel.autorun;
     step.num_args = static_cast<std::int64_t>(kernel.buffer_args.size() +
                                               kernel.scalar_args.size());
     step.channel_writes = inv.stats.channel_writes;
-    step.reads = inv.reads_channels;
-    step.writes = inv.writes_channels;
+    step.reads = ChannelNames(kernel.channels_read);
+    step.writes = ChannelNames(kernel.channels_written);
     for (NodeId in : fused_.node(inv.node).inputs) {
       auto it = step_of_node.find(in);
       if (it != step_of_node.end()) step.deps.push_back(it->second);
     }
     plan.steps.push_back(std::move(step));
-    for (const auto& chan : kernel.channels_written) {
-      plan.channels[chan->name] = chan->channel_depth;
-    }
-    for (const auto& chan : kernel.channels_read) {
-      plan.channels.emplace(chan->name, chan->channel_depth);
-    }
+  }
+  for (const auto& chan : ir::ProgramChannels(KernelPtrs())) {
+    plan.channels.emplace(chan->name, chan->channel_depth);
   }
   return plan;
 }
@@ -810,13 +778,12 @@ void Deployment::PrepareRuntime() {
 
 ocl::KernelLaunch Deployment::MakeLaunch(const PlannedInvocation& inv,
                                          bool functional) {
-  const PlannedKernel& pk = kernels_[static_cast<std::size_t>(
-                                         inv.kernel_index)];
+  const ir::Kernel& kernel = KernelOf(inv);
   ocl::KernelLaunch launch;
-  launch.name = pk.built.kernel.name;
+  launch.name = kernel.name;
   launch.stats = inv.stats;
-  launch.reads_channels = inv.reads_channels;
-  launch.writes_channels = inv.writes_channels;
+  launch.reads_channels = ChannelNames(kernel.channels_read);
+  launch.writes_channels = ChannelNames(kernel.channels_written);
   if (functional) {
     const NodeId node_id = inv.node;
     launch.functional = [this, node_id] {
@@ -894,7 +861,7 @@ RunResult Deployment::Run(const Tensor& input, bool functional) {
     for (std::size_t i = 0; i < invocations_.size(); ++i) {
       const auto& inv = invocations_[i];
       ocl::KernelLaunch launch = MakeLaunch(inv, functional);
-      if (inv.autorun) {
+      if (KernelOf(inv).autorun) {
         runtime_->RunAutorun(std::move(launch));
       } else {
         const int q = invocation_queues_[i];

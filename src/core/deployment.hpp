@@ -118,15 +118,14 @@ struct PlannedKernel {
   std::string content_key;
 };
 
-/// One runtime launch (a graph node executed by some kernel).
+/// One runtime launch (a graph node executed by some kernel). Whether it
+/// is autorun and which channels it reads and writes are facts of the
+/// kernel (ir::Kernel::{autorun, channels_read, channels_written}).
 struct PlannedInvocation {
   int kernel_index = -1;
   graph::NodeId node = -1;
   ir::Bindings bindings;
   ir::KernelStats stats;
-  bool autorun = false;
-  std::vector<std::string> reads_channels;
-  std::vector<std::string> writes_channels;
 };
 
 class Deployment {
@@ -222,6 +221,9 @@ class Deployment {
   void AssignQueues();
   void RunAnalysisGate();
   [[nodiscard]] std::vector<const ir::Kernel*> KernelPtrs() const;
+  [[nodiscard]] const ir::Kernel& KernelOf(const PlannedInvocation& inv) const {
+    return kernels_[static_cast<std::size_t>(inv.kernel_index)].built.kernel;
+  }
   void PrepareRuntime();
   /// Mirrors accumulated diagnostics into the recorder and writes it to
   /// options_.flightrec_path (no-op when the path is empty). Reports

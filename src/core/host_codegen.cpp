@@ -123,7 +123,7 @@ std::string EmitHostProgram(const Deployment& d) {
     const auto& kern = pk.built.kernel;
     const auto& n = g.node(inv.node);
     os << "  // layer " << n.name << " -> kernel " << kern.name << "\n";
-    if (inv.autorun) {
+    if (kern.autorun) {
       os << "  // autorun: consumes/produces channels without dispatch\n";
       continue;
     }

@@ -37,8 +37,8 @@ std::int64_t InterpEnv::var_value(const VarNode* var) const {
   return it->second;
 }
 
-std::deque<float>& InterpEnv::channel(const BufferNode* chan) {
-  return channels_[chan];
+std::deque<float>& InterpEnv::channel(const std::string& name) {
+  return channels_[name];
 }
 
 std::size_t InterpEnv::PendingChannelElements() const {
@@ -117,7 +117,7 @@ class Interp {
       }
       case ExprKind::kCall: {
         if (e->callee == "read_channel") {
-          auto& q = env_.channel(e->buffer.get());
+          auto& q = env_.channel(e->buffer->name);
           if (q.empty()) {
             throw IrError("interpreter: read from empty channel " +
                           e->buffer->name);
@@ -167,7 +167,7 @@ class Interp {
         }
         break;
       case StmtKind::kWriteChannel:
-        env_.channel(s->buffer.get()).push_back(EvalFloat(s->value));
+        env_.channel(s->buffer->name).push_back(EvalFloat(s->value));
         break;
     }
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <string>
 #include <unordered_map>
 
 #include "ir/stmt.hpp"
@@ -19,7 +20,9 @@ namespace clflow::ir {
 
 /// Execution environment: backing storage for buffers, values for symbolic
 /// shape parameters, and channel FIFO state (shared across kernels so a
-/// pipelined group can be run producer-first).
+/// pipelined group can be run producer-first). A channel's FIFO is keyed
+/// by its name, its only identity: producer and consumer may hold
+/// distinct channel objects.
 class InterpEnv {
  public:
   /// Binds a buffer to host storage. The span must outlive execution and
@@ -33,7 +36,7 @@ class InterpEnv {
   [[nodiscard]] bool HasBuffer(const BufferNode* buffer) const;
   [[nodiscard]] std::int64_t var_value(const VarNode* var) const;
 
-  [[nodiscard]] std::deque<float>& channel(const BufferNode* chan);
+  [[nodiscard]] std::deque<float>& channel(const std::string& name);
   /// Total elements currently queued across all channels (0 after a
   /// well-balanced pipelined run).
   [[nodiscard]] std::size_t PendingChannelElements() const;
@@ -41,7 +44,7 @@ class InterpEnv {
  private:
   std::unordered_map<const BufferNode*, std::span<float>> buffers_;
   std::unordered_map<const VarNode*, std::int64_t> vars_;
-  std::unordered_map<const BufferNode*, std::deque<float>> channels_;
+  std::unordered_map<std::string, std::deque<float>> channels_;
 };
 
 /// Executes a kernel body against the environment. Kernel-local buffers are

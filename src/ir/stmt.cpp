@@ -2,6 +2,8 @@
 
 #include <functional>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/arena.hpp"
@@ -228,6 +230,31 @@ Stmt SubstituteStmt(const Stmt& stmt, const VarPtr& var,
       break;
   }
   return copy;
+}
+
+std::vector<BufferPtr> ProgramChannels(
+    const std::vector<const Kernel*>& kernels) {
+  std::vector<BufferPtr> channels;
+  std::unordered_map<std::string_view, const BufferNode*> by_name;
+  auto use = [&](const BufferPtr& c) {
+    const auto [it, first] = by_name.try_emplace(c->name, c.get());
+    if (first) {
+      channels.push_back(c);
+    } else if (it->second->dtype != c->dtype ||
+               it->second->channel_depth != c->channel_depth) {
+      auto desc = [](const BufferNode& b) {
+        return std::string(ScalarTypeName(b.dtype)) + " depth " +
+               std::to_string(b.channel_depth);
+      };
+      throw IrError("channel " + c->name + " is used as " +
+                    desc(*it->second) + " and as " + desc(*c));
+    }
+  };
+  for (const Kernel* k : kernels) {
+    for (const auto& c : k->channels_read) use(c);
+    for (const auto& c : k->channels_written) use(c);
+  }
+  return channels;
 }
 
 void Kernel::Validate() const {

@@ -92,6 +92,14 @@ struct Kernel {
   void Validate() const;
 };
 
+/// The program-scope channels of `kernels`, each once, in first-use order
+/// (kernels in order, each kernel's reads before its writes). A channel's
+/// name is its identity: kernels may hold distinct channel objects with
+/// one name. Throws IrError when one name carries two element types or
+/// two depths.
+[[nodiscard]] std::vector<BufferPtr> ProgramChannels(
+    const std::vector<const Kernel*>& kernels);
+
 /// Pretty-prints a statement tree with indentation.
 [[nodiscard]] std::string ToString(const Stmt& stmt, int indent = 0);
 

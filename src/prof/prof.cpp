@@ -152,7 +152,7 @@ Profile AttributeEvents(const core::Deployment& d,
     a.memory_us = std::max(0.0, std::min(t, memory_full) - a.compute_us);
     a.fmax_us = t - a.compute_us - a.memory_us;
     a.stall_us = ev.stall.us();
-    a.launch_us = inv.autorun ? 0.0 : board.kernel_launch_us;
+    a.launch_us = pk.built.kernel.autorun ? 0.0 : board.kernel_launch_us;
     a.bottleneck =
         Classify(a.compute_us, a.memory_us, a.stall_us, a.fmax_us,
                  a.launch_us);

@@ -370,20 +370,9 @@ class PlanValidator {
   }
 
   void CheckChannelDecls() {
-    struct Want {
-      std::string type;
-      std::int64_t depth = 0;
-    };
-    std::map<std::string, Want> want;
-    for (const ir::Kernel* k : kernels_) {
-      for (const auto& c : k->channels_read) {
-        want[c->name] = {std::string(ExpectedTypeName(c->dtype)),
-                         c->channel_depth};
-      }
-      for (const auto& c : k->channels_written) {
-        want[c->name] = {std::string(ExpectedTypeName(c->dtype)),
-                         c->channel_depth};
-      }
+    std::map<std::string, const ir::BufferNode*> want;
+    for (const auto& c : ir::ProgramChannels(kernels_)) {
+      want.emplace(c->name, c.get());
     }
 
     auto report = [&](const std::string& name, std::string message) {
@@ -408,20 +397,21 @@ class PlanValidator {
                AtLine(decl.line) + "channel is not part of the plan");
         continue;
       }
-      if (decl.type != it->second.type) {
+      const std::string_view type = ExpectedTypeName(it->second->dtype);
+      if (decl.type != type) {
         report(decl.name, AtLine(decl.line) + "channel should carry '" +
-                              it->second.type + "' elements, source declares '" +
-                              decl.type + "' (payloads would be reinterpreted)");
+                              std::string(type) +
+                              "' elements, source declares '" + decl.type +
+                              "' (payloads would be reinterpreted)");
       }
-      if (decl.depth != it->second.depth) {
+      if (decl.depth != it->second->channel_depth) {
         report(decl.name, AtLine(decl.line) + "channel depth should be " +
-                              std::to_string(it->second.depth) +
+                              std::to_string(it->second->channel_depth) +
                               ", source declares " +
                               std::to_string(decl.depth));
       }
     }
-    for (const auto& [name, w] : want) {
-      (void)w;
+    for (const auto& [name, _] : want) {
       if (seen.find(name) == seen.end()) {
         report(name, "planned channel is never declared in the source");
       }

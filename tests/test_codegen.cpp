@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/opencl_codegen.hpp"
+#include "common/error.hpp"
 #include "ir/op_kernels.hpp"
 
 namespace clflow::codegen {
@@ -138,6 +139,54 @@ TEST(EmitProgram, ChannelDeclarationUsesChannelDtype) {
   const std::string src = EmitProgram({&producer.kernel, &consumer.kernel});
   EXPECT_TRUE(Contains(src, "channel int ch_i __attribute__((depth(4)));"));
   EXPECT_FALSE(Contains(src, "channel float ch_i"));
+}
+
+/// A channel endpoint: each call is a distinct object, as two kernels
+/// planned (or memoized) apart hold.
+ir::BufferPtr Channel(const std::string& name, std::int64_t depth,
+                      ir::ScalarType dtype = ir::ScalarType::kFloat32) {
+  auto c = ir::MakeBuffer(name, {ir::IntImm(1)}, ir::MemScope::kChannel,
+                          /*is_arg=*/false, dtype);
+  c->channel_depth = depth;
+  return c;
+}
+
+TEST(EmitProgram, DeclaresChannelsByNameInFirstUseOrder) {
+  // The channels are allocated in the opposite order to their use, and
+  // every kernel holds its own endpoint objects. Declarations still come
+  // out once per name, in the order the kernels first use them.
+  const ir::BufferPtr late = Channel("ch_a", 8);
+  const ir::BufferPtr early = Channel("ch_z", 4);
+  auto k0 = ir::BuildCopyKernel(4, "k0", {.input = nullptr, .output = early});
+  auto k1 = ir::BuildCopyKernel(
+      4, "k1", {.input = Channel("ch_z", 4), .output = late});
+  auto k2 = ir::BuildCopyKernel(
+      4, "k2", {.input = Channel("ch_a", 8), .output = nullptr});
+  const srclint::SrcProgram program =
+      BuildProgram({&k0.kernel, &k1.kernel, &k2.kernel});
+  ASSERT_EQ(program.channels.size(), 2u);
+  EXPECT_EQ(program.channels[0].name, "ch_z");
+  EXPECT_EQ(program.channels[0].depth, 4);
+  EXPECT_EQ(program.channels[1].name, "ch_a");
+  EXPECT_EQ(program.channels[1].depth, 8);
+  EXPECT_TRUE(program.channels_extension);
+}
+
+TEST(EmitProgram, OneChannelNameWithTwoDepthsOrTypesThrows) {
+  auto producer = ir::BuildCopyKernel(
+      4, "producer", {.input = nullptr, .output = Channel("ch", 4)});
+  auto deeper = ir::BuildCopyKernel(
+      4, "deeper", {.input = Channel("ch", 8), .output = nullptr});
+  EXPECT_THROW((void)BuildProgram({&producer.kernel, &deeper.kernel}),
+               IrError);
+  auto retyped = ir::BuildCopyKernel(
+      4, "retyped",
+      {.input = Channel("ch", 4, ir::ScalarType::kInt32), .output = nullptr});
+  EXPECT_THROW((void)BuildProgram({&producer.kernel, &retyped.kernel}),
+               IrError);
+  auto same = ir::BuildCopyKernel(
+      4, "same", {.input = Channel("ch", 4), .output = nullptr});
+  EXPECT_EQ(ir::ProgramChannels({&producer.kernel, &same.kernel}).size(), 1u);
 }
 
 TEST(EmitProgram, AutorunAttributesEmitted) {

@@ -80,16 +80,14 @@ TEST_F(CompileCacheTest, SecondIdenticalCompileSynthesizesNothing) {
     EXPECT_EQ(delta.misses(), 0);
     EXPECT_EQ(delta.stats_hits,
               static_cast<std::int64_t>(second.invocations().size()));
-    // Every kernel without channel endpoints comes from the lowering memo;
-    // channelized kernels hold this deployment's channel buffers and are
-    // built fresh.
-    std::int64_t global_io = 0;
+    // Every kernel comes from the lowering memo, channelized ones
+    // included: a channel is its name, so a memoized endpoint serves any
+    // deployment that plans the same channel.
     for (const PlannedKernel& pk : second.kernels()) {
       EXPECT_FALSE(pk.content_key.empty()) << pk.built.kernel.name;
-      global_io += pk.built.kernel.channels_read.empty() &&
-                   pk.built.kernel.channels_written.empty();
     }
-    EXPECT_EQ(delta.lower_hits, global_io);
+    EXPECT_EQ(delta.lower_hits,
+              static_cast<std::int64_t>(second.kernels().size()));
 
     // The per-deployment telemetry counters tell the same story.
     EXPECT_EQ(second.telemetry().registry.counter("compile.cache.misses")

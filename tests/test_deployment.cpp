@@ -106,9 +106,9 @@ TEST_F(LeNetDeployment, AutorunKernelsAreWeightless) {
   auto d = Deploy(PipelineAutorun(), fpga::Stratix10SX());
   int autorun_count = 0;
   for (const auto& inv : d.invocations()) {
-    if (!inv.autorun) continue;
-    ++autorun_count;
     const auto& pk = d.kernels()[static_cast<std::size_t>(inv.kernel_index)];
+    if (!pk.built.kernel.autorun) continue;
+    ++autorun_count;
     EXPECT_TRUE(pk.built.kernel.buffer_args.empty());
   }
   // pool1, pool2, flatten.
@@ -276,8 +276,11 @@ TEST_F(MobileNetDeployment, HybridTailPipelinesClassifier) {
   // The tail's weightless kernels became autorun channel stages.
   int autorun = 0, channelized = 0;
   for (const auto& inv : hybrid.invocations()) {
-    if (inv.autorun) ++autorun;
-    if (!inv.reads_channels.empty() || !inv.writes_channels.empty()) {
+    const ir::Kernel& kernel =
+        hybrid.kernels()[static_cast<std::size_t>(inv.kernel_index)]
+            .built.kernel;
+    if (kernel.autorun) ++autorun;
+    if (!kernel.channels_read.empty() || !kernel.channels_written.empty()) {
       ++channelized;
     }
   }

@@ -235,6 +235,42 @@ TEST(Interp, ChannelsConnectKernels) {
   EXPECT_EQ(env.PendingChannelElements(), 0u);
 }
 
+TEST(Interp, ChannelIsItsName) {
+  // Producer and consumer hold distinct channel objects with one name, as
+  // kernels memoized by different deployments do: the FIFO belongs to the
+  // name, so the consumer reads what the producer wrote.
+  auto a = MakeBuffer("a", {IntImm(4)}, MemScope::kGlobal, true);
+  auto d = MakeBuffer("d", {IntImm(4)}, MemScope::kGlobal, true);
+  auto written = MakeBuffer("c", {IntImm(1)}, MemScope::kChannel);
+  auto read = MakeBuffer("c", {IntImm(1)}, MemScope::kChannel);
+  ASSERT_NE(written.get(), read.get());
+
+  auto i = MakeVar("i");
+  Kernel producer;
+  producer.name = "producer";
+  producer.buffer_args = {a};
+  producer.channels_written = {written};
+  producer.body = For(i, IntImm(0), IntImm(4),
+                      WriteChannel(written, Load(a, {VarRef(i)})));
+  auto j = MakeVar("j");
+  Kernel consumer;
+  consumer.name = "consumer";
+  consumer.buffer_args = {d};
+  consumer.channels_read = {read};
+  consumer.body = For(j, IntImm(0), IntImm(4),
+                      Store(d, {VarRef(j)}, ReadChannel(read)));
+
+  std::vector<float> va{1, 2, 3, 4};
+  std::vector<float> vd(4, 0.0f);
+  InterpEnv env;
+  env.BindBuffer(a, va);
+  env.BindBuffer(d, vd);
+  RunKernel(producer, env);
+  RunKernel(consumer, env);
+  EXPECT_EQ(vd, va);
+  EXPECT_EQ(env.PendingChannelElements(), 0u);
+}
+
 TEST(Interp, ReadFromEmptyChannelThrows) {
   auto chan = MakeBuffer("c", {IntImm(1)}, MemScope::kChannel);
   auto out = MakeBuffer("o", {IntImm(1)}, MemScope::kGlobal, true);

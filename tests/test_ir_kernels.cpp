@@ -209,10 +209,10 @@ TEST(ConvBuilder, ChannelIoRoundTrip) {
 
   Runner r(bk);
   r.Bind(bk.weights, weights).Bind(bk.bias, bias);
-  for (float v : input.data()) r.env().channel(cin.get()).push_back(v);
+  for (float v : input.data()) r.env().channel(cin->name).push_back(v);
   r.Run();
 
-  auto& out_q = r.env().channel(cout.get());
+  auto& out_q = r.env().channel(cout->name);
   ASSERT_EQ(out_q.size(), static_cast<std::size_t>(expected.size()));
   for (std::int64_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(out_q[static_cast<std::size_t>(i)], expected.at(i), 1e-4f)
@@ -363,9 +363,9 @@ TEST(PoolBuilder, ChannelPipelineMatchesReference) {
   EXPECT_TRUE(bk.kernel.buffer_args.empty());
 
   Runner r(bk);
-  for (float v : input.data()) r.env().channel(cin.get()).push_back(v);
+  for (float v : input.data()) r.env().channel(cin->name).push_back(v);
   r.Run();
-  auto& q = r.env().channel(cout.get());
+  auto& q = r.env().channel(cout->name);
   ASSERT_EQ(q.size(), static_cast<std::size_t>(expected.size()));
   for (std::int64_t i = 0; i < expected.size(); ++i) {
     EXPECT_FLOAT_EQ(q[static_cast<std::size_t>(i)], expected.at(i));
@@ -485,9 +485,9 @@ TEST(CopyBuilder, ChannelToChannelIsArgFree) {
   EXPECT_TRUE(bk.kernel.buffer_args.empty());
   Runner r(bk);
   for (int i = 0; i < 8; ++i)
-    r.env().channel(cin.get()).push_back(static_cast<float>(i));
+    r.env().channel(cin->name).push_back(static_cast<float>(i));
   r.Run();
-  auto& q = r.env().channel(cout.get());
+  auto& q = r.env().channel(cout->name);
   ASSERT_EQ(q.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_FLOAT_EQ(q[static_cast<std::size_t>(i)], i);
 }
