@@ -71,14 +71,6 @@ struct AccessRec {
   std::vector<Expr> indices;
 };
 
-void CollectAccessExprs(const Expr& e, std::vector<AccessRec>& loads) {
-  ir::VisitExprsIn(e, [&](const Expr& node) {
-    if (node->kind == ExprKind::kLoad) {
-      loads.push_back({node->buffer, node->indices});
-    }
-  });
-}
-
 /// Stores and loads in a subtree, indices included (loads also come from
 /// store values, loop bounds, and conditions).
 void CollectAccesses(const Stmt& s, std::vector<AccessRec>& stores,

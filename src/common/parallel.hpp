@@ -2,9 +2,11 @@
 //
 // The reference CPU operators (the functional oracle, and the real-machine
 // data points in the benches) parallelize over output channels/rows with
-// ParallelFor, which chunks an index range over a persistent pool of worker
-// threads. The pool size is a per-call parameter so the TVM-nT thread sweeps
-// of the paper's Figures 6.4-6.7 can be reproduced faithfully.
+// ParallelFor, which splits an index range into one contiguous chunk per
+// worker. Each call spawns its workers as fresh std::threads and joins them
+// before returning; there is no pool, so every dispatch pays thread start-up.
+// The worker count is a per-call parameter so the TVM-nT thread sweeps of
+// the paper's Figures 6.4-6.7 can be reproduced faithfully.
 #pragma once
 
 #include <algorithm>

@@ -1,8 +1,10 @@
 #include "cpu/ops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -13,6 +15,14 @@
 // the scalar loop would, so the SIMD results are bit-identical to the
 // *Scalar oracles (adding a 0.0f term for a padded tap is a bitwise no-op
 // because the accumulator can never be -0.0: +0 + -0 == +0).
+//
+// Conv2d and DepthwiseConv2d load every tap as one contiguous vector from
+// the rows a TapLayout describes: the input planes themselves for a
+// stride-1 unpadded conv, else rows staged once per call with the padding
+// written as 0.0f and each stride phase de-interleaved. Conv2d computes 4 output channels per work
+// item so one tap load feeds 4 accumulators, and runs a stride-1 unpadded
+// 1x1 conv over the flattened H*W plane. None of this reorders any
+// output's terms.
 #if defined(__GNUC__) || defined(__clang__)
 #define CLFLOW_CPU_SIMD 1
 #else
@@ -108,34 +118,148 @@ DenseDims CheckDenseShapes(const Tensor& input, const Tensor& weights,
 
 #if CLFLOW_CPU_SIMD
 
-typedef float V8f __attribute__((vector_size(32)));
+typedef float V4f __attribute__((vector_size(16)));
+
+/// 8 float lanes held as two native 4-wide halves. GCC lowers a 32-byte
+/// generic vector through the stack when only SSE2 is enabled, so an
+/// 8-lane accumulator would be reloaded and spilled on every add; two
+/// 16-byte halves stay in xmm registers.
+struct V8f {
+  V4f lo, hi;
+
+  V8f& operator+=(const V8f& o) {
+    lo += o.lo;
+    hi += o.hi;
+    return *this;
+  }
+};
+
+inline V8f operator*(const V8f& a, const V8f& b) {
+  return {a.lo * b.lo, a.hi * b.hi};
+}
+
 constexpr std::int64_t kLanes = 8;
 
-inline V8f BroadcastV8(float v) { return V8f{v, v, v, v, v, v, v, v}; }
+/// Output channels per Conv2d work item: one tap load feeds this many
+/// accumulators. 4 x 8 lanes is 8 xmm registers under SSE2, which leaves
+/// room for the tap and the weight broadcasts.
+constexpr int kConvBlock = 4;
 
-/// 8 input taps for output columns base..base+7 at filter column fx:
-/// lane l reads ix = (base + l) * stride + fx - pad, or 0.0f when the tap
-/// falls outside the row (a bitwise no-op on the accumulator; see above).
-inline V8f LoadTaps(const float* in_row, std::int64_t w1, std::int64_t base_ix,
-                    std::int64_t stride) {
+inline V8f BroadcastV8(float v) {
+  const V4f h = {v, v, v, v};
+  return {h, h};
+}
+
+inline V8f LoadV8(const float* p) {
   V8f v;
-  if (stride == 1 && base_ix >= 0 && base_ix + kLanes <= w1) {
-    std::memcpy(&v, in_row + base_ix, sizeof(v));
-    return v;
-  }
-  alignas(32) float tmp[kLanes];
-  for (std::int64_t l = 0; l < kLanes; ++l) {
-    const std::int64_t ix = base_ix + l * stride;
-    tmp[l] = (ix >= 0 && ix < w1) ? in_row[ix] : 0.0f;
-  }
-  std::memcpy(&v, tmp, sizeof(v));
+  std::memcpy(&v.lo, p, sizeof(v.lo));
+  std::memcpy(&v.hi, p + 4, sizeof(v.hi));
   return v;
+}
+
+/// Where a SIMD conv loads its taps from: one channel's rows are
+/// `h * phases` rows of `row_len` floats. Row (ic, iy, q) holds phase q of
+/// input row iy: element j is in[ic][iy][j * stride + q - pad], or 0.0f
+/// where that falls in the padding. Tap fx of output column ox is then
+/// element ox + fx / stride of phase fx % stride, so every tap of an
+/// 8-lane tile is one contiguous vector load.
+struct TapLayout {
+  std::int64_t f, stride, pad;
+  std::int64_t h;        ///< input rows per channel
+  std::int64_t phases;   ///< the stride when staged, 1 in place
+  std::int64_t row_len;  ///< floats per row
+  /// The taps are the input rows themselves: with stride 1, no padding
+  /// and full 8-lane tiles (see ForEachTile), no tap leaves its row.
+  bool in_place;
+  std::vector<std::int64_t> tap_off;  ///< fx -> tap offset from its row
+
+  std::int64_t ChannelFloats() const { return h * phases * row_len; }
+};
+
+/// The tap layout of a conv over [h, w] input planes with `out_w` outputs
+/// per row. A staged row is long enough for the last tile, which starts
+/// at max(out_w, 8) - 8, plus its taps' reach of (f - 1) / stride.
+TapLayout MakeTapLayout(std::int64_t f, std::int64_t stride, std::int64_t pad,
+                        std::int64_t h, std::int64_t w, std::int64_t out_w) {
+  const bool in_place = stride == 1 && pad == 0 && out_w >= kLanes;
+  TapLayout t{f,
+              stride,
+              pad,
+              h,
+              in_place ? 1 : stride,
+              in_place ? w : std::max(out_w, kLanes) + (f - 1) / stride,
+              in_place,
+              std::vector<std::int64_t>(f)};
+  for (std::int64_t fx = 0; fx < f; ++fx) {
+    t.tap_off[fx] = (fx % stride) * t.row_len + fx / stride;
+  }
+  return t;
+}
+
+/// Writes one channel's rows (TapLayout) from its [h, w] input plane.
+void StagePlane(const float* plane, std::int64_t w, const TapLayout& t,
+                float* dst) {
+  for (std::int64_t iy = 0; iy < t.h; ++iy) {
+    const float* src = plane + iy * w;
+    for (std::int64_t q = 0; q < t.stride; ++q, dst += t.row_len) {
+      for (std::int64_t j = 0; j < t.row_len; ++j) {
+        const std::int64_t ix = j * t.stride + q - t.pad;
+        dst[j] = (ix >= 0 && ix < w) ? src[ix] : 0.0f;
+      }
+    }
+  }
+}
+
+/// Accumulates the 8-lane tile at output row oy, columns ox..ox+7, of B
+/// output channels whose filters start at wk[0..B). Each lane adds its
+/// terms in the scalar oracle's (ic, fy, fx) order and skips the rows the
+/// scalar loop skips; a padded column tap adds a +-0 product, a bitwise
+/// no-op (see the header comment).
+template <int B>
+std::array<V8f, B> AccumulateTile(const float* rows, const TapLayout& t,
+                                  const float* const (&wk)[B], std::int64_t c1,
+                                  std::int64_t oy, std::int64_t ox) {
+  // Accumulate in a local array whose address never escapes, so it stays
+  // in registers; the caller's copy is stored from. The layout is copied
+  // into locals too, so it is not reloaded after every store.
+  V8f acc[B] = {};
+  const std::int64_t f = t.f, h = t.h, row_step = t.phases * t.row_len;
+  const std::int64_t* tap_off = t.tap_off.data();
+  for (std::int64_t ic = 0; ic < c1; ++ic) {
+    for (std::int64_t fy = 0; fy < f; ++fy) {
+      const std::int64_t iy = oy * t.stride + fy - t.pad;
+      if (iy < 0 || iy >= h) continue;
+      const float* row = rows + (ic * h + iy) * row_step + ox;
+      const std::int64_t wo = (ic * f + fy) * f;
+      for (std::int64_t fx = 0; fx < f; ++fx) {
+        const V8f taps = LoadV8(row + tap_off[fx]);
+        for (int j = 0; j < B; ++j) {
+          acc[j] += taps * BroadcastV8(wk[j][wo + fx]);
+        }
+      }
+    }
+  }
+  std::array<V8f, B> out;
+  for (int j = 0; j < B; ++j) out[j] = acc[j];
+  return out;
+}
+
+/// Visits the 8-lane tiles of an output row. A row narrower than 8 is one
+/// partial tile; otherwise the last tile is clamped to end at the row's
+/// end (recomputing a few outputs bit-identically), so every tile stores
+/// whole and no tap load runs past its row.
+template <typename Fn>
+void ForEachTile(std::int64_t out_w, const Fn& fn) {
+  const std::int64_t n = std::min(kLanes, out_w);
+  for (std::int64_t ox = 0; ox < out_w; ox += kLanes) {
+    fn(std::min(ox, out_w - n), n);
+  }
 }
 
 /// Bias + activation + store for one 8-lane tile of outputs, applied
 /// per lane with the same scalar ApplyActivation as the oracle.
-inline void StoreLanes(float* dst, std::int64_t n, V8f acc, const float* bias,
-                       Activation act) {
+inline void StoreLanes(float* dst, std::int64_t n, const V8f& acc,
+                       const float* bias, Activation act) {
   alignas(32) float tmp[kLanes];
   std::memcpy(tmp, &acc, sizeof(tmp));
   for (std::int64_t l = 0; l < n; ++l) {
@@ -198,37 +322,54 @@ Tensor Conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
       CheckConv2dShapes(input, weights, bias, params);
 
   Tensor out(Shape{1, k, h2, w2});
-  const auto in = input.data();
-  const auto w = weights.data();
-  auto o = out.data();
+  const float* in = input.data().data();
+  const float* w = weights.data().data();
+  float* o = out.data().data();
   const float* b = bias.defined() ? bias.data().data() : nullptr;
   const std::int64_t s = params.stride;
   const std::int64_t p = params.pad;
   const Activation act = params.activation;
 
-  ParallelFor(0, k, num_threads, [&](std::int64_t oc) {
-    for (std::int64_t oy = 0; oy < h2; ++oy) {
-      // 8 adjacent output columns per tile; the last tile computes a full
-      // vector but stores only the lanes that exist.
-      for (std::int64_t ox = 0; ox < w2; ox += kLanes) {
-        V8f acc = BroadcastV8(0.0f);
-        for (std::int64_t ic = 0; ic < c1; ++ic) {
-          for (std::int64_t fy = 0; fy < f; ++fy) {
-            const std::int64_t iy = oy * s + fy - p;
-            if (iy < 0 || iy >= h1) continue;
-            const float* in_row = in.data() + (ic * h1 + iy) * w1;
-            const float* w_row = w.data() + ((oc * c1 + ic) * f + fy) * f;
-            for (std::int64_t fx = 0; fx < f; ++fx) {
-              const V8f taps = LoadTaps(in_row, w1, ox * s + fx - p, s);
-              acc += taps * BroadcastV8(w_row[fx]);
-            }
-          }
-        }
-        StoreLanes(o.data() + (oc * h2 + oy) * w2 + ox,
-                   std::min<std::int64_t>(kLanes, w2 - ox), acc,
-                   b != nullptr ? b + oc : nullptr, act);
-      }
+  // A stride-1 unpadded 1x1 conv maps H*W contiguous input pixels to H*W
+  // contiguous outputs, so it runs as one flat row per plane: only the
+  // plane's last tile is clamped, however narrow the rows are.
+  const bool flat = f == 1 && s == 1 && p == 0;
+  const std::int64_t in_h = flat ? 1 : h1, in_w = flat ? h1 * w1 : w1;
+  const std::int64_t out_h = flat ? 1 : h2, out_w = flat ? h2 * w2 : w2;
+
+  // Stage the input once per call (the only extra dispatch) unless the
+  // taps can be read in place.
+  const TapLayout t = MakeTapLayout(f, s, p, in_h, in_w, out_w);
+  const float* rows = in;
+  std::vector<float> staged;
+  if (!t.in_place) {
+    staged.resize(static_cast<std::size_t>(c1 * t.ChannelFloats()));
+    ParallelFor(0, c1, num_threads, [&](std::int64_t ic) {
+      StagePlane(in + ic * in_h * in_w, in_w, t,
+                 staged.data() + ic * t.ChannelFloats());
+    });
+    rows = staged.data();
+  }
+
+  // One item per (block of kConvBlock output channels, output row). A
+  // tail block's missing channels reuse its first channel's filters: they
+  // are computed but never stored.
+  const std::int64_t blocks = (k + kConvBlock - 1) / kConvBlock;
+  ParallelFor(0, blocks * out_h, num_threads, [&](std::int64_t item) {
+    const std::int64_t oc0 = item / out_h * kConvBlock;
+    const std::int64_t oy = item % out_h;
+    const std::int64_t nb = std::min<std::int64_t>(kConvBlock, k - oc0);
+    const float* wk[kConvBlock];
+    for (int j = 0; j < kConvBlock; ++j) {
+      wk[j] = w + (oc0 + (j < nb ? j : 0)) * c1 * f * f;
     }
+    ForEachTile(out_w, [&](std::int64_t ox, std::int64_t n) {
+      const auto acc = AccumulateTile(rows, t, wk, c1, oy, ox);
+      for (std::int64_t j = 0; j < nb; ++j) {
+        StoreLanes(o + ((oc0 + j) * out_h + oy) * out_w + ox, n, acc[j],
+                   b != nullptr ? b + oc0 + j : nullptr, act);
+      }
+    });
   });
   return out;
 #endif
@@ -282,31 +423,33 @@ Tensor DepthwiseConv2d(const Tensor& input, const Tensor& weights,
       CheckDepthwiseShapes(input, weights, bias, params);
 
   Tensor out(Shape{1, c, h2, w2});
-  const auto in = input.data();
-  const auto w = weights.data();
-  auto o = out.data();
+  const float* in = input.data().data();
+  const float* w = weights.data().data();
+  float* o = out.data().data();
   const float* b = bias.defined() ? bias.data().data() : nullptr;
   const std::int64_t s = params.stride;
   const std::int64_t p = params.pad;
   const Activation act = params.activation;
 
-  ParallelFor(0, c, num_threads, [&](std::int64_t ch) {
-    for (std::int64_t oy = 0; oy < h2; ++oy) {
-      for (std::int64_t ox = 0; ox < w2; ox += kLanes) {
-        V8f acc = BroadcastV8(0.0f);
-        for (std::int64_t fy = 0; fy < f; ++fy) {
-          const std::int64_t iy = oy * s + fy - p;
-          if (iy < 0 || iy >= h1) continue;
-          const float* in_row = in.data() + (ch * h1 + iy) * w1;
-          const float* w_row = w.data() + (ch * f + fy) * f;
-          for (std::int64_t fx = 0; fx < f; ++fx) {
-            const V8f taps = LoadTaps(in_row, w1, ox * s + fx - p, s);
-            acc += taps * BroadcastV8(w_row[fx]);
-          }
-        }
-        StoreLanes(o.data() + (ch * h2 + oy) * w2 + ox,
-                   std::min<std::int64_t>(kLanes, w2 - ox), acc,
-                   b != nullptr ? b + ch : nullptr, act);
+  // Each channel reads only its own plane, so each worker stages one
+  // channel at a time into its own buffer.
+  const TapLayout t = MakeTapLayout(f, s, p, h1, w1, w2);
+  ParallelChunks(0, c, num_threads, [&](std::int64_t lo, std::int64_t hi) {
+    std::vector<float> staged(
+        static_cast<std::size_t>(t.in_place ? 0 : t.ChannelFloats()));
+    for (std::int64_t ch = lo; ch < hi; ++ch) {
+      const float* rows = in + ch * h1 * w1;
+      if (!t.in_place) {
+        StagePlane(rows, w1, t, staged.data());
+        rows = staged.data();
+      }
+      const float* const wk[1] = {w + ch * f * f};
+      for (std::int64_t oy = 0; oy < h2; ++oy) {
+        ForEachTile(w2, [&](std::int64_t ox, std::int64_t n) {
+          const auto acc = AccumulateTile(rows, t, wk, /*c1=*/1, oy, ox);
+          StoreLanes(o + (ch * h2 + oy) * w2 + ox, n, acc[0],
+                     b != nullptr ? b + ch : nullptr, act);
+        });
       }
     }
   });
@@ -367,8 +510,8 @@ Tensor Dense(const Tensor& input, const Tensor& weights, const Tensor& bias,
       const float* r7 = w.data() + (j0 + 7) * c1;
       V8f acc = BroadcastV8(0.0f);
       for (std::int64_t i = 0; i < c1; ++i) {
-        const V8f wv = {r0[i], r1[i], r2[i], r3[i],
-                        r4[i], r5[i], r6[i], r7[i]};
+        const V8f wv = {{r0[i], r1[i], r2[i], r3[i]},
+                      {r4[i], r5[i], r6[i], r7[i]}};
         acc += BroadcastV8(in[static_cast<std::size_t>(i)]) * wv;
       }
       alignas(32) float tmp[kLanes];

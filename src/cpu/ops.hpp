@@ -31,6 +31,24 @@ struct Conv2dParams {
 /// order, so results are bit-identical to the *Scalar variants. The
 /// *Scalar variants keep the plain loops as the oracle the SIMD path is
 /// tested (and benchmarked) against.
+///
+/// The conv paths change only where lanes load from and how many outputs
+/// share a load, never the order of an output's terms:
+///  - Channel blocking: each Conv2d work item computes 4 output channels
+///    of one output row, so one tap load feeds 4 accumulators. A tail
+///    block computes its missing channels from a real filter and drops
+///    them unstored.
+///  - Flat 1x1: a stride-1 unpadded 1x1 conv tiles the flattened H*W
+///    plane, so only a plane's last tile is partial. That tile is clamped
+///    to end at the plane's end; its overlapping outputs are recomputed
+///    bit-identically.
+///  - Staged rows: any other padded or strided conv first copies each
+///    input row into one zero-padded row per stride phase (the only extra
+///    parallel dispatch; depthwise stages per channel inside its workers).
+///    Every tap is then one contiguous vector load, and a padded tap adds
+///    a +-0 product, which is a bitwise no-op because an accumulator is
+///    never -0. Rows above or below the input are skipped, as in the
+///    scalar loop.
 [[nodiscard]] Tensor Conv2d(const Tensor& input, const Tensor& weights,
                             const Tensor& bias, const Conv2dParams& params,
                             int num_threads = 1);

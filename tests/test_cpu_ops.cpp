@@ -3,11 +3,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "cpu/ops.hpp"
+#include "graph/graph.hpp"
+#include "nets/nets.hpp"
 
 namespace clflow::cpu {
 namespace {
@@ -337,6 +341,141 @@ TEST(SimdBitExact, DenseSweep) {
                        DenseScalar(x, w, Tensor(), Activation::kNone),
                        "dense nobias c2=" + std::to_string(c2));
   }
+}
+
+// Conv2d computes output channels in blocks of 4, so channel counts that
+// leave a tail block of 1-3 matter, as do filters wider than a stride-2
+// phase and paddings wider than one tap.
+TEST(SimdBitExact, Conv2dChannelBlocksFiltersStridesPads) {
+  Rng rng(96);
+  const Activation acts[] = {Activation::kNone, Activation::kRelu,
+                             Activation::kRelu6};
+  int config = 0;
+  for (const int k : {1, 3, 5, 13}) {
+    for (const int f : {1, 3, 5, 7}) {
+      for (const int stride : {1, 2}) {
+        for (const int pad : {0, 1, 3}) {
+          for (const int w1 : {5, 12, 23}) {
+            if (w1 + 2 * pad < f) continue;
+            ++config;
+            const int h1 = w1 + 3;  // non-square catches swapped extents
+            auto input = Tensor::Random(Shape{1, 3, h1, w1}, rng, -2.0f, 2.0f);
+            auto w = Tensor::Random(Shape{k, 3, f, f}, rng, -1.0f, 1.0f);
+            auto bias = config % 2 == 0 ? Tensor::Random(Shape{k}, rng)
+                                        : Tensor();
+            const Conv2dParams p{.stride = stride, .pad = pad,
+                                 .activation = acts[config % 3]};
+            const Tensor want = Conv2dScalar(input, w, bias, p);
+            for (const int threads : {1, 3}) {
+              ExpectBitwiseEqual(
+                  Conv2d(input, w, bias, p, threads), want,
+                  "conv k=" + std::to_string(k) + " f=" + std::to_string(f) +
+                      " s=" + std::to_string(stride) + " p=" +
+                      std::to_string(pad) + " w1=" + std::to_string(w1) +
+                      " threads=" + std::to_string(threads));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A stride-1 unpadded 1x1 conv tiles the flattened H*W plane, so planes
+// whose pixel count is not a multiple of 8 (or is below 8) end in a
+// clamped or partial tile; padded and strided 1x1 convs must not take
+// that path.
+TEST(SimdBitExact, Conv2d1x1FlatAndStridedPlanes) {
+  Rng rng(97);
+  const std::pair<int, int> planes[] = {{7, 7}, {14, 14}, {3, 5},
+                                        {2, 3}, {1, 1},   {9, 4}};
+  for (const auto& [h1, w1] : planes) {
+    for (const int k : {5, 13}) {
+      for (const auto& [stride, pad] :
+           {std::pair{1, 0}, std::pair{1, 1}, std::pair{2, 0},
+            std::pair{2, 1}}) {
+        auto input = Tensor::Random(Shape{1, 6, h1, w1}, rng, -2.0f, 2.0f);
+        auto w = Tensor::Random(Shape{k, 6, 1, 1}, rng, -1.0f, 1.0f);
+        auto bias = Tensor::Random(Shape{k}, rng);
+        const Conv2dParams p{.stride = stride, .pad = pad,
+                             .activation = Activation::kRelu6};
+        const Tensor want = Conv2dScalar(input, w, bias, p);
+        for (const int threads : {1, 3}) {
+          ExpectBitwiseEqual(
+              Conv2d(input, w, bias, p, threads), want,
+              "conv1x1 " + std::to_string(h1) + "x" + std::to_string(w1) +
+                  " k=" + std::to_string(k) + " s=" + std::to_string(stride) +
+                  " p=" + std::to_string(pad) +
+                  " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBitExact, DepthwiseWideFiltersAndStride2) {
+  Rng rng(98);
+  for (const int f : {3, 5}) {
+    for (const int pad : {0, 2}) {
+      for (const int w1 : {9, 16, 23}) {
+        auto input = Tensor::Random(Shape{1, 5, w1 + 1, w1}, rng, -2.0f, 2.0f);
+        auto w = Tensor::Random(Shape{5, 1, f, f}, rng, -1.0f, 1.0f);
+        auto bias = Tensor::Random(Shape{5}, rng);
+        const Conv2dParams p{.stride = 2, .pad = pad,
+                             .activation = Activation::kRelu6};
+        const Tensor want = DepthwiseConv2dScalar(input, w, bias, p);
+        for (const int threads : {1, 3}) {
+          ExpectBitwiseEqual(
+              DepthwiseConv2d(input, w, bias, p, threads), want,
+              "dw f=" + std::to_string(f) + " p=" + std::to_string(pad) +
+                  " w1=" + std::to_string(w1) +
+                  " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+// Every distinct conv and depthwise layer shape of the two evaluation nets
+// (input extents, filter size, stride; the graph pads explicitly, so every
+// conv runs unpadded), with 5 output channels (one full block and a tail)
+// or 3 depthwise channels to stay cheap.
+TEST(SimdBitExact, MobileNetAndResNet18LayerShapes) {
+  Rng net_rng(99);
+  Rng rng(100);
+  std::set<std::tuple<bool, std::int64_t, std::int64_t, std::int64_t,
+                      std::int64_t, std::int64_t>>
+      seen;
+  for (const graph::Graph& g :
+       {nets::BuildMobileNetV1(net_rng), nets::BuildResNet(18, net_rng)}) {
+    for (const graph::Node& n : g.nodes()) {
+      const bool dw = n.kind == graph::OpKind::kDepthwiseConv2d;
+      if (!dw && n.kind != graph::OpKind::kConv2d) continue;
+      const Shape& in = g.node(n.inputs.at(0)).output_shape;
+      const std::int64_t f = n.weights.shape()[2];
+      const std::int64_t c1 = dw ? 3 : in.channels();
+      if (!seen.insert({dw, c1, in.height(), in.width(), f, n.stride})
+               .second) {
+        continue;
+      }
+      auto input = Tensor::Random(Shape{1, c1, in.height(), in.width()}, rng,
+                                  -2.0f, 2.0f);
+      auto w = Tensor::Random(Shape{dw ? c1 : 5, dw ? 1 : c1, f, f}, rng,
+                              -1.0f, 1.0f);
+      auto bias = Tensor::Random(Shape{w.shape()[0]}, rng);
+      const Conv2dParams p{.stride = n.stride, .pad = 0,
+                           .activation = n.activation};
+      const std::string what = g.name() + "/" + n.name;
+      if (dw) {
+        ExpectBitwiseEqual(DepthwiseConv2d(input, w, bias, p, 3),
+                           DepthwiseConv2dScalar(input, w, bias, p), what);
+      } else {
+        ExpectBitwiseEqual(Conv2d(input, w, bias, p, 3),
+                           Conv2dScalar(input, w, bias, p), what);
+      }
+    }
+  }
+  EXPECT_GE(seen.size(), 20u);
 }
 
 TEST(SimdBitExact, ThreadCountDoesNotChangeSimdResult) {
