@@ -77,7 +77,7 @@ void BM_EmitProgramPipeline(benchmark::State& state) {
       {.c1 = 3, .h1 = 32, .w1 = 32, .k = 16, .f = 3, .stride = 1,
        .has_bias = true, .activation = Activation::kRelu},
       {.fuse_activation = true, .cached_writes = true, .unroll_filter = true},
-      "k_head", {.output = c0});
+      "k_head", {.input = nullptr, .output = c0});
   auto mid = ir::BuildPoolKernel(
       {.c = 16, .h1 = 30, .w1 = 30, .f = 2, .stride = 2, .is_max = true},
       {.optimized = true}, "k_mid", {.input = c0, .output = c1});
@@ -85,7 +85,7 @@ void BM_EmitProgramPipeline(benchmark::State& state) {
       {.c1 = 16 * 15 * 15, .c2 = 10, .has_bias = true,
        .activation = Activation::kNone},
       {.cached_writes = true, .unroll_k = 8, .input_cache = true}, "k_tail",
-      {.input = c1});
+      {.input = c1, .output = nullptr});
   const std::vector<const ir::Kernel*> kernels = {
       &head.kernel, &mid.kernel, &tail.kernel};
   std::size_t bytes = 0;

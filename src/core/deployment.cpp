@@ -253,9 +253,7 @@ Deployment Deployment::Compile(const graph::Graph& g,
     std::optional<ir::ScopedPassVerifier> pass_gate;
     if (options.analysis.verify) {
       pass_gate.emplace([&d](const ir::Stmt& result, const char* pass) {
-        const int before = d.diags_->error_count();
-        analysis::VerifyStmt(result, *d.diags_);
-        if (d.diags_->error_count() > before) {
+        if (analysis::VerifyStmt(result, *d.diags_) > 0) {
           throw VerifyError("IR verifier rejected the result of pass " +
                             std::string(pass) + ":\n" + d.diags_->ToText());
         }

@@ -209,7 +209,7 @@ TEST(EmitProgram, NoChannelsNoExtensionPragma) {
 TEST(EmitKernel, LocalBuffersDeclaredLocal) {
   auto cin = ir::MakeBuffer("ci", {ir::IntImm(1)}, ir::MemScope::kChannel);
   auto bk = ir::BuildSoftmaxKernel({.n = 16}, /*optimized=*/true, "sm",
-                                   {.input = cin});
+                                   {.input = cin, .output = nullptr});
   const std::string src = EmitKernel(bk.kernel);
   EXPECT_TRUE(Contains(src, "__local float sm_xcache[16];"));
 }

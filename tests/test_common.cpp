@@ -101,7 +101,7 @@ TEST(ParallelStats, SkewedChunksShowImbalanceWait) {
       [](std::int64_t lo, std::int64_t) {
         if (lo == 0) {
           volatile double sink = 0;
-          for (int i = 0; i < 2000000; ++i) sink += i;
+          for (int i = 0; i < 2000000; ++i) sink = sink + i;
         }
       },
       &stats);

@@ -32,6 +32,12 @@ using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::ParseFaultSpec;
 
+HaOptions Replicas(int n) {
+  HaOptions ha;
+  ha.replicas = n;
+  return ha;
+}
+
 core::DeployOptions LenetOptions() {
   core::DeployOptions opts;
   opts.mode = core::ExecutionMode::kPipelined;
@@ -79,7 +85,7 @@ void ExpectBitExact(const Tensor& got, const Tensor& expected) {
 TEST(Ha, FailoverReissuesBatchBitExactly) {
   Rng rng(7);
   graph::Graph net = nets::BuildLeNet5(rng);
-  ReplicaSet rs(net, LenetOptions(), {.replicas = 2});
+  ReplicaSet rs(net, LenetOptions(), Replicas(2));
   rs.set_fault_injector(0, Plan({"hang:k_conv1:0"}));
 
   Tensor image = Tensor::Random(net.node(net.input_id()).output_shape, rng,
@@ -106,7 +112,7 @@ TEST(Ha, FailoverReissuesBatchBitExactly) {
 TEST(Ha, EventIdsStayUniqueAcrossFailoverReplays) {
   Rng rng(7);
   graph::Graph net = nets::BuildLeNet5(rng);
-  ReplicaSet rs(net, LenetOptions(), {.replicas = 2});
+  ReplicaSet rs(net, LenetOptions(), Replicas(2));
   rs.set_fault_injector(0, Plan({"hang:k_conv1:0", "hang:k_conv1:2"}));
 
   Tensor image = Tensor::Random(net.node(net.input_id()).output_shape, rng,
@@ -340,7 +346,7 @@ TEST(Ha, QuarantineDumpsAreSequencedPerBoard) {
 TEST(Ha, RejectsDegenerateOptions) {
   Rng rng(7);
   graph::Graph net = nets::BuildLeNet5(rng);
-  EXPECT_THROW(ReplicaSet(net, LenetOptions(), {.replicas = 0}), Error);
+  EXPECT_THROW(ReplicaSet(net, LenetOptions(), Replicas(0)), Error);
   HaOptions bad;
   bad.quarantine_after = 0;
   EXPECT_THROW(ReplicaSet(net, LenetOptions(), bad), Error);

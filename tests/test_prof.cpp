@@ -314,8 +314,12 @@ TEST(BenchDiff, MissingMetricRegressesNewDoesNot) {
                                      Snap({{"b", 2.0}, {"c", 3.0}}));
   EXPECT_TRUE(r.regressed);
   for (const auto& d : r.deltas) {
-    if (d.key == "a") EXPECT_EQ(d.status, prof::MetricStatus::kMissing);
-    if (d.key == "c") EXPECT_EQ(d.status, prof::MetricStatus::kNew);
+    if (d.key == "a") {
+      EXPECT_EQ(d.status, prof::MetricStatus::kMissing);
+    }
+    if (d.key == "c") {
+      EXPECT_EQ(d.status, prof::MetricStatus::kNew);
+    }
   }
 }
 

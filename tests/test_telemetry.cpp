@@ -15,6 +15,7 @@
 #include "analysis/codes.hpp"
 #include "analysis/diag.hpp"
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "core/deployment.hpp"
 #include "nets/nets.hpp"
 #include "obs/json.hpp"
@@ -178,6 +179,65 @@ TEST(FlightRecorderTest, ToJsonRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(e.Find("trace_id")->number, 3.0);
   EXPECT_DOUBLE_EQ(e.Find("span_id")->number, 7.0);
   EXPECT_DOUBLE_EQ(e.Find("queue")->number, 2.0);
+}
+
+TEST(FlightRecorderTest, MixedRecordsPastCapacityArePinned) {
+  // Requests, commands, faults and failover notes, three times past the
+  // ring's capacity. seq, order, drops and the JSON bytes are pinned to
+  // the values recorded from the deque-backed ring.
+  FlightRecorder rec(/*capacity=*/8);
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    const TraceContext ctx{i / 4 + 1, i / 4 + 1};
+    switch (i % 4) {
+      case 0:
+        rec.Note("request", "run#" + std::to_string(i / 4 + 1), ctx,
+                 i % 8 == 0 ? "functional" : "timing");
+        break;
+      case 1: {
+        FlightEvent ev;
+        ev.kind = "command";
+        ev.label = i % 8 == 1 ? "k_conv1" : "write_input [fail#0]";
+        ev.trace_id = ctx.trace_id;
+        ev.span_id = 100 + i;
+        ev.parent_span_id = ctx.parent_span_id;
+        ev.t_us = 0.5 * static_cast<double>(i);
+        ev.dur_us = 3.25;
+        ev.queue = static_cast<int>(i % 3) - 1;
+        rec.Record(ev);
+        break;
+      }
+      case 2: {
+        FlightEvent ev;
+        ev.kind = "fault";
+        ev.label = "CLF502 k_conv2";
+        ev.trace_id = ctx.trace_id;
+        ev.parent_span_id = ctx.parent_span_id;
+        ev.t_us = 1.0 + static_cast<double>(i);
+        ev.detail = "watchdog: \"k_conv2\" never completed\n";
+        rec.Record(ev);
+        break;
+      }
+      default:
+        rec.Note("failover", "CLF509 out board0", {ctx.trace_id, 0},
+                 "batch#" + std::to_string(i));
+        break;
+    }
+  }
+  EXPECT_EQ(rec.total_recorded(), 32u);
+  EXPECT_EQ(rec.dropped(), 24u);
+  const std::vector<FlightEvent> snap = rec.snapshot();
+  ASSERT_EQ(snap.size(), 8u);
+  for (std::size_t k = 0; k < snap.size(); ++k) {
+    EXPECT_EQ(snap[k].seq, 24 + k);
+  }
+  EXPECT_EQ(snap.front().kind, "request");
+  EXPECT_EQ(snap.front().label, "run#7");
+  EXPECT_EQ(snap.back().kind, "failover");
+  const std::string json = rec.ToJson();
+  common::Fnv f;
+  f.Bytes(json.data(), json.size());
+  EXPECT_EQ(f.h, 0xaaf5f1b1215bd5a6ull) << json;
+  EXPECT_EQ(json.size(), 1283u);
 }
 
 TEST(FlightRecorderTest, DumpOnFaultCarriesTheFailingRequestsTraceId) {

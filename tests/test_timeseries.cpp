@@ -103,6 +103,69 @@ TEST(LogHistogram, MergeMatchesSingleStreamExactly) {
   }
 }
 
+// Pinned digests and quantiles: the values below were recorded from the
+// map-backed bucket store, so any change of bucket layout must keep
+// Digest(), Quantile() and bucket_count() identical.
+
+LogHistogram Observed(const std::vector<double>& values) {
+  LogHistogram h;
+  for (double v : values) h.Observe(v);
+  return h;
+}
+
+TEST(LogHistogram, PinnedWhenSamplesGoBelowTheFirstBucket) {
+  // The first sample fixes the lowest bucket; later samples reach down
+  // four decades below it and up one above it.
+  const LogHistogram h =
+      Observed({40.0, 12.5, 3.0, 0.75, 0.01, 1e-4, 250.0, 0.3});
+  EXPECT_EQ(h.Digest(), 0xaa16054762314fa4ull);
+  EXPECT_EQ(h.Quantile(0.5), 0.75040809347948123);
+  EXPECT_EQ(h.Quantile(0.99), 248.39785182788876);
+  EXPECT_EQ(h.bucket_count(), 8u);
+}
+
+TEST(LogHistogram, PinnedWithZeroAndNegativeSamples) {
+  const LogHistogram h =
+      Observed({-2.5, 0.0, 7.0, -0.25, 0.0, 1500.0, 3.5, 0.004});
+  EXPECT_EQ(h.Digest(), 0x9c1d1e806b510981ull);
+  EXPECT_EQ(h.Quantile(0.25), -2.5);
+  EXPECT_EQ(h.Quantile(0.5), -2.5);
+  EXPECT_EQ(h.Quantile(0.99), 1500.0);
+  EXPECT_EQ(h.bucket_count(), 5u);
+}
+
+TEST(LogHistogram, PinnedMergeOfDisjointRangesInBothOrders) {
+  std::vector<double> low, high;
+  for (int i = 0; i < 50; ++i) {
+    low.push_back(1.0 + 0.1 * i);
+    high.push_back(1e5 + 1e3 * i);
+  }
+  LogHistogram low_high = Observed(low);
+  low_high.MergeFrom(Observed(high));
+  LogHistogram high_low = Observed(high);
+  high_low.MergeFrom(Observed(low));
+  for (const LogHistogram* h : {&low_high, &high_low}) {
+    EXPECT_EQ(h->Digest(), 0xcbd7029d7091909eull);
+    EXPECT_EQ(h->Quantile(0.5), 5.8845786625946275);
+    EXPECT_EQ(h->Quantile(0.99), 148937.24454425875);
+    EXPECT_EQ(h->bucket_count(), 70u);
+  }
+}
+
+TEST(LogHistogram, PinnedAfterClearAndReuse) {
+  LogHistogram h = Observed({40.0, 12.5, 3.0, 0.75, 0.01, 1e-4, 250.0});
+  h.Clear();
+  EXPECT_EQ(h.count(), 0);
+  EXPECT_EQ(h.bucket_count(), 0u);
+  EXPECT_EQ(h.Digest(), Observed({}).Digest());
+  for (double v : {5.0, 6.0, 7.0, 5000.0}) h.Observe(v);
+  EXPECT_EQ(h.Digest(), Observed({5.0, 6.0, 7.0, 5000.0}).Digest());
+  EXPECT_EQ(h.Digest(), 0x1c08e0214c089ac7ull);
+  EXPECT_EQ(h.Quantile(0.5), 6.0022702358465203);
+  EXPECT_EQ(h.Quantile(0.99), 5000.0);
+  EXPECT_EQ(h.bucket_count(), 4u);
+}
+
 // -------------------------------------------------------- TimeSeries
 
 WindowSpec MsSpec(std::size_t windows = 8) {

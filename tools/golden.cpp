@@ -14,6 +14,16 @@
 // "fit_report.txt" (fpga::WriteFitReport). A plan whose compile throws
 // records the digest of its error text under "error" instead.
 //
+// The "runtime/" keys pin the simulated runtime: pipelined LeNet on S10SX
+// runs three batches (one functional, two timing-only) under each injected
+// fault class, and the manifest keeps the digests of the event pool's
+// Chrome trace ("trace.json"), the flight recorder's ToJson
+// ("flightrec.json") and the Deployment::ExportRuntimeMetrics Prometheus
+// text ("metrics.prom"). "runtime/campaign/" pins a seeded load campaign
+// through a 2-board replica set whose second board hangs on every
+// dispatch ("digest" is LoadgenReport::digest, "metrics.prom" its
+// registry), and "runtime/chaos/digest" a fixed-seed chaos campaign.
+//
 //   clflow_golden                 print the manifest (sorted JSON)
 //   clflow_golden --check FILE    compare against FILE; list every key
 //                                 that moved, appeared or vanished, and
@@ -36,7 +46,11 @@
 #include "core/deployment.hpp"
 #include "core/host_codegen.hpp"
 #include "fpga/report.hpp"
+#include "ha/chaos.hpp"
+#include "ha/replica_set.hpp"
 #include "nets/nets.hpp"
+#include "ocl/trace.hpp"
+#include "serve/loadgen.hpp"
 
 namespace {
 
@@ -44,13 +58,17 @@ using namespace clflow;
 
 using Manifest = std::map<std::string, std::string>;
 
+std::string Hex(std::uint64_t h) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
+}
+
 std::string Digest(const std::string& bytes) {
   common::Fnv f;
   f.Bytes(bytes.data(), bytes.size());
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(f.h));
-  return hex;
+  return Hex(f.h);
 }
 
 void Record(Manifest& out, const std::string& net, const graph::Graph& g,
@@ -74,12 +92,94 @@ void Record(Manifest& out, const std::string& net, const graph::Graph& g,
   }
 }
 
+core::DeployOptions LenetServing() {
+  core::DeployOptions dep;
+  dep.mode = core::ExecutionMode::kPipelined;
+  dep.recipe = core::PipelineTvmAutorun();
+  dep.recipe.concurrent_execution = true;
+  dep.board = fpga::Stratix10SX();
+  dep.runtime.watchdog_timeout = SimTime::Ms(2.0);
+  return dep;
+}
+
+std::shared_ptr<resilience::FaultInjector> Injector(
+    const std::vector<resilience::FaultSpec>& specs) {
+  resilience::FaultPlan plan;
+  plan.seed = 7;
+  plan.specs = specs;
+  return std::make_shared<resilience::FaultInjector>(plan);
+}
+
+void RecordRuntime(Manifest& out, const graph::Graph& lenet) {
+  Rng rng(11);
+  const Tensor image = Tensor::Random(
+      lenet.node(lenet.input_id()).output_shape, rng, 0.0f, 1.0f);
+  const std::pair<const char*, const char*> faults[] = {
+      {"none", ""},
+      {"xfer-fail", "xfer-fail:write:1:2"},
+      {"corrupt", "corrupt:k_conv2:1:1"},
+      {"reset", "reset:k_pool1:1"},
+      {"fmax-droop", "fmax-droop:0.9"},
+      {"hang", "hang:k_conv2:1"}};
+  for (const auto& [name, spec] : faults) {
+    core::Deployment d = core::Deployment::Compile(lenet, LenetServing());
+    if (*spec != '\0') {
+      d.runtime().set_fault_injector(
+          Injector({resilience::ParseFaultSpec(spec)}));
+    }
+    for (int i = 0; i < 3; ++i) {
+      try {
+        (void)d.Run(image, /*functional=*/i == 0);
+      } catch (const RuntimeFaultError&) {
+        d.runtime().AbortBatch();
+      }
+    }
+    const std::string key =
+        std::string("runtime/lenet/pipelined/s10sx/") + name + "/";
+    out[key + "trace.json"] =
+        Digest(ocl::ExportChromeTrace(d.runtime().event_pool()));
+    out[key + "flightrec.json"] = Digest(d.flight_recorder().ToJson());
+    obs::Registry reg;
+    d.ExportRuntimeMetrics(reg);
+    out[key + "metrics.prom"] = Digest(reg.ToPrometheus());
+  }
+
+  ha::HaOptions ha;
+  ha.replicas = 2;
+  ha.cooldown_batches = 16;
+  ha::ReplicaSet set(lenet, LenetServing(), ha);
+  std::vector<resilience::FaultSpec> dead;
+  for (int i = 0; i < 64; ++i) {
+    resilience::FaultSpec s;
+    s.kind = resilience::FaultKind::kKernelHang;
+    s.target = "k_conv1";
+    s.index = i;
+    dead.push_back(s);
+  }
+  set.set_fault_injector(1, Injector(dead));
+  serve::LoadgenOptions lo;
+  lo.seed = 2021;
+  lo.requests = 400;
+  const serve::LoadgenReport report =
+      serve::RunLoadCampaign(set, image, lo);
+  out["runtime/campaign/lenet/s10sx/dead-board/digest"] = Hex(report.digest);
+  out["runtime/campaign/lenet/s10sx/dead-board/metrics.prom"] =
+      Digest(report.metrics->ToPrometheus());
+
+  ha::ChaosOptions chaos;
+  chaos.scenarios = 16;
+  chaos.seed = 2021;
+  out["runtime/chaos/lenet/s10sx/digest"] =
+      Hex(ha::RunChaosCampaign(lenet, LenetServing(), chaos).Digest());
+}
+
 Manifest Build() {
   Rng rng(42);
   const graph::Graph lenet = nets::BuildLeNet5(rng);
   const graph::Graph mobilenet = nets::BuildMobileNetV1(rng);
   const graph::Graph resnet = nets::BuildResNet(18, rng);
   Manifest m;
+  RecordRuntime(m, lenet);
   for (const fpga::BoardSpec& board : fpga::EvaluationBoards()) {
     for (core::OptimizationRecipe recipe : core::PipelineLadder()) {
       Record(m, "lenet", lenet, core::ExecutionMode::kPipelined, recipe, "",
