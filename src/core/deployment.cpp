@@ -772,34 +772,37 @@ void Deployment::PrepareRuntime() {
     const int created = runtime_->CreateQueue();
     CLFLOW_CHECK_MSG(created == q, "queue ids diverged from the plan");
   }
+  // The launch table: every invocation resolved against the programmed
+  // bitstream once, so Run dispatches rows without name lookups.
+  launches_.clear();
+  launches_.reserve(invocations_.size());
+  for (std::size_t i = 0; i < invocations_.size(); ++i) {
+    const ir::Kernel& kernel = KernelOf(invocations_[i]);
+    ocl::KernelLaunch launch;
+    launch.name = kernel.name;
+    launch.stats = invocations_[i].stats;
+    launch.reads_channels = ChannelNames(kernel.channels_read);
+    launch.writes_channels = ChannelNames(kernel.channels_written);
+    launches_.push_back(
+        runtime_->Resolve(launch, invocation_queues_[i], kernel.autorun));
+  }
+  latency_us_ = &telemetry_->registry.histogram("run.latency_us");
 }
 
-ocl::KernelLaunch Deployment::MakeLaunch(const PlannedInvocation& inv,
-                                         bool functional) {
-  const ir::Kernel& kernel = KernelOf(inv);
-  ocl::KernelLaunch launch;
-  launch.name = kernel.name;
-  launch.stats = inv.stats;
-  launch.reads_channels = ChannelNames(kernel.channels_read);
-  launch.writes_channels = ChannelNames(kernel.channels_written);
-  if (functional) {
-    const NodeId node_id = inv.node;
-    launch.functional = [this, node_id] {
-      const Node& n = fused_.node(node_id);
-      std::vector<Tensor> inputs;
-      inputs.reserve(n.inputs.size());
-      for (NodeId in : n.inputs) inputs.push_back(acts_.at(in));
-      Tensor out =
-          graph::ExecuteNode(n, inputs, options_.functional_threads);
-      if (node_id == fused_.output_id()) {
-        const auto src = out.data();
-        auto dst = output_buffer_->view();
-        std::copy(src.begin(), src.end(), dst.begin());
-      }
-      acts_[node_id] = std::move(out);
-    };
-  }
-  return launch;
+std::function<void()> Deployment::ComputeNode(NodeId node_id) {
+  return [this, node_id] {
+    const Node& n = fused_.node(node_id);
+    std::vector<Tensor> inputs;
+    inputs.reserve(n.inputs.size());
+    for (NodeId in : n.inputs) inputs.push_back(acts_.at(in));
+    Tensor out = graph::ExecuteNode(n, inputs, options_.functional_threads);
+    if (node_id == fused_.output_id()) {
+      const auto src = out.data();
+      auto dst = output_buffer_->view();
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+    acts_[node_id] = std::move(out);
+  };
 }
 
 void Deployment::DumpFlightRecorder() const {
@@ -851,21 +854,16 @@ RunResult Deployment::Run(const Tensor& input, bool functional) {
   result.trace_id = ++next_trace_id_;
   const telemetry::TraceContext ctx{result.trace_id, result.trace_id};
   runtime_->set_trace_context(ctx);
-  flightrec_->Note("request", "run#" + std::to_string(result.trace_id), ctx,
-                   functional ? "functional" : "timing");
+  flightrec_->NoteRun(result.trace_id, ctx, functional);
   try {
     runtime_->EnqueueWrite(0, input_buffer_, input.data(), "write_input");
     int last_queue = 0;
-    for (std::size_t i = 0; i < invocations_.size(); ++i) {
-      const auto& inv = invocations_[i];
-      ocl::KernelLaunch launch = MakeLaunch(inv, functional);
-      if (KernelOf(inv).autorun) {
-        runtime_->RunAutorun(std::move(launch));
-      } else {
-        const int q = invocation_queues_[i];
-        runtime_->EnqueueKernel(q, std::move(launch));
-        last_queue = q;
-      }
+    std::function<void()> compute;
+    for (std::size_t i = 0; i < launches_.size(); ++i) {
+      ocl::LaunchRow& row = launches_[i];
+      if (functional) compute = ComputeNode(invocations_[i].node);
+      runtime_->Dispatch(row, compute);
+      if (!row.autorun) last_queue = row.queue;
     }
 
     const std::int64_t out_elems =
@@ -877,8 +875,7 @@ RunResult Deployment::Run(const Tensor& input, bool functional) {
     result.latency = runtime_->Finish();
     // Per-request latency feeds the deployment's log-bucketed histogram:
     // a serving loop can call Run unboundedly without growing telemetry.
-    telemetry_->registry.histogram("run.latency_us")
-        .Observe(result.latency.us());
+    latency_us_->Observe(result.latency.us());
   } catch (const RuntimeFaultError& e) {
     // Surface the fault through the same diagnostics channel as the
     // compile-time checks before rethrowing, so tooling that renders
@@ -1022,12 +1019,11 @@ void Deployment::ExportRuntimeMetrics(obs::Registry& registry,
   // representative binding per kernel; the schedule re-analyzes every
   // invocation, so parameterized (folded) kernels diverge when layer
   // shapes differ from the representative.
+  const std::map<std::string, ocl::Runtime::KernelUsage> usage =
+      runtime_->kernel_usage();
   for (const auto& kd : bitstream_.kernels) {
-    auto it = runtime_->kernel_usage().find(kd.name);
-    if (it == runtime_->kernel_usage().end() ||
-        it->second.invocations == 0) {
-      continue;
-    }
+    auto it = usage.find(kd.name);
+    if (it == usage.end()) continue;
     const SimTime predicted = fpga::InvocationTime(
         kd.static_stats, bitstream_.board, bitstream_.fmax_mhz,
         options_.cost_model);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -229,8 +230,9 @@ class Deployment {
   /// options_.flightrec_path (no-op when the path is empty). Reports
   /// CLF703 when the ring dropped events. Never throws (runs in catches).
   void DumpFlightRecorder() const;
-  [[nodiscard]] ocl::KernelLaunch MakeLaunch(const PlannedInvocation& inv,
-                                             bool functional);
+  /// The functor a functional run attaches to the launch of `node`: it
+  /// computes the node with the reference operators from acts_.
+  [[nodiscard]] std::function<void()> ComputeNode(graph::NodeId node);
 
   DeployOptions options_;
   std::shared_ptr<obs::Telemetry> telemetry_;
@@ -254,6 +256,11 @@ class Deployment {
   ocl::BufferPtr output_buffer_;
   std::vector<int> invocation_queues_;
   int num_queues_ = 1;
+  /// The launch table: one row per invocation (parallel to invocations_),
+  /// resolved against the programmed bitstream by PrepareRuntime.
+  std::vector<ocl::LaunchRow> launches_;
+  /// This deployment's "run.latency_us" histogram, resolved once.
+  obs::Histogram* latency_us_ = nullptr;
   /// Functional activation map, rebuilt per functional run.
   std::unordered_map<graph::NodeId, Tensor> acts_;
 };

@@ -34,10 +34,28 @@ void LogHistogram::Observe(double value) {
   ++count_;
   sum_ += value;
   if (value > 0.0) {
-    ++buckets_[BucketIndex(value)];
+    Add(BucketIndex(value), 1);
   } else {
     ++zero_count_;
   }
+}
+
+void LogHistogram::Add(std::int32_t index, std::int64_t n) {
+  if (buckets_.empty()) {
+    lo_ = index;
+    buckets_.push_back(0);
+  } else if (index < lo_) {
+    buckets_.insert(buckets_.begin(), static_cast<std::size_t>(lo_ - index),
+                    0);
+    lo_ = index;
+  } else if (const auto hi = lo_ + static_cast<std::int64_t>(buckets_.size());
+             index >= hi) {
+    buckets_.resize(buckets_.size() + static_cast<std::size_t>(index - hi + 1),
+                    0);
+  }
+  std::int64_t& bucket = buckets_[static_cast<std::size_t>(index - lo_)];
+  if (bucket == 0) ++used_;
+  bucket += n;
 }
 
 void LogHistogram::Clear() { *this = LogHistogram(); }
@@ -54,7 +72,11 @@ void LogHistogram::MergeFrom(const LogHistogram& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   zero_count_ += other.zero_count_;
-  for (const auto& [index, n] : other.buckets_) buckets_[index] += n;
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
+    if (other.buckets_[i] != 0) {
+      Add(other.lo_ + static_cast<std::int32_t>(i), other.buckets_[i]);
+    }
+  }
 }
 
 double LogHistogram::Quantile(double q) const {
@@ -68,26 +90,28 @@ double LogHistogram::Quantile(double q) const {
   // 0 -- exact whenever the bucket holds a single distinct value.
   if (rank <= zero_count_) return std::min(min_, 0.0);
   std::int64_t seen = zero_count_;
-  for (const auto& [index, count] : buckets_) {
-    seen += count;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    seen += buckets_[i];
     if (seen >= rank) {
-      return std::clamp(BucketMid(index), min_, max_);
+      return std::clamp(BucketMid(lo_ + static_cast<std::int32_t>(i)), min_,
+                        max_);
     }
   }
   return max_;  // unreachable when counts are consistent
 }
 
 std::size_t LogHistogram::bucket_count() const {
-  return buckets_.size() + (zero_count_ > 0 ? 1 : 0);
+  return used_ + (zero_count_ > 0 ? 1 : 0);
 }
 
 std::uint64_t LogHistogram::Digest() const {
   common::Fnv f;
   f.U64(static_cast<std::uint64_t>(count_));
   f.U64(static_cast<std::uint64_t>(zero_count_));
-  for (const auto& [index, count] : buckets_) {
-    f.I64(index);
-    f.U64(static_cast<std::uint64_t>(count));
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    if (buckets_[i] == 0) continue;
+    f.I64(lo_ + static_cast<std::int64_t>(i));
+    f.U64(static_cast<std::uint64_t>(buckets_[i]));
   }
   return f.h;
 }

@@ -8,10 +8,12 @@
 //   * LogHistogram — log-bucketed value distribution. Bucket i covers
 //     [γ^i, γ^(i+1)) with γ = 1.02, so a quantile reported as the
 //     geometric bucket midpoint γ^(i+0.5) is within √γ − 1 ≈ 0.995% < 1%
-//     relative error of any sample in the bucket. Memory is O(distinct
-//     buckets), independent of sample count (~1160 buckets span 1 ps to
-//     10^10 us). Counts are integers, so histograms merged in a fixed
-//     shard order digest identically at any thread count.
+//     relative error of any sample in the bucket. Counts live in one
+//     dense vector over the bucket range [lo, hi] seen so far, so memory
+//     is O(hi - lo), independent of sample count (~1160 buckets span 1 ps
+//     to 10^10 us), and an observation is an index, not a tree insert.
+//     Counts are integers, so histograms merged in a fixed shard order
+//     digest identically at any thread count.
 //
 //   * TimeSeries — a ring of fixed-resolution windows over SimTime.
 //     Counters accumulate per-window sums (rate = sum/span); gauges keep
@@ -27,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -83,9 +84,15 @@ class LogHistogram {
  private:
   static std::int32_t BucketIndex(double v);
   static double BucketMid(std::int32_t index);
+  /// Adds `n` to bucket `index`, widening [lo, hi] to cover it.
+  void Add(std::int32_t index, std::int64_t n);
 
-  std::map<std::int32_t, std::int64_t> buckets_;  ///< v > 0
-  std::int64_t zero_count_ = 0;                   ///< v <= 0
+  /// Counts of buckets lo_ .. lo_ + size - 1 (v > 0); zero entries are
+  /// buckets inside the range that hold no sample.
+  std::vector<std::int64_t> buckets_;
+  std::int32_t lo_ = 0;
+  std::size_t used_ = 0;         ///< non-zero entries of buckets_
+  std::int64_t zero_count_ = 0;  ///< v <= 0
   std::int64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

@@ -73,6 +73,7 @@ Runtime::Runtime(fpga::Bitstream bitstream, fpga::CostModel cost_model,
   ValidateRuntimeOptions(options);
   retry_policy_ = options.retry;
   watchdog_timeout_ = options.watchdog_timeout;
+  kernel_usage_.resize(bitstream_.kernels.size());
 }
 
 void Runtime::set_retry_policy(const resilience::RetryPolicy& policy) {
@@ -107,16 +108,8 @@ void Runtime::RecordEvent(std::string_view label, CommandKind kind,
                           SimTime end, SimTime stall, std::int64_t bytes) {
   const std::uint64_t span_id = ++next_span_id_;
   if (flightrec_ != nullptr) {
-    telemetry::FlightEvent f;
-    f.kind = "command";
-    f.label = std::string(label);
-    f.trace_id = trace_ctx_.trace_id;
-    f.span_id = span_id;
-    f.parent_span_id = trace_ctx_.parent_span_id;
-    f.t_us = start.us();
-    f.dur_us = (end - start).us();
-    f.queue = queue;
-    flightrec_->Record(std::move(f));
+    flightrec_->RecordCommand(label, trace_ctx_, span_id, start.us(),
+                              (end - start).us(), queue);
   }
   events_.Record(label, kind, queue, queued, start, end, stall, bytes,
                  trace_ctx_.trace_id, span_id, trace_ctx_.parent_span_id);
@@ -252,45 +245,16 @@ void Runtime::EnqueueRead(int queue, const BufferPtr& buffer,
                   dst);
 }
 
-SimTime Runtime::KernelReady(const KernelLaunch& launch, SimTime base) {
-  SimTime ready = base;
-  for (const auto& chan : launch.reads_channels) {
-    auto hung = hung_channels_.find(chan);
-    if (hung != hung_channels_.end()) {
-      // The writer was dispatched but will never deliver: the watchdog
-      // charges its timeout to the channel stall and converts what would
-      // be an unbounded hardware hang into a structured fault.
-      channel_stall_[chan] += watchdog_timeout_;
-      clock_ = std::max(clock_, base + watchdog_timeout_);
-      RuntimeFaultError fault(
-          std::string(analysis::kRuntimeChannelDeadlock.id),
-          "watchdog: kernel " + launch.name + " blocked on channel " + chan +
-              " for " + std::to_string(watchdog_timeout_.us()) +
-              " us; writer " + hung->second +
-              " hung and will never deliver (deadlock on hardware)",
-          launch.name, chan, QueueSnapshot());
-      RecordFault(fault);
-      throw fault;
-    }
-    auto it = channel_ready_.find(chan);
-    if (it == channel_ready_.end()) {
-      RuntimeFaultError fault(
-          std::string(analysis::kRuntimeChannelProtocol.id),
-          std::string(analysis::kChannelNoWriter.id) + ": kernel " +
-              launch.name + " reads channel " + chan +
-              " with no enqueued producer: this deadlocks on hardware",
-          launch.name, chan, QueueSnapshot());
-      RecordFault(fault);
-      throw fault;
-    }
-    if (it->second > base) channel_stall_[chan] += it->second - base;
-    ready = std::max(ready, it->second);
-  }
-  return ready;
+int Runtime::ChannelId(const std::string& name) {
+  const auto [it, inserted] =
+      channel_ids_.emplace(name, static_cast<int>(channels_.size()));
+  if (inserted) channels_.emplace_back().name = name;
+  return it->second;
 }
 
-void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
+LaunchRow Runtime::Resolve(const KernelLaunch& launch, int queue,
                            bool autorun) {
+  CLFLOW_CHECK(autorun || (queue >= 0 && queue < num_queues()));
   const fpga::KernelDesign* design = bitstream_.Find(launch.name);
   if (design == nullptr) {
     RuntimeFaultError fault(
@@ -300,8 +264,70 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
     RecordFault(fault);
     throw fault;
   }
+  LaunchRow row;
+  row.name = launch.name;
+  row.stats = launch.stats;
+  row.design = design;
+  row.kernel_id = static_cast<int>(design - bitstream_.kernels.data());
+  for (const std::string& chan : launch.reads_channels) {
+    row.reads.push_back(ChannelId(chan));
+  }
+  for (const std::string& chan : launch.writes_channels) {
+    row.writes.push_back(ChannelId(chan));
+  }
+  row.autorun = autorun;
+  row.queue = autorun ? 0 : queue;
+  return row;
+}
+
+SimTime Runtime::KernelReady(const LaunchRow& row, SimTime base) {
+  SimTime ready = base;
+  for (const int id : row.reads) {
+    ChannelState& chan = channels_[static_cast<std::size_t>(id)];
+    if (chan.hung_writer >= 0) {
+      // The writer was dispatched but will never deliver: the watchdog
+      // charges its timeout to the channel stall and converts what would
+      // be an unbounded hardware hang into a structured fault.
+      chan.stall += watchdog_timeout_;
+      chan.stalled = true;
+      clock_ = std::max(clock_, base + watchdog_timeout_);
+      RuntimeFaultError fault(
+          std::string(analysis::kRuntimeChannelDeadlock.id),
+          "watchdog: kernel " + row.name + " blocked on channel " +
+              chan.name + " for " + std::to_string(watchdog_timeout_.us()) +
+              " us; writer " +
+              bitstream_.kernels[static_cast<std::size_t>(chan.hung_writer)]
+                  .name +
+              " hung and will never deliver (deadlock on hardware)",
+          row.name, chan.name, QueueSnapshot());
+      RecordFault(fault);
+      throw fault;
+    }
+    if (chan.writers == 0) {
+      RuntimeFaultError fault(
+          std::string(analysis::kRuntimeChannelProtocol.id),
+          std::string(analysis::kChannelNoWriter.id) + ": kernel " +
+              row.name + " reads channel " + chan.name +
+              " with no enqueued producer: this deadlocks on hardware",
+          row.name, chan.name, QueueSnapshot());
+      RecordFault(fault);
+      throw fault;
+    }
+    if (chan.ready > base) {
+      chan.stall += chan.ready - base;
+      chan.stalled = true;
+    }
+    ready = std::max(ready, chan.ready);
+  }
+  return ready;
+}
+
+void Runtime::Dispatch(LaunchRow& row,
+                       const std::function<void()>& functional) {
+  const bool autorun = row.autorun;
+  const int queue = row.queue;
   resilience::KernelFault fault;
-  if (injector_) fault = injector_->OnKernelDispatch(launch.name);
+  if (injector_) fault = injector_->OnKernelDispatch(row.name);
 
   if (fault.reset) {
     // Device lost before dispatch: the host reprograms the FPGA (a
@@ -311,18 +337,18 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
     host_time_ += retry_policy_.reprogram_cost;
     clock_ = std::max(clock_, host_time_);
     ++reprograms_;
-    RecordEvent("reprogram [" + launch.name + "]", CommandKind::kKernel,
+    RecordEvent("reprogram [" + row.name + "]", CommandKind::kKernel,
                 autorun ? -1 : queue, start, start, host_time_, kSimTimeZero,
                 0);
   }
   if (fault.corrupt_times >= retry_policy_.max_attempts) {
     RuntimeFaultError err(
         std::string(analysis::kRuntimeKernelCorrupt.id),
-        "kernel " + launch.name + " output checksum failed " +
+        "kernel " + row.name + " output checksum failed " +
             std::to_string(fault.corrupt_times) +
             " consecutive executions (RetryPolicy::max_attempts=" +
             std::to_string(retry_policy_.max_attempts) + ")",
-        launch.name, "", QueueSnapshot(), retry_policy_.max_attempts);
+        row.name, "", QueueSnapshot(), retry_policy_.max_attempts);
     RecordFault(err);
     throw err;
   }
@@ -332,7 +358,7 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
   if (autorun) {
     // No host dispatch: constrained only by data availability.
     dispatch_base = batch_start_;
-    ready = KernelReady(launch, dispatch_base);
+    ready = KernelReady(row, dispatch_base);
   } else {
     host_time_ += kEnqueueCost;
     QueueState& q = queues_[static_cast<std::size_t>(queue)];
@@ -340,7 +366,7 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
     // dispatched early and then blocks on a channel hides it (SS4.8).
     dispatch_base = std::max(host_time_, q.last_end) +
                     SimTime::Us(board().kernel_launch_us);
-    ready = KernelReady(launch, dispatch_base);
+    ready = KernelReady(row, dispatch_base);
   }
   const SimTime stall = ready - dispatch_base;
 
@@ -356,11 +382,11 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
       q.busy += end - ready;
       q.last_end = end;
     }
-    for (const auto& chan : launch.writes_channels) {
-      hung_channels_[chan] = launch.name;
+    for (const int id : row.writes) {
+      channels_[static_cast<std::size_t>(id)].hung_writer = row.kernel_id;
     }
-    if (hung_kernel_.empty()) hung_kernel_ = launch.name;
-    RecordEvent(launch.name + " [hung]", CommandKind::kKernel,
+    if (hung_kernel_ < 0) hung_kernel_ = row.kernel_id;
+    RecordEvent(row.name + " [hung]", CommandKind::kKernel,
                 autorun ? -1 : queue, autorun ? ready : host_time_, ready,
                 end, stall, 0);
     clock_ = std::max(clock_, end);
@@ -371,13 +397,17 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
   // output-checksum verify and rerun; the functors are deterministic pure
   // functions of their (unchanged) inputs, so the surviving execution is
   // bit-exact with the fault-free run.
-  if (launch.functional) launch.functional();
+  if (functional) functional();
 
   // Thermal throttling scales the achievable clock for every dispatch.
   const double effective_fmax =
       fmax_mhz() * (injector_ ? injector_->fmax_factor() : 1.0);
-  const SimTime exec = fpga::InvocationTime(launch.stats, board(),
-                                            effective_fmax, cost_model_);
+  if (row.exec_fmax_mhz != effective_fmax) {
+    row.exec = fpga::InvocationTime(row.stats, board(), effective_fmax,
+                                    cost_model_);
+    row.exec_fmax_mhz = effective_fmax;
+  }
+  const SimTime exec = row.exec;
   const int executions = 1 + fault.corrupt_times;
   const SimTime end = ready + exec * executions;
   kernel_reruns_ += fault.corrupt_times;
@@ -388,27 +418,30 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
     q.busy += end - ready;
     q.last_end = end;
   }
-  for (const auto& chan : launch.writes_channels) {
-    channel_ready_[chan] = end;
-    if (++channel_writers_[chan] > 1) {
+  for (const int id : row.writes) {
+    ChannelState& chan = channels_[static_cast<std::size_t>(id)];
+    chan.ready = end;
+    if (++chan.writers > 1) {
       RuntimeFaultError fault2(
           std::string(analysis::kRuntimeChannelProtocol.id),
-          std::string(analysis::kChannelEndpoints.id) + ": channel " + chan +
+          std::string(analysis::kChannelEndpoints.id) + ": channel " +
+              chan.name +
               " written by more than one kernel in a batch (last: " +
-              launch.name + "); Intel channels are strictly point-to-point",
-          launch.name, chan, QueueSnapshot());
+              row.name + "); Intel channels are strictly point-to-point",
+          row.name, chan.name, QueueSnapshot());
       RecordFault(fault2);
       throw fault2;
     }
   }
   clock_ = std::max(clock_, end);
-  KernelUsage& usage = kernel_usage_[launch.name];
+  KernelUsage& usage =
+      kernel_usage_[static_cast<std::size_t>(row.kernel_id)];
   usage.total += end - ready;
   ++usage.invocations;
   for (int e = 0; e < executions; ++e) {
     const SimTime s = ready + exec * e;
-    RecordEvent(e == 0 ? launch.name
-                       : launch.name + " [rerun#" + std::to_string(e) + "]",
+    RecordEvent(e == 0 ? row.name
+                       : row.name + " [rerun#" + std::to_string(e) + "]",
                 CommandKind::kKernel, autorun ? -1 : queue,
                 autorun ? ready : host_time_, s, s + exec,
                 e == 0 ? stall : kSimTimeZero, 0);
@@ -416,13 +449,14 @@ void Runtime::RecordKernel(const KernelLaunch& launch, int queue,
   if (profiling_ && !autorun) host_time_ = end;
 }
 
-void Runtime::EnqueueKernel(int queue, KernelLaunch launch) {
-  CLFLOW_CHECK(queue >= 0 && queue < num_queues());
-  RecordKernel(launch, queue, /*autorun=*/false);
+void Runtime::EnqueueKernel(int queue, const KernelLaunch& launch) {
+  LaunchRow row = Resolve(launch, queue, /*autorun=*/false);
+  Dispatch(row, launch.functional);
 }
 
-void Runtime::RunAutorun(KernelLaunch launch) {
-  RecordKernel(launch, /*queue=*/0, /*autorun=*/true);
+void Runtime::RunAutorun(const KernelLaunch& launch) {
+  LaunchRow row = Resolve(launch, /*queue=*/0, /*autorun=*/true);
+  Dispatch(row, launch.functional);
 }
 
 SimTime Runtime::Finish() {
@@ -434,22 +468,22 @@ SimTime Runtime::Finish() {
   }
   host_time_ = std::max(host_time_, clock_);
   batch_start_ = clock_;
-  channel_ready_.clear();
-  channel_writers_.clear();
-  if (!hung_kernel_.empty()) {
-    // Watchdog: a dispatched kernel never completed, so the queues can
-    // never drain -- on hardware Finish() would hang forever. Clear the
-    // hang state (the batch is lost, the runtime object stays usable) and
-    // raise the structured deadlock instead.
-    const std::string kernel = std::exchange(hung_kernel_, std::string());
-    std::string channel;
-    for (const auto& [chan, writer] : hung_channels_) {
-      if (writer == kernel) {
-        channel = chan;
-        break;
-      }
+  const int hung = hung_kernel_;
+  std::string channel;
+  for (const ChannelState& chan : channels_) {
+    if (hung >= 0 && chan.hung_writer == hung) {
+      channel = chan.name;
+      break;
     }
-    hung_channels_.clear();
+  }
+  ResetBatchState();
+  if (hung >= 0) {
+    // Watchdog: a dispatched kernel never completed, so the queues can
+    // never drain -- on hardware Finish() would hang forever. The hang
+    // state is cleared (the batch is lost, the runtime object stays
+    // usable); raise the structured deadlock instead.
+    const std::string& kernel =
+        bitstream_.kernels[static_cast<std::size_t>(hung)].name;
     RuntimeFaultError fault(
         std::string(analysis::kRuntimeChannelDeadlock.id),
         "watchdog: kernel " + kernel + " never completed within " +
@@ -468,7 +502,7 @@ SimTime Runtime::Finish() {
 void Runtime::AbortBatch() {
   // Same bookkeeping as Finish(), minus the makespan and the hung-kernel
   // raise: the batch is declared lost, not drained. A fault thrown
-  // mid-enqueue leaves channel_writers_/hung_channels_ populated; without
+  // mid-enqueue leaves channel writers and hung writers set; without
   // this clear, the next batch on this runtime would trip spurious
   // CLF506/CLF502 faults on the stale state.
   for (QueueState& q : queues_) {
@@ -476,10 +510,15 @@ void Runtime::AbortBatch() {
   }
   host_time_ = std::max(host_time_, clock_);
   batch_start_ = clock_;
-  channel_ready_.clear();
-  channel_writers_.clear();
-  hung_channels_.clear();
-  hung_kernel_.clear();
+  ResetBatchState();
+}
+
+void Runtime::ResetBatchState() {
+  for (ChannelState& chan : channels_) {
+    chan.writers = 0;
+    chan.hung_writer = -1;
+  }
+  hung_kernel_ = -1;
 }
 
 Runtime::QueueUsage Runtime::queue_usage(int queue) const {
@@ -488,10 +527,28 @@ Runtime::QueueUsage Runtime::queue_usage(int queue) const {
   return {q.busy, q.idle};
 }
 
+std::map<std::string, SimTime> Runtime::channel_stall() const {
+  std::map<std::string, SimTime> stalls;
+  for (const ChannelState& chan : channels_) {
+    if (chan.stalled) stalls.emplace(chan.name, chan.stall);
+  }
+  return stalls;
+}
+
 SimTime Runtime::total_channel_stall() const {
   SimTime total;
-  for (const auto& [_, t] : channel_stall_) total += t;
+  for (const auto& [_, t] : channel_stall()) total += t;
   return total;
+}
+
+std::map<std::string, Runtime::KernelUsage> Runtime::kernel_usage() const {
+  std::map<std::string, KernelUsage> usage;
+  for (std::size_t k = 0; k < kernel_usage_.size(); ++k) {
+    if (kernel_usage_[k].invocations > 0) {
+      usage.emplace(bitstream_.kernels[k].name, kernel_usage_[k]);
+    }
+  }
+  return usage;
 }
 
 void Runtime::ExportMetrics(obs::Registry& registry,
@@ -509,12 +566,15 @@ void Runtime::ExportMetrics(obs::Registry& registry,
     registry.gauge("ocl.queue.occupancy", l)
         .Set(span > kSimTimeZero ? q.busy.seconds() / span.seconds() : 0.0);
   }
-  for (const auto& [chan, t] : channel_stall_) {
+  const std::map<std::string, SimTime> stalls = channel_stall();
+  SimTime stall_total;
+  for (const auto& [chan, t] : stalls) {
     registry.gauge("ocl.channel.stall_us", with({{"channel", chan}}))
         .Set(t.us());
+    stall_total += t;
   }
   registry.gauge("ocl.channel.stall_total_us", base_labels)
-      .Set(total_channel_stall().us());
+      .Set(stall_total.us());
   registry.gauge("ocl.xfer.h2d_bytes", base_labels)
       .Set(static_cast<double>(bytes_h2d_));
   registry.gauge("ocl.xfer.d2h_bytes", base_labels)
@@ -529,7 +589,7 @@ void Runtime::ExportMetrics(obs::Registry& registry,
         .Set(static_cast<double>(bytes_d2h_) / xfer_d2h_time_.seconds() /
              1e9);
   }
-  for (const auto& [name, usage] : kernel_usage_) {
+  for (const auto& [name, usage] : kernel_usage()) {
     const obs::Labels l = with({{"kernel", name}});
     registry.gauge("ocl.kernel.total_us", l).Set(usage.total.us());
     registry.gauge("ocl.kernel.invocations", l)

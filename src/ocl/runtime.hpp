@@ -73,6 +73,25 @@ struct KernelLaunch {
   std::vector<std::string> writes_channels;
 };
 
+/// One row of a launch table: a KernelLaunch resolved against the
+/// programmed bitstream by Runtime::Resolve, so dispatching it looks
+/// nothing up by name. Rows are built once per programmed design (one per
+/// planned invocation) and dispatched on every batch.
+struct LaunchRow {
+  std::string name;
+  ir::KernelStats stats;
+  const fpga::KernelDesign* design = nullptr;
+  int kernel_id = -1;  ///< index of `design` in the bitstream's kernels
+  /// Channel endpoints as the runtime's dense channel ids.
+  std::vector<int> reads, writes;
+  bool autorun = false;
+  int queue = 0;  ///< command queue (unused when autorun)
+  /// InvocationTime of `stats` at `exec_fmax_mhz`, the effective clock it
+  /// was computed for; a changed clock (thermal droop) recomputes it.
+  double exec_fmax_mhz = 0.0;
+  SimTime exec;
+};
+
 /// Hardening knobs for one Runtime instance, configurable per deployment
 /// (DeployOptions::runtime) instead of the former hard-coded constants.
 struct RuntimeOptions {
@@ -178,12 +197,26 @@ class Runtime {
                     std::span<const float> src, std::string label = "write");
   void EnqueueRead(int queue, const BufferPtr& buffer, std::span<float> dst,
                    std::string label = "read");
-  void EnqueueKernel(int queue, KernelLaunch launch);
+
+  /// Resolves `launch` into a launch-table row dispatched on `queue` (or
+  /// as autorun): finds its design, and maps its channel names to dense
+  /// ids. Throws RuntimeFaultError CLF501 when the kernel is not in the
+  /// programmed bitstream.
+  [[nodiscard]] LaunchRow Resolve(const KernelLaunch& launch, int queue,
+                                  bool autorun);
+
+  /// Dispatches one row: enqueued on row.queue, or registered as an
+  /// autorun instance. `functional` (may be null) runs at dispatch. The
+  /// row's cached invocation time is refreshed when the clock changed.
+  void Dispatch(LaunchRow& row, const std::function<void()>& functional);
+
+  /// Resolve + Dispatch of one launch on `queue`.
+  void EnqueueKernel(int queue, const KernelLaunch& launch);
 
   /// Registers an autorun kernel instance: it participates in channel
   /// dependency chains with no queue and no launch overhead. Call once per
-  /// logical activation (e.g. per image).
-  void RunAutorun(KernelLaunch launch);
+  /// logical activation (e.g. per image). Resolve + Dispatch as autorun.
+  void RunAutorun(const KernelLaunch& launch);
 
   /// Blocks (in simulated time) until all queues drain; returns the
   /// makespan of everything enqueued since the previous Finish().
@@ -218,11 +251,10 @@ class Runtime {
   };
   [[nodiscard]] QueueUsage queue_usage(int queue) const;
 
-  /// Total time kernels spent blocked on each channel (for autorun
-  /// kernels: time from batch start until the channel's data arrived).
-  [[nodiscard]] const std::map<std::string, SimTime>& channel_stall() const {
-    return channel_stall_;
-  }
+  /// Total time kernels spent blocked on each channel that ever stalled
+  /// (for autorun kernels: time from batch start until the channel's data
+  /// arrived). Built on each call.
+  [[nodiscard]] std::map<std::string, SimTime> channel_stall() const;
   [[nodiscard]] SimTime total_channel_stall() const;
 
   [[nodiscard]] std::int64_t bytes_h2d() const { return bytes_h2d_; }
@@ -233,10 +265,8 @@ class Runtime {
     SimTime total;
     std::int64_t invocations = 0;
   };
-  [[nodiscard]] const std::map<std::string, KernelUsage>& kernel_usage()
-      const {
-    return kernel_usage_;
-  }
+  /// Kernels launched at least once, by name. Built on each call.
+  [[nodiscard]] std::map<std::string, KernelUsage> kernel_usage() const;
 
   /// Distribution of per-event durations (kernels and transfers alike)
   /// over everything recorded so far, in microseconds.
@@ -256,9 +286,26 @@ class Runtime {
     SimTime last_end;
     SimTime busy, idle;
   };
+  /// One channel, indexed by the dense id Resolve assigns.
+  struct ChannelState {
+    std::string name;
+    /// Writers so far in this batch (deadlock detection); `ready` is the
+    /// latest writer's completion, valid when writers > 0.
+    int writers = 0;
+    SimTime ready;
+    /// Cumulative blocked-on-channel time; `stalled` once any accrued
+    /// (only those channels appear in channel_stall()).
+    SimTime stall;
+    bool stalled = false;
+    /// Kernel id of this batch's hung writer, or -1.
+    int hung_writer = -1;
+  };
 
-  SimTime KernelReady(const KernelLaunch& launch, SimTime base);
-  void RecordKernel(const KernelLaunch& launch, int queue, bool autorun);
+  /// Dense id of a channel name, registering it on first use.
+  int ChannelId(const std::string& name);
+  SimTime KernelReady(const LaunchRow& row, SimTime base);
+  /// Starts the next batch: clears per-batch channel and hang state.
+  void ResetBatchState();
   void EnqueueTransfer(int queue, bool is_write, std::int64_t num_floats,
                        const std::string& label,
                        const std::function<void()>& copy,
@@ -284,14 +331,12 @@ class Runtime {
   SimTime host_time_;    ///< host thread's enqueue cursor
   SimTime batch_start_;  ///< for Finish() makespan accounting
   std::vector<QueueState> queues_{1};
-  /// Latest simulated completion of a writer per channel name.
-  std::unordered_map<std::string, SimTime> channel_ready_;
-  /// Channels written so far in this batch (deadlock detection).
-  std::unordered_map<std::string, int> channel_writers_;
+  std::vector<ChannelState> channels_;
+  /// Channel name -> id; read only by Resolve.
+  std::unordered_map<std::string, int> channel_ids_;
   EventPool events_;
-  /// Cumulative blocked-on-channel time, per channel.
-  std::map<std::string, SimTime> channel_stall_;
-  std::map<std::string, KernelUsage> kernel_usage_;
+  /// Per-kernel usage, indexed by kernel id (the bitstream's order).
+  std::vector<KernelUsage> kernel_usage_;
   /// Per-event duration distribution (log-bucketed: the event stream is
   /// unbounded, so the hot path must not retain samples). Exported by
   /// ExportMetrics as idempotent duration-quantile gauges.
@@ -303,10 +348,9 @@ class Runtime {
   std::int64_t kernel_reruns_ = 0;
   std::int64_t reprograms_ = 0;
   SimTime backoff_time_;
-  /// Channels whose (injected-hung) writer will never deliver data.
-  std::unordered_map<std::string, std::string> hung_channels_;  ///< ch->kernel
-  /// First kernel that hung this batch ("" when none): Finish() deadlocks.
-  std::string hung_kernel_;
+  /// First kernel id that hung this batch (-1 when none): Finish()
+  /// deadlocks.
+  int hung_kernel_ = -1;
   // Telemetry state.
   telemetry::TraceContext trace_ctx_;
   telemetry::FlightRecorder* flightrec_ = nullptr;  ///< not owned

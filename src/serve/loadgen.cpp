@@ -254,18 +254,33 @@ LoadgenReport RunLoadCampaign(core::Deployment& target, const Tensor& input,
 LoadgenReport RunLoadCampaign(ha::ReplicaSet& target, const Tensor& input,
                               const LoadgenOptions& options) {
   const SimTime base = target.Run(input, options.functional).latency;
-  auto sample_boards = [&target](obs::Registry& reg,
-                                 const obs::WindowSpec& ws, SimTime now) {
+  // Each board's ha.board.state series, resolved at the first sample.
+  std::vector<obs::TimeSeries*> board_state;
+  auto sample_boards = [&target, &board_state](obs::Registry& reg,
+                                               const obs::WindowSpec& ws,
+                                               SimTime now) {
+    if (board_state.empty()) {
+      for (int b = 0; b < target.num_replicas(); ++b) {
+        board_state.push_back(
+            &reg.series("ha.board.state", {{"board", target.BoardLabel(b)}},
+                        obs::TimeSeries::Kind::kGauge, ws));
+      }
+    }
     for (int b = 0; b < target.num_replicas(); ++b) {
-      reg.series("ha.board.state", {{"board", target.BoardLabel(b)}},
-                 obs::TimeSeries::Kind::kGauge, ws)
-          .Record(now, static_cast<double>(
-                           static_cast<int>(target.health(b))));
+      board_state[static_cast<std::size_t>(b)]->Record(
+          now, static_cast<double>(static_cast<int>(target.health(b))));
     }
   };
   return RunCampaign(
       options, "replicaset:" + std::to_string(target.num_replicas()), base,
       [&]() {
+        // No reader looks at a board's events across batches, so each
+        // batch starts from empty pools: their slots are reused instead of
+        // growing (and page-faulting) for the whole campaign.
+        for (int b = 0; b < target.num_replicas(); ++b) {
+          target.replica(b).runtime().ClearEvents();
+        }
+        if (target.fallback()) target.fallback()->runtime().ClearEvents();
         Served s;
         try {
           const ha::HaRunResult r = target.Run(input, options.functional);

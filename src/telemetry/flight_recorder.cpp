@@ -1,6 +1,7 @@
 #include "telemetry/flight_recorder.hpp"
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -20,17 +21,42 @@ std::string SequencedDumpPath(const std::string& path, std::uint64_t seq) {
   return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
+namespace {
+
+constexpr std::string_view kKindNames[] = {
+    "command", "fault", "diag", "request", "note", "failover", "quarantine"};
+
+}  // namespace
+
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
+FlightRecorder::Slot& FlightRecorder::Claim() {
+  const std::uint64_t seq = next_seq_++;
+  const auto pos = static_cast<std::size_t>(seq % capacity_);
+  if (pos == slots_.size()) slots_.emplace_back();
+  Slot& slot = slots_[pos];
+  slot.seq = seq;
+  return slot;
+}
+
 void FlightRecorder::Record(FlightEvent event) {
   std::lock_guard lock(mu_);
-  event.seq = next_seq_++;
-  if (ring_.size() == capacity_) {
-    ring_.pop_front();
-    ++dropped_;
+  Slot& slot = Claim();
+  slot.kind = Kind::kOther;
+  for (std::size_t k = 0; k < std::size(kKindNames); ++k) {
+    if (event.kind == kKindNames[k]) slot.kind = static_cast<Kind>(k);
   }
-  ring_.push_back(std::move(event));
+  if (slot.kind == Kind::kOther) slot.other_kind = std::move(event.kind);
+  slot.run = 0;
+  slot.label = std::move(event.label);
+  slot.trace_id = event.trace_id;
+  slot.span_id = event.span_id;
+  slot.parent_span_id = event.parent_span_id;
+  slot.t_us = event.t_us;
+  slot.dur_us = event.dur_us;
+  slot.queue = event.queue;
+  slot.detail = std::move(event.detail);
 }
 
 void FlightRecorder::Note(std::string kind, std::string label,
@@ -44,6 +70,39 @@ void FlightRecorder::Note(std::string kind, std::string label,
   Record(std::move(ev));
 }
 
+void FlightRecorder::RecordCommand(std::string_view label,
+                                   const TraceContext& ctx,
+                                   std::uint64_t span_id, double t_us,
+                                   double dur_us, int queue) {
+  std::lock_guard lock(mu_);
+  Slot& slot = Claim();
+  slot.kind = Kind::kCommand;
+  slot.run = 0;
+  slot.label.assign(label);
+  slot.trace_id = ctx.trace_id;
+  slot.span_id = span_id;
+  slot.parent_span_id = ctx.parent_span_id;
+  slot.t_us = t_us;
+  slot.dur_us = dur_us;
+  slot.queue = queue;
+  slot.detail.clear();
+}
+
+void FlightRecorder::NoteRun(std::uint64_t run, const TraceContext& ctx,
+                             bool functional) {
+  std::lock_guard lock(mu_);
+  Slot& slot = Claim();
+  slot.kind = Kind::kRequest;
+  slot.run = run;
+  slot.trace_id = ctx.trace_id;
+  slot.span_id = 0;
+  slot.parent_span_id = ctx.parent_span_id;
+  slot.t_us = 0.0;
+  slot.dur_us = 0.0;
+  slot.queue = 0;
+  slot.detail.assign(functional ? "functional" : "timing");
+}
+
 std::uint64_t FlightRecorder::total_recorded() const {
   std::lock_guard lock(mu_);
   return next_seq_;
@@ -51,12 +110,38 @@ std::uint64_t FlightRecorder::total_recorded() const {
 
 std::uint64_t FlightRecorder::dropped() const {
   std::lock_guard lock(mu_);
-  return dropped_;
+  return next_seq_ > capacity_ ? next_seq_ - capacity_ : 0;
+}
+
+std::vector<FlightEvent> FlightRecorder::Events() const {
+  const std::uint64_t first = next_seq_ > capacity_ ? next_seq_ - capacity_
+                                                    : 0;
+  std::vector<FlightEvent> out;
+  out.reserve(static_cast<std::size_t>(next_seq_ - first));
+  for (std::uint64_t seq = first; seq < next_seq_; ++seq) {
+    const Slot& slot = slots_[static_cast<std::size_t>(seq % capacity_)];
+    FlightEvent& ev = out.emplace_back();
+    ev.seq = slot.seq;
+    ev.kind = slot.kind == Kind::kOther
+                  ? slot.other_kind
+                  : std::string(kKindNames[static_cast<std::size_t>(
+                        slot.kind)]);
+    ev.label = slot.run != 0 ? "run#" + std::to_string(slot.run)
+                             : slot.label;
+    ev.trace_id = slot.trace_id;
+    ev.span_id = slot.span_id;
+    ev.parent_span_id = slot.parent_span_id;
+    ev.t_us = slot.t_us;
+    ev.dur_us = slot.dur_us;
+    ev.queue = slot.queue;
+    ev.detail = slot.detail;
+  }
+  return out;
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::lock_guard lock(mu_);
-  return {ring_.begin(), ring_.end()};
+  return Events();
 }
 
 std::string FlightRecorder::ToJson() const {
@@ -65,9 +150,11 @@ std::string FlightRecorder::ToJson() const {
   std::lock_guard lock(mu_);
   std::ostringstream os;
   os << "{\"capacity\":" << capacity_ << ",\"total_recorded\":" << next_seq_
-     << ",\"dropped\":" << dropped_ << ",\"events\":[";
+     << ",\"dropped\":"
+     << (next_seq_ > capacity_ ? next_seq_ - capacity_ : 0)
+     << ",\"events\":[";
   bool first = true;
-  for (const FlightEvent& ev : ring_) {
+  for (const FlightEvent& ev : Events()) {
     if (!first) os << ",";
     first = false;
     os << "{\"seq\":" << ev.seq << ",\"kind\":\"" << JsonEscape(ev.kind)
@@ -91,9 +178,7 @@ bool FlightRecorder::DumpToFile(const std::string& path) const {
 
 void FlightRecorder::Clear() {
   std::lock_guard lock(mu_);
-  ring_.clear();
   next_seq_ = 0;
-  dropped_ = 0;
 }
 
 }  // namespace clflow::telemetry

@@ -10,12 +10,18 @@
 // is dumped to <base>_flightrec.json, every event carrying the trace id
 // of the request it belonged to -- the crash-cart view the postmortem
 // starts from.
+//
+// The ring is a fixed-capacity vector of slots written in place: a
+// command record assigns its label into the slot's existing buffer and
+// stores its kind as an enum, and a request note stores its run number.
+// Text is formatted only when the ring is read (snapshot(), ToJson() and
+// the dump), so the per-command cost on the serving path is a slot write.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/context.hpp"
@@ -62,6 +68,16 @@ class FlightRecorder {
   void Note(std::string kind, std::string label, const TraceContext& ctx,
             std::string detail = "");
 
+  /// One completed runtime command: a "command" event with an empty
+  /// detail. Equivalent to Record() of the same fields.
+  void RecordCommand(std::string_view label, const TraceContext& ctx,
+                     std::uint64_t span_id, double t_us, double dur_us,
+                     int queue);
+
+  /// The request boundary Deployment::Run opens: a "request" note labelled
+  /// "run#<run>" with detail "functional" or "timing".
+  void NoteRun(std::uint64_t run, const TraceContext& ctx, bool functional);
+
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t total_recorded() const;
   [[nodiscard]] std::uint64_t dropped() const;
@@ -80,11 +96,47 @@ class FlightRecorder {
   void Clear();
 
  private:
+  /// The kinds producers use, plus kOther for any other text.
+  enum class Kind : std::uint8_t {
+    kCommand,
+    kFault,
+    kDiag,
+    kRequest,
+    kNote,
+    kFailover,
+    kQuarantine,
+    kOther,
+  };
+
+  /// One ring entry. Strings keep their buffers across reuse.
+  struct Slot {
+    std::uint64_t seq = 0;
+    Kind kind = Kind::kOther;
+    std::string other_kind;  ///< the kind text when kind == kOther
+    /// Non-zero: the label is "run#<run>" and `label` is unused.
+    std::uint64_t run = 0;
+    std::string label;
+    std::uint64_t trace_id = 0;
+    std::uint64_t span_id = 0;
+    std::uint64_t parent_span_id = 0;
+    double t_us = 0.0;
+    double dur_us = 0.0;
+    int queue = 0;
+    std::string detail;
+  };
+
+  /// Claims the slot of the next sequence number (evicting the oldest
+  /// event when full) and stamps its seq. Caller holds mu_.
+  Slot& Claim();
+  /// Retained events, oldest first. Caller holds mu_.
+  [[nodiscard]] std::vector<FlightEvent> Events() const;
+
   const std::size_t capacity_;
   mutable std::mutex mu_;
-  std::deque<FlightEvent> ring_;
+  /// Slot of sequence number s is slots_[s % capacity_]; grows lazily up
+  /// to capacity_ and keeps its size across Clear().
+  std::vector<Slot> slots_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace clflow::telemetry

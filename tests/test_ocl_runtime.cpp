@@ -214,6 +214,87 @@ TEST(Runtime, UnknownKernelRejected) {
       RuntimeApiError);
 }
 
+TEST(Runtime, ResolvingAKernelMissingFromTheBitstreamRaisesClf501) {
+  TestDesign d = MakeDesign(1, fpga::Stratix10SX());
+  Runtime rt(d.bitstream);
+  try {
+    (void)rt.Resolve({.name = "ghost", .stats = FixedCycles(10),
+                      .functional = {}, .reads_channels = {},
+                      .writes_channels = {}},
+                     0, /*autorun=*/false);
+    FAIL() << "resolving an unknown kernel must throw";
+  } catch (const RuntimeFaultError& e) {
+    EXPECT_EQ(e.code(), "CLF501");
+    EXPECT_EQ(e.kernel(), "ghost");
+  }
+  const LaunchRow row =
+      rt.Resolve({.name = "k0", .stats = FixedCycles(10), .functional = {},
+                  .reads_channels = {"a"}, .writes_channels = {"b"}},
+                 0, /*autorun=*/false);
+  EXPECT_EQ(row.design, &rt.bitstream().kernels[0]);
+  EXPECT_EQ(row.kernel_id, 0);
+  EXPECT_EQ(row.reads, std::vector<int>{0});
+  EXPECT_EQ(row.writes, std::vector<int>{1});
+}
+
+TEST(Runtime, ReusedLaunchRowsMatchFreshLaunchesAcrossADroop) {
+  // Rows resolved once and dispatched on three batches must record the
+  // same event times as three batches of freshly built launches, also
+  // when a thermal droop changes the clock between batches 2 and 3: the
+  // rows' cached invocation times must follow the clock.
+  TestDesign d = MakeDesign(3, fpga::Stratix10SX());
+  const KernelLaunch head{.name = "k0", .stats = FixedCycles(50000),
+                          .functional = {}, .reads_channels = {},
+                          .writes_channels = {"a"}};
+  const KernelLaunch middle{.name = "k1", .stats = FixedCycles(30000),
+                            .functional = {}, .reads_channels = {"a"},
+                            .writes_channels = {"b"}};
+  const KernelLaunch tail{.name = "k2", .stats = FixedCycles(20000),
+                          .functional = {}, .reads_channels = {"b"},
+                          .writes_channels = {}};
+  resilience::FaultPlan droop;
+  droop.specs.push_back(resilience::ParseFaultSpec("fmax-droop:0.8"));
+
+  auto run = [&](bool reuse) {
+    Runtime rt(d.bitstream);
+    std::vector<LaunchRow> rows;
+    if (reuse) {
+      rows.push_back(rt.Resolve(head, 0, /*autorun=*/false));
+      rows.push_back(rt.Resolve(middle, 0, /*autorun=*/true));
+      rows.push_back(rt.Resolve(tail, 0, /*autorun=*/false));
+    }
+    for (int batch = 0; batch < 3; ++batch) {
+      if (batch == 2) {
+        rt.set_fault_injector(
+            std::make_shared<resilience::FaultInjector>(droop));
+      }
+      if (reuse) {
+        for (LaunchRow& row : rows) rt.Dispatch(row, {});
+      } else {
+        rt.EnqueueKernel(0, head);
+        rt.RunAutorun(middle);
+        rt.EnqueueKernel(0, tail);
+      }
+      (void)rt.Finish();
+    }
+    std::vector<std::int64_t> times;
+    for (const EventPool::View ev : rt.event_pool()) {
+      times.insert(times.end(), {ev.queued.ps(), ev.start.ps(), ev.end.ps(),
+                                 ev.stall.ps()});
+    }
+    return times;
+  };
+  const std::vector<std::int64_t> fresh = run(/*reuse=*/false);
+  const std::vector<std::int64_t> reused = run(/*reuse=*/true);
+  ASSERT_EQ(fresh.size(), 9u * 4u);
+  EXPECT_EQ(reused, fresh);
+  // The droop stretched the third batch: k0 runs 1/0.8 times longer.
+  const std::int64_t first = fresh[2] - fresh[1];
+  const std::int64_t third = fresh[6 * 4 + 2] - fresh[6 * 4 + 1];
+  EXPECT_NEAR(static_cast<double>(third) / static_cast<double>(first), 1.25,
+              0.01);
+}
+
 TEST(Runtime, ProfilingSerializesHost) {
   TestDesign d = MakeDesign(2, fpga::Stratix10SX());
 

@@ -181,28 +181,40 @@ TEST(FlightRecorderTest, ToJsonRoundTripsThroughParser) {
   EXPECT_DOUBLE_EQ(e.Find("queue")->number, 2.0);
 }
 
-TEST(FlightRecorderTest, MixedRecordsPastCapacityArePinned) {
-  // Requests, commands, faults and failover notes, three times past the
-  // ring's capacity. seq, order, drops and the JSON bytes are pinned to
-  // the values recorded from the deque-backed ring.
-  FlightRecorder rec(/*capacity=*/8);
+/// Requests, commands, faults and failover notes, three times past a
+/// capacity-8 ring. `in_place` records the requests and commands through
+/// NoteRun/RecordCommand, the paths Deployment::Run and the runtime use;
+/// otherwise every event goes through Note/Record.
+void RecordMixed(FlightRecorder& rec, bool in_place) {
   for (std::uint64_t i = 0; i < 32; ++i) {
     const TraceContext ctx{i / 4 + 1, i / 4 + 1};
     switch (i % 4) {
       case 0:
-        rec.Note("request", "run#" + std::to_string(i / 4 + 1), ctx,
-                 i % 8 == 0 ? "functional" : "timing");
+        if (in_place) {
+          rec.NoteRun(i / 4 + 1, ctx, /*functional=*/i % 8 == 0);
+        } else {
+          rec.Note("request", "run#" + std::to_string(i / 4 + 1), ctx,
+                   i % 8 == 0 ? "functional" : "timing");
+        }
         break;
       case 1: {
+        const std::string label =
+            i % 8 == 1 ? "k_conv1" : "write_input [fail#0]";
+        const double t_us = 0.5 * static_cast<double>(i);
+        const int queue = static_cast<int>(i % 3) - 1;
+        if (in_place) {
+          rec.RecordCommand(label, ctx, 100 + i, t_us, 3.25, queue);
+          break;
+        }
         FlightEvent ev;
         ev.kind = "command";
-        ev.label = i % 8 == 1 ? "k_conv1" : "write_input [fail#0]";
+        ev.label = label;
         ev.trace_id = ctx.trace_id;
         ev.span_id = 100 + i;
         ev.parent_span_id = ctx.parent_span_id;
-        ev.t_us = 0.5 * static_cast<double>(i);
+        ev.t_us = t_us;
         ev.dur_us = 3.25;
-        ev.queue = static_cast<int>(i % 3) - 1;
+        ev.queue = queue;
         rec.Record(ev);
         break;
       }
@@ -223,21 +235,47 @@ TEST(FlightRecorderTest, MixedRecordsPastCapacityArePinned) {
         break;
     }
   }
-  EXPECT_EQ(rec.total_recorded(), 32u);
-  EXPECT_EQ(rec.dropped(), 24u);
-  const std::vector<FlightEvent> snap = rec.snapshot();
-  ASSERT_EQ(snap.size(), 8u);
-  for (std::size_t k = 0; k < snap.size(); ++k) {
-    EXPECT_EQ(snap[k].seq, 24 + k);
+}
+
+TEST(FlightRecorderTest, MixedRecordsPastCapacityArePinned) {
+  // seq, order, drops and the JSON bytes are pinned to the values the
+  // deque-of-strings ring produced for the same sequence.
+  for (const bool in_place : {false, true}) {
+    SCOPED_TRACE(in_place ? "in place" : "generic");
+    FlightRecorder rec(/*capacity=*/8);
+    RecordMixed(rec, in_place);
+    EXPECT_EQ(rec.total_recorded(), 32u);
+    EXPECT_EQ(rec.dropped(), 24u);
+    const std::vector<FlightEvent> snap = rec.snapshot();
+    ASSERT_EQ(snap.size(), 8u);
+    for (std::size_t k = 0; k < snap.size(); ++k) {
+      EXPECT_EQ(snap[k].seq, 24 + k);
+    }
+    EXPECT_EQ(snap.front().kind, "request");
+    EXPECT_EQ(snap.front().label, "run#7");
+    EXPECT_EQ(snap.back().kind, "failover");
+    const std::string json = rec.ToJson();
+    common::Fnv f;
+    f.Bytes(json.data(), json.size());
+    EXPECT_EQ(f.h, 0xaaf5f1b1215bd5a6ull) << json;
+    EXPECT_EQ(json.size(), 1283u);
   }
-  EXPECT_EQ(snap.front().kind, "request");
-  EXPECT_EQ(snap.front().label, "run#7");
-  EXPECT_EQ(snap.back().kind, "failover");
-  const std::string json = rec.ToJson();
-  common::Fnv f;
-  f.Bytes(json.data(), json.size());
-  EXPECT_EQ(f.h, 0xaaf5f1b1215bd5a6ull) << json;
-  EXPECT_EQ(json.size(), 1283u);
+}
+
+TEST(FlightRecorderTest, ClearedRingReusesItsSlots) {
+  FlightRecorder rec(/*capacity=*/8);
+  RecordMixed(rec, /*in_place=*/true);
+  rec.Clear();
+  EXPECT_EQ(rec.total_recorded(), 0u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_TRUE(rec.snapshot().empty());
+  rec.Note("note", "after clear", {});
+  const std::vector<FlightEvent> snap = rec.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].seq, 0u);
+  EXPECT_EQ(snap[0].kind, "note");
+  EXPECT_EQ(snap[0].label, "after clear");
+  EXPECT_EQ(snap[0].detail, "");
 }
 
 TEST(FlightRecorderTest, DumpOnFaultCarriesTheFailingRequestsTraceId) {
