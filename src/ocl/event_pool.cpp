@@ -30,11 +30,19 @@ EventPool::EventId EventPool::Record(
     // Promote the hit (or the fresh intern) to the set's MRU way; the
     // previous MRU slides to the LRU way, evicting its occupant.
     const std::string_view hit =
-        way[1] == label ? way[1] : labels_pool_.Intern(label).view;
+        way[1] == label ? way[1] : Intern(label);
     way[1] = way[0];
     way[0] = hit;
   }
-  const std::string_view interned = way[0];
+  return RecordInterned(way[0], kind, queue, queued, start, end, stall,
+                        bytes, trace_id, span_id, parent_span_id);
+}
+
+EventPool::EventId EventPool::RecordInterned(
+    std::string_view interned, CommandKind kind, int queue, SimTime queued,
+    SimTime start, SimTime end, SimTime stall, std::int64_t bytes,
+    std::uint64_t trace_id, std::uint64_t span_id,
+    std::uint64_t parent_span_id) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();

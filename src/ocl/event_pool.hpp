@@ -76,6 +76,20 @@ class EventPool {
                  std::int64_t bytes, std::uint64_t trace_id,
                  std::uint64_t span_id, std::uint64_t parent_span_id);
 
+  /// The pool's interned copy of `label`, valid for the pool's lifetime.
+  /// A caller that records one label on every batch (a launch-table row)
+  /// interns it once and records it with RecordInterned.
+  [[nodiscard]] std::string_view Intern(std::string_view label) {
+    return labels_pool_.Intern(label).view;
+  }
+
+  /// Record() of a label returned by Intern(): skips the label memo.
+  EventId RecordInterned(std::string_view interned, CommandKind kind,
+                         int queue, SimTime queued, SimTime start,
+                         SimTime end, SimTime stall, std::int64_t bytes,
+                         std::uint64_t trace_id, std::uint64_t span_id,
+                         std::uint64_t parent_span_id);
+
   /// Returns every live slot to the free list. Column capacity and the
   /// label pool are retained; ids keep increasing.
   void Clear();

@@ -105,14 +105,21 @@ int Runtime::num_queues() const { return static_cast<int>(queues_.size()); }
 
 void Runtime::RecordEvent(std::string_view label, CommandKind kind,
                           int queue, SimTime queued, SimTime start,
-                          SimTime end, SimTime stall, std::int64_t bytes) {
+                          SimTime end, SimTime stall, std::int64_t bytes,
+                          bool interned) {
   const std::uint64_t span_id = ++next_span_id_;
   if (flightrec_ != nullptr) {
     flightrec_->RecordCommand(label, trace_ctx_, span_id, start.us(),
                               (end - start).us(), queue);
   }
-  events_.Record(label, kind, queue, queued, start, end, stall, bytes,
-                 trace_ctx_.trace_id, span_id, trace_ctx_.parent_span_id);
+  if (interned) {
+    events_.RecordInterned(label, kind, queue, queued, start, end, stall,
+                           bytes, trace_ctx_.trace_id, span_id,
+                           trace_ctx_.parent_span_id);
+  } else {
+    events_.Record(label, kind, queue, queued, start, end, stall, bytes,
+                   trace_ctx_.trace_id, span_id, trace_ctx_.parent_span_id);
+  }
   event_duration_us_.Observe((end - start).us());
 }
 
@@ -266,6 +273,7 @@ LaunchRow Runtime::Resolve(const KernelLaunch& launch, int queue,
   }
   LaunchRow row;
   row.name = launch.name;
+  row.label = events_.Intern(launch.name);
   row.stats = launch.stats;
   row.design = design;
   row.kernel_id = static_cast<int>(design - bitstream_.kernels.data());
@@ -440,11 +448,15 @@ void Runtime::Dispatch(LaunchRow& row,
   ++usage.invocations;
   for (int e = 0; e < executions; ++e) {
     const SimTime s = ready + exec * e;
-    RecordEvent(e == 0 ? row.name
-                       : row.name + " [rerun#" + std::to_string(e) + "]",
-                CommandKind::kKernel, autorun ? -1 : queue,
-                autorun ? ready : host_time_, s, s + exec,
-                e == 0 ? stall : kSimTimeZero, 0);
+    const SimTime queued = autorun ? ready : host_time_;
+    if (e == 0) {
+      RecordEvent(row.label, CommandKind::kKernel, autorun ? -1 : queue,
+                  queued, s, s + exec, stall, 0, /*interned=*/true);
+    } else {
+      RecordEvent(row.name + " [rerun#" + std::to_string(e) + "]",
+                  CommandKind::kKernel, autorun ? -1 : queue, queued, s,
+                  s + exec, kSimTimeZero, 0);
+    }
   }
   if (profiling_ && !autorun) host_time_ = end;
 }

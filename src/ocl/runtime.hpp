@@ -76,9 +76,12 @@ struct KernelLaunch {
 /// One row of a launch table: a KernelLaunch resolved against the
 /// programmed bitstream by Runtime::Resolve, so dispatching it looks
 /// nothing up by name. Rows are built once per programmed design (one per
-/// planned invocation) and dispatched on every batch.
+/// planned invocation) and dispatched on every batch. A row points into
+/// the Runtime that resolved it and is valid only for that Runtime.
 struct LaunchRow {
   std::string name;
+  /// `name` interned in the resolving runtime's event pool.
+  std::string_view label;
   ir::KernelStats stats;
   const fpga::KernelDesign* design = nullptr;
   int kernel_id = -1;  ///< index of `design` in the bitstream's kernels
@@ -312,11 +315,13 @@ class Runtime {
                        std::span<float> dest);
   /// The single event sink: stamps the current trace context and the next
   /// span id, mirrors the event into the flight recorder, and records it
-  /// into the pool. Every record site goes through here. The label is
-  /// interned by the pool; callers pass views of whatever they have.
+  /// into the pool. Every record site goes through here. The pool interns
+  /// the label unless `interned` says it came from EventPool::Intern (a
+  /// launch-table row's label); other callers pass views of whatever they
+  /// have.
   void RecordEvent(std::string_view label, CommandKind kind, int queue,
                    SimTime queued, SimTime start, SimTime end, SimTime stall,
-                   std::int64_t bytes);
+                   std::int64_t bytes, bool interned = false);
   /// Mirrors a fault into the flight recorder just before it is thrown.
   void RecordFault(const RuntimeFaultError& fault);
 

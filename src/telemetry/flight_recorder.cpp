@@ -48,7 +48,7 @@ void FlightRecorder::Record(FlightEvent event) {
     if (event.kind == kKindNames[k]) slot.kind = static_cast<Kind>(k);
   }
   if (slot.kind == Kind::kOther) slot.other_kind = std::move(event.kind);
-  slot.run = 0;
+  slot.is_run = false;
   slot.label = std::move(event.label);
   slot.trace_id = event.trace_id;
   slot.span_id = event.span_id;
@@ -77,7 +77,7 @@ void FlightRecorder::RecordCommand(std::string_view label,
   std::lock_guard lock(mu_);
   Slot& slot = Claim();
   slot.kind = Kind::kCommand;
-  slot.run = 0;
+  slot.is_run = false;
   slot.label.assign(label);
   slot.trace_id = ctx.trace_id;
   slot.span_id = span_id;
@@ -93,6 +93,7 @@ void FlightRecorder::NoteRun(std::uint64_t run, const TraceContext& ctx,
   std::lock_guard lock(mu_);
   Slot& slot = Claim();
   slot.kind = Kind::kRequest;
+  slot.is_run = true;
   slot.run = run;
   slot.trace_id = ctx.trace_id;
   slot.span_id = 0;
@@ -110,15 +111,13 @@ std::uint64_t FlightRecorder::total_recorded() const {
 
 std::uint64_t FlightRecorder::dropped() const {
   std::lock_guard lock(mu_);
-  return next_seq_ > capacity_ ? next_seq_ - capacity_ : 0;
+  return Evicted();
 }
 
 std::vector<FlightEvent> FlightRecorder::Events() const {
-  const std::uint64_t first = next_seq_ > capacity_ ? next_seq_ - capacity_
-                                                    : 0;
   std::vector<FlightEvent> out;
-  out.reserve(static_cast<std::size_t>(next_seq_ - first));
-  for (std::uint64_t seq = first; seq < next_seq_; ++seq) {
+  out.reserve(static_cast<std::size_t>(next_seq_ - Evicted()));
+  for (std::uint64_t seq = Evicted(); seq < next_seq_; ++seq) {
     const Slot& slot = slots_[static_cast<std::size_t>(seq % capacity_)];
     FlightEvent& ev = out.emplace_back();
     ev.seq = slot.seq;
@@ -126,8 +125,7 @@ std::vector<FlightEvent> FlightRecorder::Events() const {
                   ? slot.other_kind
                   : std::string(kKindNames[static_cast<std::size_t>(
                         slot.kind)]);
-    ev.label = slot.run != 0 ? "run#" + std::to_string(slot.run)
-                             : slot.label;
+    ev.label = slot.is_run ? "run#" + std::to_string(slot.run) : slot.label;
     ev.trace_id = slot.trace_id;
     ev.span_id = slot.span_id;
     ev.parent_span_id = slot.parent_span_id;
@@ -150,9 +148,7 @@ std::string FlightRecorder::ToJson() const {
   std::lock_guard lock(mu_);
   std::ostringstream os;
   os << "{\"capacity\":" << capacity_ << ",\"total_recorded\":" << next_seq_
-     << ",\"dropped\":"
-     << (next_seq_ > capacity_ ? next_seq_ - capacity_ : 0)
-     << ",\"events\":[";
+     << ",\"dropped\":" << Evicted() << ",\"events\":[";
   bool first = true;
   for (const FlightEvent& ev : Events()) {
     if (!first) os << ",";

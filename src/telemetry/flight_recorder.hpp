@@ -29,8 +29,9 @@
 namespace clflow::telemetry {
 
 /// One recorded moment. `kind` is a small vocabulary ("command",
-/// "fault", "diag", "request", "note"); `detail` is free-form text
-/// (fault message, diagnostic rendering, queue snapshot).
+/// "fault", "diag", "request", "note", "failover", "quarantine"; any
+/// other text is kept as given); `detail` is free-form text (fault
+/// message, diagnostic rendering, queue snapshot).
 struct FlightEvent {
   std::uint64_t seq = 0;  ///< global append index (survives ring drops)
   std::string kind;
@@ -113,7 +114,8 @@ class FlightRecorder {
     std::uint64_t seq = 0;
     Kind kind = Kind::kOther;
     std::string other_kind;  ///< the kind text when kind == kOther
-    /// Non-zero: the label is "run#<run>" and `label` is unused.
+    /// A request note's label is "run#<run>"; `label` is then unused.
+    bool is_run = false;
     std::uint64_t run = 0;
     std::string label;
     std::uint64_t trace_id = 0;
@@ -130,6 +132,11 @@ class FlightRecorder {
   Slot& Claim();
   /// Retained events, oldest first. Caller holds mu_.
   [[nodiscard]] std::vector<FlightEvent> Events() const;
+  /// Events evicted so far (seqs below the retained window). Caller
+  /// holds mu_.
+  [[nodiscard]] std::uint64_t Evicted() const {
+    return next_seq_ > capacity_ ? next_seq_ - capacity_ : 0;
+  }
 
   const std::size_t capacity_;
   mutable std::mutex mu_;

@@ -233,6 +233,7 @@ TEST(Runtime, ResolvingAKernelMissingFromTheBitstreamRaisesClf501) {
                  0, /*autorun=*/false);
   EXPECT_EQ(row.design, &rt.bitstream().kernels[0]);
   EXPECT_EQ(row.kernel_id, 0);
+  EXPECT_EQ(row.label, "k0");
   EXPECT_EQ(row.reads, std::vector<int>{0});
   EXPECT_EQ(row.writes, std::vector<int>{1});
 }
@@ -576,6 +577,24 @@ TEST(EventPool, LabelMemoVerifiesContentNotCallerPointer) {
     EXPECT_EQ(view.label, colliders[i % colliders.size()]);
     ++i;
   }
+}
+
+TEST(EventPool, InternedLabelsShareTheMemoizedStorage) {
+  // A label interned once (a launch-table row's) records without the
+  // memo, and resolves to the same pooled bytes as the memo path.
+  EventPool pool;
+  std::string name = "k_conv1";
+  const std::string_view interned = pool.Intern(name);
+  name = "changed";  // the pooled copy must not alias the caller's buffer
+  pool.RecordInterned(interned, CommandKind::kKernel, 0, SimTime(),
+                      SimTime(), SimTime(), SimTime(), 0, 0, 0, 0);
+  pool.Record("k_conv1", CommandKind::kKernel, 0, SimTime(), SimTime(),
+              SimTime(), SimTime(), 0, 0, 0, 0);
+  ASSERT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool[0].label, "k_conv1");
+  EXPECT_EQ(pool[0].label.data(), pool[1].label.data());
+  EXPECT_EQ(pool.Intern("k_conv1").data(), interned.data());
+  EXPECT_EQ(pool.distinct_labels(), 1u);
 }
 
 TEST(Runtime, EventIdsKeepIncreasingAcrossClearEvents) {
