@@ -20,7 +20,9 @@ std::size_t LabelMemoSet(std::string_view label) {
 
 }  // namespace
 
-EventPool::EventId EventPool::Record(
+// Flattened so the slot write in RecordInterned is inlined here: the
+// memoized path is the one every caller without an interned label takes.
+[[gnu::flatten]] EventPool::EventId EventPool::Record(
     std::string_view label, CommandKind kind, int queue, SimTime queued,
     SimTime start, SimTime end, SimTime stall, std::int64_t bytes,
     std::uint64_t trace_id, std::uint64_t span_id,
