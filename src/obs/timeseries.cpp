@@ -11,13 +11,19 @@ namespace {
 
 const double kLogGrowth = std::log(LogHistogram::kGrowth);
 
+/// Every finite positive double falls in buckets -37593 .. 35842; +inf
+/// (whose index would not fit an int32) lands in the top one, so the
+/// dense bucket range stays bounded for any sample.
+constexpr double kMaxBucketIndex = 40000.0;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // LogHistogram
 
 std::int32_t LogHistogram::BucketIndex(double v) {
-  return static_cast<std::int32_t>(std::floor(std::log(v) / kLogGrowth));
+  return static_cast<std::int32_t>(std::min(
+      std::floor(std::log(v) / kLogGrowth), kMaxBucketIndex));
 }
 
 double LogHistogram::BucketMid(std::int32_t index) {

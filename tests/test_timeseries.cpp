@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -150,6 +151,17 @@ TEST(LogHistogram, PinnedMergeOfDisjointRangesInBothOrders) {
     EXPECT_EQ(h->Quantile(0.99), 148937.24454425875);
     EXPECT_EQ(h->bucket_count(), 70u);
   }
+}
+
+TEST(LogHistogram, ExtremeSamplesKeepTheBucketRangeBounded) {
+  LogHistogram h;
+  h.Observe(std::numeric_limits<double>::denorm_min());
+  h.Observe(std::numeric_limits<double>::max());
+  h.Observe(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.count(), 3);
+  EXPECT_EQ(h.bucket_count(), 3u);
+  EXPECT_EQ(h.Quantile(0.0), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(h.Quantile(1.0), std::numeric_limits<double>::infinity());
 }
 
 TEST(LogHistogram, PinnedAfterClearAndReuse) {
