@@ -24,6 +24,19 @@
 // dispatch ("digest" is LoadgenReport::digest, "metrics.prom" its
 // registry), and "runtime/chaos/digest" a fixed-seed chaos campaign.
 //
+// The static checks are pinned too. Every plan records the digest of its
+// compile gate's DiagnosticEngine::ToJson ("diagnostics.json"). "lint/"
+// keys hold srclint::LintProgram's JSON digest and error count over the
+// emitted text of the five plans CI lints with --lint-src, and the same
+// for every --srclint-inject mode (corruptions of pipelined LeNet on
+// S10SX, and the four built-in defective kernels). "mutants/" keys digest
+// two seeded corpora -- VerifyKernel over IR mutants of the S10SX plans'
+// kernels (one index offset by +-1, one loop extent widened, one unroll
+// annotation toggled, or one store deleted) and LintSource over source
+// mutants of their emitted kernels (a statement deleted, swapped with a
+// neighbour or wrapped in an if) -- each mutant's findings sorted, so the
+// digest pins what is found, not the order it is reported in.
+//
 //   clflow_golden                 print the manifest (sorted JSON)
 //   clflow_golden --check FILE    compare against FILE; list every key
 //                                 that moved, appeared or vanished, and
@@ -32,9 +45,11 @@
 // A refactor that must not change behaviour keeps the committed manifest
 // (tests/golden.json) byte-identical; a deliberate change regenerates it
 // and names the artifacts that moved.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -43,6 +58,8 @@
 #include "common/error.hpp"
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
+#include "analysis/ir_verifier.hpp"
+#include "codegen/opencl_codegen.hpp"
 #include "core/deployment.hpp"
 #include "core/host_codegen.hpp"
 #include "fpga/report.hpp"
@@ -51,12 +68,22 @@
 #include "nets/nets.hpp"
 #include "ocl/trace.hpp"
 #include "serve/loadgen.hpp"
+#include "srclint/inject.hpp"
+#include "srclint/parser.hpp"
+#include "srclint/srclint.hpp"
 
 namespace {
 
 using namespace clflow;
 
 using Manifest = std::map<std::string, std::string>;
+
+/// The distinct kernels of every S10SX plan, for the mutant corpora.
+struct Corpus {
+  std::vector<ir::Kernel> kernels;
+  std::vector<std::string> sources;  ///< each kernel emitted alone
+  std::set<std::string> seen;
+};
 
 std::string Hex(std::uint64_t h) {
   char hex[17];
@@ -73,7 +100,8 @@ std::string Digest(const std::string& bytes) {
 
 void Record(Manifest& out, const std::string& net, const graph::Graph& g,
             core::ExecutionMode mode, const core::OptimizationRecipe& recipe,
-            const std::string& variant, const fpga::BoardSpec& board) {
+            const std::string& variant, const fpga::BoardSpec& board,
+            Corpus& corpus) {
   core::DeployOptions dep;
   dep.mode = mode;
   dep.recipe = recipe;
@@ -87,6 +115,15 @@ void Record(Manifest& out, const std::string& net, const graph::Graph& g,
     out[key + "cl"] = Digest(d.GeneratedSource());
     out[key + "host.cpp"] = Digest(core::EmitHostProgram(d));
     out[key + "fit_report.txt"] = Digest(fpga::WriteFitReport(d.bitstream()));
+    out[key + "diagnostics.json"] = Digest(d.diagnostics().ToJson());
+    if (board.key == "s10sx") {
+      for (const auto& pk : d.kernels()) {
+        std::string source = codegen::EmitKernel(pk.built.kernel);
+        if (!corpus.seen.insert(source).second) continue;
+        corpus.kernels.push_back(pk.built.kernel);
+        corpus.sources.push_back(std::move(source));
+      }
+    }
   } catch (const Error& e) {
     out[key + "error"] = Digest(e.what());
   }
@@ -173,26 +210,275 @@ void RecordRuntime(Manifest& out, const graph::Graph& lenet) {
       Hex(ha::RunChaosCampaign(lenet, LenetServing(), chaos).Digest());
 }
 
+/// Lint records: the engine's JSON digest and its error count.
+void RecordLint(Manifest& out, const std::string& key,
+                const analysis::DiagnosticEngine& diags) {
+  out[key + "srclint.json"] = Digest(diags.ToJson());
+  out[key + "errors"] = std::to_string(diags.error_count());
+}
+
+/// srclint over the emitted text of the plans CI lints with --lint-src,
+/// and every --srclint-inject mode.
+void RecordSourceLint(Manifest& out, const graph::Graph& lenet,
+                      const graph::Graph& mobilenet,
+                      const graph::Graph& resnet) {
+  struct Plan {
+    const char* key;
+    const graph::Graph* net;
+    core::ExecutionMode mode;
+    core::OptimizationRecipe recipe;
+    fpga::BoardSpec board;
+  };
+  core::OptimizationRecipe autorun = core::PipelineTvmAutorun();
+  autorun.concurrent_execution = true;
+  const Plan plans[] = {
+      {"lenet/pipelined/s10sx", &lenet, core::ExecutionMode::kPipelined,
+       autorun, fpga::Stratix10SX()},
+      {"lenet/folded/s10sx", &lenet, core::ExecutionMode::kFolded,
+       core::FoldedBase(), fpga::Stratix10SX()},
+      {"mobilenet/folded/s10sx", &mobilenet, core::ExecutionMode::kFolded,
+       core::FoldedMobileNet("s10sx"), fpga::Stratix10SX()},
+      {"mobilenet/folded/a10", &mobilenet, core::ExecutionMode::kFolded,
+       core::FoldedMobileNet("a10"), fpga::Arria10()},
+      {"resnet18/folded/s10sx", &resnet, core::ExecutionMode::kFolded,
+       core::FoldedResNet(), fpga::Stratix10SX()}};
+  for (const Plan& plan : plans) {
+    core::DeployOptions dep;
+    dep.mode = plan.mode;
+    dep.recipe = plan.recipe;
+    dep.board = plan.board;
+    const core::Deployment d = core::Deployment::Compile(*plan.net, dep);
+    std::vector<const ir::Kernel*> kernels;
+    for (const auto& pk : d.kernels()) kernels.push_back(&pk.built.kernel);
+    analysis::DiagnosticEngine diags;
+    srclint::LintProgram(d.GeneratedSource(), kernels, diags);
+    RecordLint(out, std::string("lint/") + plan.key + "/", diags);
+    if (plan.mode != core::ExecutionMode::kPipelined) continue;
+    for (const char* mode : {"parse", "sig", "chan-endpoint", "unroll",
+                             "chan-type", "restrict"}) {
+      analysis::DiagnosticEngine injected;
+      const auto source = srclint::InjectDefect(mode, d.GeneratedSource());
+      if (source) srclint::LintProgram(*source, kernels, injected);
+      RecordLint(out, std::string("lint/inject/") + mode + "/", injected);
+    }
+  }
+  for (const char* mode : {"loop-dep", "oob", "dead-store", "uninit"}) {
+    analysis::DiagnosticEngine diags;
+    (void)srclint::LintSource(srclint::SyntheticDefectSnippet(mode), diags);
+    RecordLint(out, std::string("lint/inject/") + mode + "/", diags);
+  }
+}
+
+/// Mixes one mutant's findings, sorted, into `digest`.
+std::size_t MixFindings(common::Fnv& digest,
+                        const analysis::DiagnosticEngine& diags) {
+  std::vector<std::string> lines;
+  for (const analysis::Diagnostic& d : diags.diagnostics()) {
+    lines.push_back(d.code + '|' + d.location.ToString() + '|' + d.message);
+  }
+  std::sort(lines.begin(), lines.end());
+  digest.U64(lines.size());
+  for (const std::string& line : lines) digest.Str(line);
+  return lines.size();
+}
+
+/// Rebuilds `s` with the `site`-th mutation site (counted down in
+/// pre-order) changed: kind 0 offsets an index of a store or load by
+/// `delta`, kind 1 widens a loop's extent by one, kind 2 toggles a loop's
+/// full-unroll annotation, kind 3 deletes a store.
+struct IrMutator {
+  int kind = 0;
+  std::int64_t delta = 1;
+  std::int64_t site = 0;
+
+  bool Hit() { return site-- == 0; }
+
+  std::vector<ir::Expr> Indices(const std::vector<ir::Expr>& indices) {
+    std::vector<ir::Expr> out;
+    for (const auto& idx : indices) {
+      ir::Expr e = Expr(idx);
+      if (kind == 0 && Hit()) e = ir::Add(e, ir::IntImm(delta));
+      out.push_back(e);
+    }
+    return out;
+  }
+
+  ir::Expr Expr(const ir::Expr& e) {
+    if (!e) return e;
+    switch (e->kind) {
+      case ir::ExprKind::kBinary:
+        return ir::Binary(e->op, Expr(e->a), Expr(e->b));
+      case ir::ExprKind::kSelect:
+        return ir::Select(Expr(e->a), Expr(e->b), Expr(e->c));
+      case ir::ExprKind::kLoad:
+        return ir::Load(e->buffer, Indices(e->indices));
+      case ir::ExprKind::kCall: {
+        std::vector<ir::Expr> args;
+        for (const auto& a : e->args) args.push_back(Expr(a));
+        auto call = std::make_shared<ir::ExprNode>(*e);
+        call->args = std::move(args);
+        return call;
+      }
+      default:
+        return e;
+    }
+  }
+
+  ir::Stmt Stmt(const ir::Stmt& s) {
+    if (!s) return s;
+    switch (s->kind) {
+      case ir::StmtKind::kFor: {
+        ir::Expr extent = s->extent;
+        ir::ForAnnotation ann = s->ann;
+        if (kind == 1 && Hit()) extent = ir::Add(extent, ir::IntImm(1));
+        if (kind == 2 && Hit()) {
+          ann.unroll = ann.IsUnrolled() ? 0 : -1;
+          ann.vectorized = false;
+        }
+        ir::Expr min = Expr(s->min);
+        extent = Expr(extent);
+        return ir::For(s->var, min, extent, Stmt(s->body), ann);
+      }
+      case ir::StmtKind::kStore: {
+        if (kind == 3 && Hit()) return ir::Block({});
+        std::vector<ir::Expr> indices = Indices(s->indices);
+        return ir::Store(s->buffer, std::move(indices), Expr(s->value));
+      }
+      case ir::StmtKind::kBlock: {
+        std::vector<ir::Stmt> stmts;
+        for (const auto& child : s->stmts) stmts.push_back(Stmt(child));
+        return ir::Block(std::move(stmts));
+      }
+      case ir::StmtKind::kIf: {
+        ir::Expr cond = Expr(s->cond);
+        ir::Stmt then_body = Stmt(s->then_body);
+        return ir::If(cond, then_body, Stmt(s->else_body));
+      }
+      case ir::StmtKind::kWriteChannel:
+        return ir::WriteChannel(s->buffer, Expr(s->value));
+    }
+    return s;
+  }
+};
+
+/// How many sites of `kind` a body has (a dry run of the mutator).
+std::int64_t CountSites(const ir::Stmt& body, int kind) {
+  IrMutator count{kind, 0, -1};
+  (void)count.Stmt(body);
+  return -1 - count.site;
+}
+
+void RecordIrMutants(Manifest& out, const std::vector<ir::Kernel>& kernels) {
+  constexpr int kPerKernel = 24;
+  Rng rng(34);
+  common::Fnv digest;
+  std::size_t findings = 0, mutants = 0;
+  for (const ir::Kernel& k : kernels) {
+    for (int n = 0; n < kPerKernel; ++n) {
+      IrMutator mutator;
+      mutator.kind = static_cast<int>(rng.Below(4));
+      mutator.delta = rng.Below(2) == 0 ? 1 : -1;
+      const std::int64_t sites = CountSites(k.body, mutator.kind);
+      if (sites == 0) continue;
+      mutator.site = static_cast<std::int64_t>(
+          rng.Below(static_cast<std::uint64_t>(sites)));
+      ir::Kernel mutant = k;
+      mutant.body = mutator.Stmt(k.body);
+      analysis::DiagnosticEngine diags;
+      (void)analysis::VerifyKernel(mutant, diags);
+      findings += MixFindings(digest, diags);
+      ++mutants;
+    }
+  }
+  out["mutants/ir/digest"] = Hex(digest.h);
+  out["mutants/ir/findings"] = std::to_string(findings);
+  out["mutants/ir/mutants"] = std::to_string(mutants);
+}
+
+/// Every statement list of a kernel body, pre-order.
+void Bodies(std::vector<srclint::SrcStmtPtr>& body,
+            std::vector<std::vector<srclint::SrcStmtPtr>*>& out) {
+  out.push_back(&body);
+  for (auto& s : body) {
+    Bodies(s->body, out);
+    Bodies(s->then_body, out);
+    Bodies(s->else_body, out);
+  }
+}
+
+void RecordSourceMutants(Manifest& out,
+                         const std::vector<std::string>& sources) {
+  constexpr int kPerKernel = 12;
+  Rng rng(23);
+  common::Fnv digest;
+  std::size_t findings = 0, mutants = 0;
+  for (const std::string& source : sources) {
+    for (int n = 0; n < kPerKernel; ++n) {
+      srclint::SrcProgram program = srclint::ParseProgram(source);
+      std::vector<std::vector<srclint::SrcStmtPtr>*> bodies;
+      Bodies(program.kernels[0].body, bodies);
+      std::vector<std::pair<std::vector<srclint::SrcStmtPtr>*, std::size_t>>
+          sites;
+      for (auto* body : bodies) {
+        for (std::size_t i = 0; i < body->size(); ++i) {
+          sites.emplace_back(body, i);
+        }
+      }
+      if (sites.empty()) continue;
+      const auto [body, i] = sites[rng.Below(sites.size())];
+      switch (rng.Below(3)) {
+        case 0:  // delete
+          body->erase(body->begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        case 1:  // swap with a neighbour
+          if (body->size() > 1) {
+            std::swap((*body)[i], (*body)[i + 1 < body->size() ? i + 1
+                                                               : i - 1]);
+          }
+          break;
+        default: {  // wrap in an if, as its then or its else branch
+          auto wrap = std::make_unique<srclint::SrcStmt>();
+          wrap->kind = srclint::SrcStmtKind::kIf;
+          wrap->cond = srclint::Bin("<", srclint::Int(0), srclint::Int(1));
+          (rng.Below(2) == 0 ? wrap->then_body : wrap->else_body)
+              .push_back(std::move((*body)[i]));
+          (*body)[i] = std::move(wrap);
+          break;
+        }
+      }
+      analysis::DiagnosticEngine diags;
+      (void)srclint::LintSource(srclint::ToSource(program), diags);
+      findings += MixFindings(digest, diags);
+      ++mutants;
+    }
+  }
+  out["mutants/src/digest"] = Hex(digest.h);
+  out["mutants/src/findings"] = std::to_string(findings);
+  out["mutants/src/mutants"] = std::to_string(mutants);
+}
+
 Manifest Build() {
   Rng rng(42);
   const graph::Graph lenet = nets::BuildLeNet5(rng);
   const graph::Graph mobilenet = nets::BuildMobileNetV1(rng);
   const graph::Graph resnet = nets::BuildResNet(18, rng);
   Manifest m;
+  Corpus corpus;
   RecordRuntime(m, lenet);
+  RecordSourceLint(m, lenet, mobilenet, resnet);
   for (const fpga::BoardSpec& board : fpga::EvaluationBoards()) {
     for (core::OptimizationRecipe recipe : core::PipelineLadder()) {
       Record(m, "lenet", lenet, core::ExecutionMode::kPipelined, recipe, "",
-             board);
+             board, corpus);
       recipe.concurrent_execution = true;
       Record(m, "lenet", lenet, core::ExecutionMode::kPipelined, recipe,
-             "+ce", board);
+             "+ce", board, corpus);
     }
     const std::pair<const char*, const graph::Graph*> nets[] = {
         {"lenet", &lenet}, {"mobilenet", &mobilenet}, {"resnet18", &resnet}};
     for (const auto& [name, g] : nets) {
       Record(m, name, *g, core::ExecutionMode::kFolded, core::FoldedBase(),
-             "", board);
+             "", board, corpus);
     }
     const std::pair<const char*, const graph::Graph*> shipped_nets[] = {
         {"mobilenet", &mobilenet}, {"resnet18", &resnet}};
@@ -200,12 +486,15 @@ Manifest Build() {
       core::OptimizationRecipe recipe = g == &mobilenet
                                             ? core::FoldedMobileNet(board.key)
                                             : core::FoldedResNet();
-      Record(m, name, *g, core::ExecutionMode::kFolded, recipe, "", board);
+      Record(m, name, *g, core::ExecutionMode::kFolded, recipe, "", board,
+             corpus);
       recipe.pipeline_tail = true;
       Record(m, name, *g, core::ExecutionMode::kFolded, recipe, "+tail",
-             board);
+             board, corpus);
     }
   }
+  RecordIrMutants(m, corpus.kernels);
+  RecordSourceMutants(m, corpus.sources);
   return m;
 }
 
