@@ -18,6 +18,11 @@
 //           source matches the plan (translation validation), plus
 //           source-level dependence/bounds/hygiene lints
 //
+// The memory-safety pairs -- CLF102/CLF806 bounds, CLF103/CLF805
+// dependence, CLF106/CLF809 (and CLF808) initialization -- are each
+// proved once, by the access model (analysis/access_model.hpp), and
+// reported through the IR verifier's and srclint's front ends.
+//
 // This header is intentionally free of dependencies (and of a .cpp) so
 // that any layer -- including ocl::Runtime, which must name the same code
 // the static checker would have reported -- can reference codes without

@@ -1,22 +1,28 @@
 // The IR verifier: post-schedule well-formedness and safety checks over
 // scheduled kernels (tentpole layer 2 of clflow-verify).
 //
+// The memory-safety checks are the access model's (access_model.hpp):
+// this file is its IR front end, walking the statement tree into an
+// AccessStream and wording the engine's findings. srclint words the same
+// findings for the emitted source.
+//
 // VerifyStmt checks a bare statement tree -- this is the form the
 // after-every-pass gate uses (ir::ScopedPassVerifier), where no kernel
 // signature is available:
 //
-//   * CLF102  buffer out-of-bounds: interval analysis of every affine
-//             index against the declared (constant) shape dimension.
-//             Exact for affine indices over constant loop boxes, so it
-//             catches illegal SplitLoop/ReorderLoops compositions without
-//             false positives; guarded accesses (inside Select branches or
-//             If bodies, e.g. the padding kernels) and symbolic dims are
-//             skipped.
+//   * CLF102  buffer out-of-bounds: the engine's corner-interval rule,
+//             reported where it is proven over constant loop boxes and
+//             constant extents, so it catches illegal SplitLoop /
+//             ReorderLoops compositions without false positives; guarded
+//             accesses (inside Select arms or If bodies, e.g. the padding
+//             kernels) are skipped.
 //   * CLF103  cross-lane dependences in unrolled/vectorized loops: a
-//             store and a load of one buffer whose indices provably
-//             collide for two different lanes. Reductions (store and load
-//             at the structurally identical element) are legal -- AOC
-//             builds adder trees for them -- and are excluded.
+//             store and a load of one buffer whose elements coincide for
+//             two different lanes, enclosing loops at their first
+//             iteration and any other shared term (an inner loop's
+//             variable, a shape parameter) cancelling. Reductions (store
+//             and load of the same element) are legal -- AOC builds adder
+//             trees for them -- and are excluded.
 //   * CLF105  unroll/vectorize annotations on non-constant extents, which
 //             AOC refuses to compile.
 //
@@ -37,6 +43,7 @@
 
 #include <string>
 
+#include "analysis/access_model.hpp"
 #include "analysis/diag.hpp"
 #include "common/error.hpp"
 #include "ir/stmt.hpp"
@@ -48,6 +55,10 @@ namespace clflow::analysis {
 
 [[nodiscard]] int VerifyKernel(const ir::Kernel& kernel,
                                DiagnosticEngine& engine);
+
+/// The access stream behind VerifyKernel's CLF102/103/106: the IR front
+/// end of the access model, for comparing with srclint's.
+[[nodiscard]] AccessStream KernelAccessStream(const ir::Kernel& kernel);
 
 /// Converts a structured ScheduleError (CLF4xx) into a diagnostic so the
 /// engine renders schedule failures uniformly with verifier findings.

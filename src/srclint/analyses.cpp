@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
+
+#include "analysis/access_model.hpp"
 
 namespace clflow::srclint {
 
@@ -112,28 +115,14 @@ struct LoopShape {
   int line = 0;  // 0 for IR side
 };
 
-void IrLoops(const ir::Stmt& s, std::vector<LoopShape>& out) {
-  if (!s) return;
-  if (s->kind == ir::StmtKind::kFor) {
-    std::int64_t expected = 0;
-    if (s->ann.unroll == -1 || s->ann.vectorized) {
-      expected = -1;
-    } else if (s->ann.unroll > 1) {
-      expected = s->ann.unroll;
-    }
-    out.push_back({s->var->name, expected, 0});
-    IrLoops(s->body, out);
-    return;
-  }
-  if (s->kind == ir::StmtKind::kBlock) {
-    for (const auto& child : s->stmts) IrLoops(child, out);
-    return;
-  }
-  if (s->kind == ir::StmtKind::kIf) {
-    IrLoops(s->then_body, out);
-    IrLoops(s->else_body, out);
-    return;
-  }
+void IrLoops(const ir::Stmt& body, std::vector<LoopShape>& out) {
+  ir::VisitStmts(body, [&](const ir::Stmt& s) {
+    if (s->kind != ir::StmtKind::kFor) return;
+    const std::int64_t unroll = s->ann.unroll == -1 || s->ann.vectorized
+                                    ? -1
+                                    : (s->ann.unroll > 1 ? s->ann.unroll : 0);
+    out.push_back({s->var->name, unroll, 0});
+  });
 }
 
 void SrcLoops(const std::vector<SrcStmtPtr>& body,
@@ -427,510 +416,206 @@ class PlanValidator {
 // Plan-free lints (CLF805-809)
 // ===========================================================================
 
-/// Affine form over identifiers: cnst + sum(coeffs[name] * name).
-/// Aggregating per identifier keeps the form exact (so `v - v` folds to 0
-/// instead of widening), which is what lets CLF805/806 claim errors.
-struct Affine {
-  bool ok = false;
-  std::int64_t cnst = 0;
-  std::map<std::string, std::int64_t> coeffs;
-};
-
-Affine AffineConst(std::int64_t c) {
-  Affine a;
-  a.ok = true;
-  a.cnst = c;
-  return a;
-}
-
-Affine AffineAdd(const Affine& x, const Affine& y, std::int64_t sign) {
-  Affine r;
-  if (!x.ok || !y.ok) return r;
-  r.ok = true;
-  r.cnst = x.cnst + sign * y.cnst;
-  r.coeffs = x.coeffs;
-  for (const auto& [name, c] : y.coeffs) r.coeffs[name] += sign * c;
-  for (auto it = r.coeffs.begin(); it != r.coeffs.end();) {
-    it = it->second == 0 ? r.coeffs.erase(it) : std::next(it);
-  }
-  return r;
-}
-
-Affine AffineScale(const Affine& x, std::int64_t k) {
-  Affine r;
-  if (!x.ok) return r;
-  r.ok = true;
-  r.cnst = x.cnst * k;
-  if (k != 0) {
-    for (const auto& [name, c] : x.coeffs) r.coeffs[name] = c * k;
-  }
-  return r;
-}
-
-Affine Decompose(const SrcExpr& e) {
-  switch (e.kind) {
-    case SrcExprKind::kIntLit:
-      return AffineConst(e.int_value);
-    case SrcExprKind::kIdent: {
-      Affine a;
-      a.ok = true;
-      a.coeffs[e.name] = 1;
-      return a;
-    }
-    case SrcExprKind::kUnary:
-      if (e.op == "-") return AffineScale(Decompose(*e.args[0]), -1);
-      return {};
-    case SrcExprKind::kBinary: {
-      if (e.op == "+" || e.op == "-") {
-        return AffineAdd(Decompose(*e.args[0]), Decompose(*e.args[1]),
-                         e.op == "+" ? 1 : -1);
-      }
-      if (e.op == "*") {
-        const Affine lhs = Decompose(*e.args[0]);
-        const Affine rhs = Decompose(*e.args[1]);
-        if (lhs.ok && lhs.coeffs.empty()) return AffineScale(rhs, lhs.cnst);
-        if (rhs.ok && rhs.coeffs.empty()) return AffineScale(lhs, rhs.cnst);
-      }
-      return {};  // div/mod/compare: not affine
-    }
-    default:
-      return {};
-  }
-}
-
-/// Per-loop-variable iteration range, as affine forms over parameters.
-struct VarRange {
-  Affine lo, hi;  // inclusive
-};
-using Env = std::map<std::string, VarRange>;
-
-/// Replaces loop variables in `a` by the range end that maximizes
-/// (want_max) or minimizes the form; the result is affine over
-/// parameters only. Exact for rectangular/affine-dependent loop nests:
-/// the chosen corner is an iteration that actually occurs.
-Affine ToParamBound(const Affine& a, const Env& env, bool want_max) {
-  Affine r;
-  if (!a.ok) return r;
-  r.ok = true;
-  r.cnst = a.cnst;
-  for (const auto& [name, c] : a.coeffs) {
-    const auto it = env.find(name);
-    if (it == env.end()) {
-      r.coeffs[name] += c;
-      continue;
-    }
-    const Affine& end = (c > 0) == want_max ? it->second.hi : it->second.lo;
-    const Affine scaled = AffineScale(end, c);
-    if (!scaled.ok) return {};
-    r = AffineAdd(r, scaled, 1);
-    if (!r.ok) return {};
-  }
-  for (auto it = r.coeffs.begin(); it != r.coeffs.end();) {
-    it = it->second == 0 ? r.coeffs.erase(it) : std::next(it);
-  }
-  return r;
-}
-
-/// Minimum of an affine-over-parameters form under the runtime
-/// assumption that every parameter is >= 1. Unbounded below when any
-/// coefficient is negative.
-bool MinValueAssumingParamsGE1(const Affine& a, std::int64_t* value) {
-  if (!a.ok) return false;
-  std::int64_t v = a.cnst;
-  for (const auto& [name, c] : a.coeffs) {
-    (void)name;
-    if (c < 0) return false;
-    v += c;
-  }
-  *value = v;
-  return true;
-}
-
-/// Maximum under the same assumption; unbounded above when any
-/// coefficient is positive.
-bool MaxValueAssumingParamsGE1(const Affine& a, std::int64_t* value) {
-  if (!a.ok) return false;
-  std::int64_t v = a.cnst;
-  for (const auto& [name, c] : a.coeffs) {
-    (void)name;
-    if (c > 0) return false;
-    v += c;
-  }
-  *value = v;
-  return true;
-}
-
-struct ArrayAccess {
-  const SrcExpr* index = nullptr;  ///< the kIndex node
-  std::string array;
-  int line = 0;
-  bool is_write = false;
-  bool conditional = false;  ///< under an if or a ternary arm
-};
-
+/// The source front end of the access model: walks one SrcKernel (built
+/// by codegen or parsed) into an AccessStream -- variables keyed by
+/// identifier, arrays by local name, globals left out -- and words the
+/// engine's findings as CLF805/806/808/809 next to its own CLF807.
 class KernelLinter {
  public:
   KernelLinter(const SrcKernel& kernel, analysis::DiagnosticEngine& diags)
       : kernel_(kernel), diags_(diags) {
-    for (const auto& l : kernel.locals) locals_[l.name] = &l;
+    for (const auto& l : kernel.locals) {
+      std::vector<analysis::MaybeAffine> extents;
+      for (const auto& dim : l.dims) extents.push_back(Decompose(*dim));
+      arrays_[l.name] = stream_.AddArray(l.name, std::move(extents));
+      decls_.push_back(&l);  // a repeated name resolves to its last one
+    }
+  }
+
+  analysis::AccessStream TakeStream() {
+    Walk(kernel_.body);
+    return std::move(stream_);
   }
 
   void Run() {
-    CheckRestrict();
-    CheckInitAndDeadStores();
-    CheckLoopCarried(kernel_.body);
-    Env env;
-    CheckBounds(kernel_.body, env, false);
-  }
-
- private:
-  // --- CLF807 ---------------------------------------------------------------
-
-  void CheckRestrict() {
     for (const auto& p : kernel_.params) {
       if (p.is_pointer && !p.is_restrict) {
-        diags_.Report(Diagnostic::Make(
-            analysis::kSrcMissingRestrict,
-            DiagLocation{kernel_.name, "", p.name},
-            AtLine(p.line) + "pointer argument '" + p.name +
-                "' is not restrict-qualified; AOC must assume aliasing"));
+        Report(analysis::kSrcMissingRestrict, "", p.name, p.line,
+               "pointer argument '" + p.name +
+                   "' is not restrict-qualified; AOC must assume aliasing");
       }
     }
-  }
-
-  // --- CLF808 / CLF809 (one walk in execution order) ------------------------
-  //
-  // `stored` is the set of locals that some path to the current point has
-  // stored to. A read of a local outside it is reached by no store at all
-  // (CLF809; a store on only one branch keeps the read silent). Loop
-  // bodies are walked once: per variable a body either adds the store or
-  // leaves the set alone, so a later iteration only sees more stores and
-  // cannot produce a new finding; nor can skipping the loop, because the
-  // set only grows along the body.
-
-  void CheckInitAndDeadStores() {
-    std::set<std::string> stored;
-    WalkStores(kernel_.body, stored);
-
+    Walk(kernel_.body);
+    const auto& events = stream_.events;
+    const std::vector<analysis::InitState> init = analysis::CheckInit(stream_);
     // CLF808: variable-granularity liveness -- an on-chip buffer that is
     // stored to but never loaded burns BRAM/registers for nothing.
     for (const auto& l : kernel_.locals) {
-      const auto first = first_store_line_.find(l.name);
-      if (first != first_store_line_.end() && read_vars_.count(l.name) == 0) {
-        diags_.Report(Diagnostic::Make(
-            analysis::kSrcDeadStore, DiagLocation{kernel_.name, "", l.name},
-            AtLine(first->second) + "on-chip buffer '" + l.name +
-                "' is written but its value is never read"));
+      const analysis::InitState& s = init[arrays_[l.name]];
+      if (s.first_write != analysis::InitState::kNone && !s.read) {
+        Report(analysis::kSrcDeadStore, "", l.name,
+               events[s.first_write].loc,
+               "on-chip buffer '" + l.name +
+                   "' is written but its value is never read");
       }
     }
-    for (const auto& [var, line] : uninit_line_) {
-      diags_.Report(Diagnostic::Make(
-          analysis::kSrcUninitSrcRead, DiagLocation{kernel_.name, "", var},
-          AtLine(line) + "'" + var +
-              "' is read before any store reaches it (first iteration sees "
-              "undefined data)"));
+    for (const auto& [name, a] : arrays_) {
+      if (init[a].unreached_read == analysis::InitState::kNone) continue;
+      Report(analysis::kSrcUninitSrcRead, "", name,
+             events[init[a].unreached_read].loc,
+             "'" + name +
+                 "' is read before any store reaches it (first iteration "
+                 "sees undefined data)");
     }
-  }
-
-  void ReadsOf(const SrcExpr& e, const std::set<std::string>& stored) {
-    if (e.kind != SrcExprKind::kIdent) {
-      for (const auto& a : e.args) ReadsOf(*a, stored);
-      return;
+    for (const analysis::DependencePair& p :
+         analysis::Dependences(stream_, analysis::Dependence::kCarried)) {
+      const std::string& var = stream_.vars[stream_.loops[p.loop].var];
+      const std::string& array = stream_.arrays[events[p.write].array];
+      const SrcExpr& read = *nodes_[p.read];
+      Report(analysis::kSrcLoopCarried, var, array, events[p.read].loc,
+             "iteration " + var + " reads '" + array + "[" +
+                 ToSource(*read.args[1]) +
+                 (read.args.size() > 2 ? "]..." : "]") + "' written " +
+                 std::to_string(p.distance) + " iteration(s) earlier (line " +
+                 std::to_string(events[p.write].loc) + ")");
     }
-    if (locals_.find(e.name) == locals_.end()) return;
-    read_vars_.insert(e.name);
-    if (stored.count(e.name) != 0) return;
-    const auto [it, fresh] = uninit_line_.emplace(e.name, e.line);
-    if (!fresh) it->second = std::min(it->second, e.line);
-  }
-
-  void StoreTo(const std::string& var, int line,
-               std::set<std::string>& stored) {
-    if (locals_.find(var) == locals_.end()) return;
-    stored.insert(var);
-    first_store_line_.emplace(var, line);
-  }
-
-  void WalkStores(const std::vector<SrcStmtPtr>& body,
-                  std::set<std::string>& stored) {
-    for (const auto& sp : body) {
-      const SrcStmt& s = *sp;
-      switch (s.kind) {
-        case SrcStmtKind::kAssign:
-          // Value and target indices are evaluated before the element is
-          // written, so `acc = acc + x` reads before it writes.
-          ReadsOf(*s.value, stored);
-          if (s.target->kind == SrcExprKind::kIndex) {
-            for (std::size_t i = 1; i < s.target->args.size(); ++i) {
-              ReadsOf(*s.target->args[i], stored);
-            }
-            StoreTo(s.target->args[0]->name, s.line, stored);
-          } else {
-            StoreTo(s.target->name, s.line, stored);
-          }
-          break;
-        case SrcStmtKind::kCallStmt:
-          ReadsOf(*s.call, stored);
-          break;
-        case SrcStmtKind::kIf: {
-          ReadsOf(*s.cond, stored);
-          std::set<std::string> then_stored = stored;
-          WalkStores(s.then_body, then_stored);
-          WalkStores(s.else_body, stored);
-          stored.insert(then_stored.begin(), then_stored.end());
-          break;
+    std::set<std::string> reported;  // each finding once
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      for (const analysis::DimBound& b : analysis::CheckBounds(stream_, i)) {
+        const SrcLocalDecl& decl = *decls_[events[i].array];
+        std::string message =
+            "dimension " + std::to_string(b.dim) + " index '" +
+            ToSource(*nodes_[i]->args[b.dim + 1]) + "' reaches " +
+            (b.below ? std::to_string(b.value) + " (below 0)"
+                     : "extent '" + ToSource(*decl.dims[b.dim]) + "' + " +
+                           std::to_string(b.value));
+        if (reported.insert(decl.name + AtLine(events[i].loc) + message)
+                .second) {
+          Report(analysis::kSrcIndexOob, "", decl.name, events[i].loc,
+                 std::move(message));
         }
-        case SrcStmtKind::kFor:
-          ReadsOf(*s.init, stored);
-          ReadsOf(*s.bound, stored);
-          StoreTo(s.loop_var, s.line, stored);
-          WalkStores(s.body, stored);
-          break;
       }
     }
   }
 
-  // --- CLF805 ---------------------------------------------------------------
+ private:
+  void Report(const analysis::CodeInfo& code, const std::string& loop,
+              const std::string& buffer, int line, std::string message) {
+    diags_.Report(Diagnostic::Make(code, DiagLocation{kernel_.name, loop, buffer},
+                                   AtLine(line) + std::move(message)));
+  }
 
-  void CollectAccesses(const SrcExpr& e, bool is_write, bool conditional,
-                       std::vector<ArrayAccess>& out) {
-    if (e.kind == SrcExprKind::kIndex &&
-        e.args[0]->kind == SrcExprKind::kIdent &&
-        locals_.find(e.args[0]->name) != locals_.end()) {
-      out.push_back({&e, e.args[0]->name, e.line, is_write, conditional});
+  /// The array id of a local, or -1.
+  int Local(const std::string& name) const {
+    const auto it = arrays_.find(name);
+    return it == arrays_.end() ? -1 : it->second;
+  }
+
+  int Var(const std::string& name) {
+    const auto [it, fresh] = vars_.try_emplace(name, 0);
+    if (fresh) it->second = stream_.AddVar(name);
+    return it->second;
+  }
+
+  /// Affine over identifiers; `/`, `%`, calls and comparisons are not.
+  analysis::MaybeAffine Decompose(const SrcExpr& e) {
+    if (e.kind == SrcExprKind::kIntLit) {
+      return analysis::Affine::Const(e.int_value);
     }
-    if (e.kind == SrcExprKind::kTernary) {
-      CollectAccesses(*e.args[0], false, conditional, out);
-      CollectAccesses(*e.args[1], false, true, out);
-      CollectAccesses(*e.args[2], false, true, out);
+    if (e.kind == SrcExprKind::kIdent) return analysis::Affine::Var(Var(e.name));
+    if (e.kind == SrcExprKind::kUnary && e.op == "-") {
+      return analysis::Scale(Decompose(*e.args[0]), -1);
+    }
+    if (e.kind != SrcExprKind::kBinary) return std::nullopt;
+    if (e.op == "*") {
+      return analysis::Product(Decompose(*e.args[0]), Decompose(*e.args[1]));
+    }
+    if (e.op != "+" && e.op != "-") return std::nullopt;
+    return analysis::Sum(Decompose(*e.args[0]), Decompose(*e.args[1]),
+                         e.op == "+" ? 1 : -1);
+  }
+
+  /// `node` is the access: a kIndex node, or a bare identifier.
+  void Emit(bool write, int array, const SrcExpr& node) {
+    std::vector<analysis::MaybeAffine> index;
+    for (std::size_t i = 1;
+         node.kind == SrcExprKind::kIndex && i < node.args.size(); ++i) {
+      index.push_back(Decompose(*node.args[i]));
+    }
+    nodes_.resize(stream_.Access(write, array, std::move(index), node.line) + 1);
+    nodes_.back() = &node;
+  }
+
+  /// The reads of locals in `e`, in pre-order.
+  void Reads(const SrcExpr& e) {
+    const bool indexed = e.kind == SrcExprKind::kIndex &&
+                         e.args[0]->kind == SrcExprKind::kIdent;
+    if (e.kind == SrcExprKind::kIdent || indexed) {
+      const int a = Local(indexed ? e.args[0]->name : e.name);
+      if (a >= 0) Emit(false, a, e);
+      for (std::size_t i = 1; indexed && i < e.args.size(); ++i) {
+        Reads(*e.args[i]);
+      }
       return;
     }
-    const std::size_t first = e.kind == SrcExprKind::kIndex ? 1 : 0;
-    for (std::size_t i = first; i < e.args.size(); ++i) {
-      CollectAccesses(*e.args[i], false, conditional, out);
+    for (std::size_t i = 0; i < e.args.size(); ++i) {
+      if (e.kind == SrcExprKind::kTernary && i == 1) stream_.PushGuard();
+      Reads(*e.args[i]);
     }
+    if (e.kind == SrcExprKind::kTernary) stream_.PopGuard();
   }
 
-  void CollectAccesses(const std::vector<SrcStmtPtr>& body, bool conditional,
-                       std::vector<ArrayAccess>& out) {
+  void Walk(const std::vector<SrcStmtPtr>& body) {
     for (const auto& sp : body) {
       const SrcStmt& s = *sp;
-      switch (s.kind) {
-        case SrcStmtKind::kAssign:
-          CollectAccesses(*s.target, true, conditional, out);
-          CollectAccesses(*s.value, false, conditional, out);
-          break;
-        case SrcStmtKind::kFor:
-          CollectAccesses(s.body, conditional, out);
-          break;
-        case SrcStmtKind::kIf:
-          CollectAccesses(*s.cond, false, conditional, out);
-          CollectAccesses(s.then_body, true, out);
-          CollectAccesses(s.else_body, true, out);
-          break;
-        case SrcStmtKind::kCallStmt:
-          CollectAccesses(*s.call, false, conditional, out);
-          break;
-      }
-    }
-  }
-
-  void CheckLoopCarried(const std::vector<SrcStmtPtr>& body) {
-    for (const auto& sp : body) {
-      const SrcStmt& s = *sp;
-      if (s.kind == SrcStmtKind::kFor) {
-        AnalyzeLoop(s);
-        CheckLoopCarried(s.body);
+      if (s.kind == SrcStmtKind::kAssign) {
+        // Target indices and value are read before the element is written,
+        // so `acc = acc + x` reads before it writes.
+        const SrcExpr& target = *s.target;
+        const bool indexed = target.kind == SrcExprKind::kIndex;
+        for (std::size_t i = 1; indexed && i < target.args.size(); ++i) {
+          Reads(*target.args[i]);
+        }
+        Reads(*s.value);
+        const SrcExpr& base = indexed ? *target.args[0] : target;
+        const int a = base.kind == SrcExprKind::kIdent ? Local(base.name) : -1;
+        if (a >= 0) Emit(true, a, target);
+      } else if (s.kind == SrcStmtKind::kCallStmt) {
+        Reads(*s.call);
       } else if (s.kind == SrcStmtKind::kIf) {
-        CheckLoopCarried(s.then_body);
-        CheckLoopCarried(s.else_body);
-      }
-    }
-  }
-
-  /// Reports a read-after-write dependence carried by loop `s` over an
-  /// on-chip array: iteration v reads an element iteration v-d wrote
-  /// (constant distance d >= 1). Same-element reductions (every index
-  /// coefficient on the loop variable zero) are the expected accumulator
-  /// pattern and are excluded; they are an II concern, not a correctness
-  /// bug. Only unconditional accesses are claimed.
-  void AnalyzeLoop(const SrcStmt& s) {
-    std::vector<ArrayAccess> accesses;
-    CollectAccesses(s.body, false, accesses);
-    std::set<std::string> reported;
-    for (const ArrayAccess& w : accesses) {
-      if (!w.is_write || w.conditional) continue;
-      for (const ArrayAccess& r : accesses) {
-        if (r.is_write || r.conditional || r.array != w.array) continue;
-        if (reported.count(w.array) != 0) continue;
-        const std::size_t dims = w.index->args.size();
-        if (r.index->args.size() != dims) continue;
-
-        std::int64_t distance = 0;
-        bool have_distance = false;
-        bool dependent = true;
-        for (std::size_t d = 1; d < dims && dependent; ++d) {
-          const Affine wa = Decompose(*w.index->args[d]);
-          const Affine ra = Decompose(*r.index->args[d]);
-          if (!wa.ok || !ra.ok) {
-            dependent = false;
-            break;
-          }
-          // All non-loop-var structure must match exactly.
-          auto wc = wa.coeffs;
-          auto rc = ra.coeffs;
-          const std::int64_t wv = wc.count(s.loop_var) ? wc[s.loop_var] : 0;
-          const std::int64_t rv = rc.count(s.loop_var) ? rc[s.loop_var] : 0;
-          wc.erase(s.loop_var);
-          rc.erase(s.loop_var);
-          if (wc != rc || wv != rv) {
-            dependent = false;
-            break;
-          }
-          const std::int64_t delta = wa.cnst - ra.cnst;
-          if (wv == 0) {
-            if (delta != 0) dependent = false;  // provably distinct elements
-            continue;
-          }
-          if (delta % wv != 0) {
-            dependent = false;  // indices never coincide across iterations
-            continue;
-          }
-          const std::int64_t dist = delta / wv;
-          if (have_distance && dist != distance) {
-            dependent = false;
-            continue;
-          }
-          distance = dist;
-          have_distance = true;
+        Reads(*s.cond);
+        stream_.If();
+        Walk(s.then_body);
+        stream_.Else();
+        Walk(s.else_body);
+        stream_.EndIf();
+      } else {
+        // Header reads count for initialization, but the guard keeps them
+        // out of CLF805/806.
+        stream_.PushGuard();
+        Reads(*s.init);
+        Reads(*s.bound);
+        stream_.PopGuard();
+        if (const int a = Local(s.loop_var); a >= 0) {
+          stream_.Access(true, a, {}, s.line);
         }
-        if (!dependent || !have_distance || distance < 1) continue;
-        reported.insert(w.array);
-        diags_.Report(Diagnostic::Make(
-            analysis::kSrcLoopCarried,
-            DiagLocation{kernel_.name, s.loop_var, w.array},
-            AtLine(r.line) + "iteration " + s.loop_var + " reads '" +
-                w.array + "[" + ToSource(*r.index->args[1]) +
-                (dims > 2 ? "]..." : "]") + "' written " +
-                std::to_string(distance) + " iteration(s) earlier (line " +
-                std::to_string(w.line) + ")"));
-      }
-    }
-  }
-
-  // --- CLF806 ---------------------------------------------------------------
-
-  void CheckBoundsExpr(const SrcExpr& e, const Env& env, bool conditional) {
-    if (e.kind == SrcExprKind::kTernary) {
-      CheckBoundsExpr(*e.args[0], env, conditional);
-      CheckBoundsExpr(*e.args[1], env, true);
-      CheckBoundsExpr(*e.args[2], env, true);
-      return;
-    }
-    if (e.kind == SrcExprKind::kIndex &&
-        e.args[0]->kind == SrcExprKind::kIdent) {
-      if (!conditional) CheckAccessBounds(e, env);
-      for (std::size_t i = 1; i < e.args.size(); ++i) {
-        CheckBoundsExpr(*e.args[i], env, conditional);
-      }
-      return;
-    }
-    for (const auto& a : e.args) CheckBoundsExpr(*a, env, conditional);
-  }
-
-  /// Proves an index escapes the declared extent for an iteration that
-  /// definitely occurs (corner of the loop ranges), for every runtime
-  /// parameter valuation with params >= 1. Guarded accesses (if /
-  /// ternary arms) are never claimed -- boundary guards are exactly how
-  /// the emitter handles padding.
-  void CheckAccessBounds(const SrcExpr& e, const Env& env) {
-    const auto it = locals_.find(e.args[0]->name);
-    if (it == locals_.end()) return;
-    const SrcLocalDecl& decl = *it->second;
-    if (decl.dims.size() != e.args.size() - 1) return;
-    if (!reported_oob_.insert({decl.name, e.line}).second) return;
-
-    for (std::size_t d = 0; d + 1 < e.args.size(); ++d) {
-      const Affine idx = Decompose(*e.args[d + 1]);
-      if (!idx.ok) continue;
-      const Affine lo = ToParamBound(idx, env, /*want_max=*/false);
-      const Affine hi = ToParamBound(idx, env, /*want_max=*/true);
-
-      std::int64_t lo_max = 0;
-      if (MaxValueAssumingParamsGE1(lo, &lo_max) && lo_max < 0) {
-        diags_.Report(Diagnostic::Make(
-            analysis::kSrcIndexOob, DiagLocation{kernel_.name, "", decl.name},
-            AtLine(e.line) + "dimension " + std::to_string(d) + " index '" +
-                ToSource(*e.args[d + 1]) + "' reaches " +
-                std::to_string(lo_max) + " (below 0)"));
-        continue;
-      }
-      const Affine dim = Decompose(*decl.dims[d]);
-      if (!dim.ok) continue;
-      bool dim_uses_loop_var = false;
-      for (const auto& [name, c] : dim.coeffs) {
-        (void)c;
-        if (env.find(name) != env.end()) dim_uses_loop_var = true;
-      }
-      if (dim_uses_loop_var) continue;
-      const Affine overflow = AffineAdd(hi, dim, -1);  // hi - dim
-      std::int64_t over_min = 0;
-      if (MinValueAssumingParamsGE1(overflow, &over_min) && over_min >= 0) {
-        diags_.Report(Diagnostic::Make(
-            analysis::kSrcIndexOob, DiagLocation{kernel_.name, "", decl.name},
-            AtLine(e.line) + "dimension " + std::to_string(d) + " index '" +
-                ToSource(*e.args[d + 1]) + "' reaches extent '" +
-                ToSource(*decl.dims[d]) + "' + " + std::to_string(over_min)));
-      }
-    }
-  }
-
-  void CheckBounds(const std::vector<SrcStmtPtr>& body, Env& env,
-                   bool conditional) {
-    for (const auto& sp : body) {
-      const SrcStmt& s = *sp;
-      switch (s.kind) {
-        case SrcStmtKind::kAssign:
-          CheckBoundsExpr(*s.target, env, conditional);
-          CheckBoundsExpr(*s.value, env, conditional);
-          break;
-        case SrcStmtKind::kCallStmt:
-          CheckBoundsExpr(*s.call, env, conditional);
-          break;
-        case SrcStmtKind::kIf:
-          CheckBoundsExpr(*s.cond, env, conditional);
-          CheckBounds(s.then_body, env, true);
-          CheckBounds(s.else_body, env, true);
-          break;
-        case SrcStmtKind::kFor: {
-          VarRange range;
-          range.lo = ToParamBound(Decompose(*s.init), env, /*want_max=*/false);
-          Affine hi = ToParamBound(Decompose(*s.bound), env, /*want_max=*/true);
-          if (hi.ok) hi.cnst -= 1;  // v < bound  =>  v <= bound - 1
-          range.hi = hi;
-          const bool shadowed = env.find(s.loop_var) != env.end();
-          VarRange saved;
-          if (shadowed) saved = env[s.loop_var];
-          env[s.loop_var] = range;
-          CheckBounds(s.body, env, conditional);
-          if (shadowed) {
-            env[s.loop_var] = saved;
-          } else {
-            env.erase(s.loop_var);
-          }
-          break;
-        }
+        // v < bound  =>  v <= bound - 1
+        stream_.BeginLoop(Var(s.loop_var), Decompose(*s.init),
+                          analysis::Sum(Decompose(*s.bound),
+                                        analysis::Affine::Const(1), -1));
+        Walk(s.body);
+        stream_.EndLoop();
       }
     }
   }
 
   const SrcKernel& kernel_;
   analysis::DiagnosticEngine& diags_;
-  std::map<std::string, const SrcLocalDecl*> locals_;
-  std::set<std::pair<std::string, int>> reported_oob_;
-  std::set<std::string> read_vars_;
-  std::map<std::string, int> first_store_line_;  // var -> first store
-  std::map<std::string, int> uninit_line_;       // var -> first bad read
+  analysis::AccessStream stream_;
+  std::map<std::string, int> arrays_;       ///< by name: CLF809's order
+  std::vector<const SrcLocalDecl*> decls_;  ///< by array id
+  std::unordered_map<std::string, int> vars_;
+  std::vector<const SrcExpr*> nodes_;  ///< by event: the access's node
 };
 
 }  // namespace
@@ -938,14 +623,17 @@ class KernelLinter {
 void ValidateAgainstPlan(const SrcProgram& program,
                          const std::vector<const ir::Kernel*>& kernels,
                          analysis::DiagnosticEngine& diags) {
-  PlanValidator validator(program, kernels, diags);
-  validator.Run();
+  PlanValidator(program, kernels, diags).Run();
+}
+
+analysis::AccessStream KernelAccessStream(const SrcKernel& kernel) {
+  analysis::DiagnosticEngine scratch;
+  return KernelLinter(kernel, scratch).TakeStream();
 }
 
 void LintKernelSource(const SrcKernel& kernel,
                       analysis::DiagnosticEngine& diags) {
-  KernelLinter linter(kernel, diags);
-  linter.Run();
+  KernelLinter(kernel, diags).Run();
 }
 
 }  // namespace clflow::srclint

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "analysis/access_model.hpp"
 #include "srclint/srclint.hpp"
 
 namespace clflow::srclint {
@@ -13,8 +14,12 @@ void ValidateAgainstPlan(const SrcProgram& program,
                          analysis::DiagnosticEngine& diags);
 
 /// CLF805-809: plan-free dependence, bounds, and hygiene lints on one
-/// parsed kernel.
+/// kernel; CLF805/806/808/809 are the access model's findings.
 void LintKernelSource(const SrcKernel& kernel,
                       analysis::DiagnosticEngine& diags);
+
+/// The access stream behind LintKernelSource: the source front end of the
+/// access model, for comparing with the IR verifier's.
+[[nodiscard]] analysis::AccessStream KernelAccessStream(const SrcKernel& kernel);
 
 }  // namespace clflow::srclint

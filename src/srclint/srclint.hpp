@@ -16,6 +16,10 @@
 //   CLF808  on-chip buffer written but never read              (warning)
 //   CLF809  private/local buffer read before any store         (warning)
 //
+// CLF805/806/808/809 are the access model's findings
+// (analysis/access_model.hpp), the same engine the IR verifier's
+// CLF102/103/106 come from; analyses.cpp is its source front end.
+//
 // The validator is deliberately independent of codegen: it keeps its own
 // dtype -> type-name mapping and derives every expectation from
 // ir::Kernel directly, so a bug in the emitter's own mapping (the

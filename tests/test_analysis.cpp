@@ -1,6 +1,7 @@
 // Tests for the static-analysis layer (clflow::analysis): the diagnostic
 // engine, the CLF code registry, the IR verifier, the dataflow checker,
-// the perf lints, and the compile gate in core::Deployment.
+// the perf lints, the compile gate in core::Deployment, and the access
+// model's two front ends agreeing on every shipped kernel.
 //
 // Every CLF code has at least one test that provokes it deliberately and
 // asserts the code, severity, and fix-it of the resulting diagnostic; a
@@ -10,16 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 
 #include "analysis/dataflow_checker.hpp"
 #include "analysis/diag.hpp"
 #include "analysis/ir_verifier.hpp"
 #include "analysis/perf_lint.hpp"
+#include "codegen/opencl_codegen.hpp"
 #include "common/error.hpp"
 #include "core/deployment.hpp"
 #include "ir/passes.hpp"
 #include "nets/nets.hpp"
+#include "srclint/analyses.hpp"
 
 namespace clflow::analysis {
 namespace {
@@ -194,6 +198,64 @@ TEST(IrVerifier, Clf103ReductionIsLegal) {
            ann)});
   DiagnosticEngine engine;
   EXPECT_EQ(VerifyKernel(k, engine), 0) << engine.ToText();
+}
+
+TEST(IrVerifier, Clf103CollisionThroughAnInnerLoopOrParameter) {
+  // Lane i writes a[8i + j + 8], which lane i + 1 reads as a[8(i + 1) + j]
+  // in the same iteration of the inner loop j; likewise b[i + N + 1] and
+  // b[i + N] for any value of the shape parameter N. The shared term
+  // cancels, so the collision is proven without knowing j or N.
+  auto a = MakeBuffer("a", {IntImm(64)}, MemScope::kGlobal, true);
+  auto b = MakeBuffer("b", {IntImm(64)}, MemScope::kGlobal, true);
+  auto n = MakeVar("N", ir::VarKind::kShapeParam);
+  auto i = MakeVar("i");
+  auto j = MakeVar("j");
+  ir::ForAnnotation ann;
+  ann.unroll = -1;
+  const auto row = ir::Mul(VarRef(i), IntImm(8));
+  ir::Kernel k;
+  k.name = "shift";
+  k.buffer_args = {a, b};
+  k.scalar_args = {n};
+  k.body = For(
+      i, IntImm(0), IntImm(4),
+      Block({For(j, IntImm(0), IntImm(8),
+                 Store(a, {Add(Add(row, VarRef(j)), IntImm(8))},
+                       Load(a, {Add(row, VarRef(j))}))),
+             Store(b, {Add(Add(VarRef(i), VarRef(n)), IntImm(1))},
+                   Load(b, {Add(VarRef(i), VarRef(n))}))}),
+      ann);
+  DiagnosticEngine engine;
+  EXPECT_EQ(VerifyKernel(k, engine), 2) << engine.ToText();
+  const auto found = engine.ByCode(kUnrollDependence.id);
+  ASSERT_EQ(found.size(), 2u) << engine.ToText();
+  EXPECT_EQ(found[0].location.buffer, "a");
+  EXPECT_EQ(found[1].location.buffer, "b");
+}
+
+TEST(IrVerifier, Clf103ReductionIsRecognizedThroughArithmetic) {
+  // acc[(k + 1) - 1] is acc[k]: every lane of i accumulates into the one
+  // element, the legal reduction, though the two indices differ in form.
+  auto x = MakeBuffer("x", {IntImm(8), IntImm(8)}, MemScope::kGlobal, true);
+  auto acc = MakeBuffer("acc", {IntImm(8)}, MemScope::kPrivate);
+  auto k = MakeVar("k");
+  auto i = MakeVar("i");
+  ir::ForAnnotation ann;
+  ann.unroll = -1;
+  ir::Kernel kernel;
+  kernel.name = "reduce";
+  kernel.buffer_args = {x};
+  kernel.local_buffers = {acc};
+  kernel.body = For(
+      k, IntImm(0), IntImm(8),
+      Block({Store(acc, {VarRef(k)}, FloatImm(0)),
+             For(i, IntImm(0), IntImm(8),
+                 Store(acc, {ir::Sub(Add(VarRef(k), IntImm(1)), IntImm(1))},
+                       Add(Load(acc, {VarRef(k)}),
+                           Load(x, {VarRef(k), VarRef(i)}))),
+                 ann)}));
+  DiagnosticEngine engine;
+  EXPECT_EQ(VerifyKernel(kernel, engine), 0) << engine.ToText();
 }
 
 TEST(IrVerifier, Clf104StoreToConstantBuffer) {
@@ -647,6 +709,103 @@ TEST(DeploymentGate, DiagnosticsLandInMetricsRegistry) {
   // Every report bumps analysis.diag{code=...} on the deployment registry.
   const std::string json = d.telemetry().registry.ToJson();
   EXPECT_NE(json.find("analysis.diag"), std::string::npos);
+}
+
+// --- Access model: the two front ends agree ---------------------------------
+
+/// A form over variable names, terms sorted by name; "?" when not affine.
+std::string Render(const AccessStream& s, const MaybeAffine& a) {
+  if (!a) return "?";
+  std::vector<std::string> terms;
+  for (const auto& [v, c] : a->terms) {
+    terms.push_back(s.vars[v] + "*" + std::to_string(c));
+  }
+  std::sort(terms.begin(), terms.end());
+  std::string out;
+  for (const auto& t : terms) out += t + " + ";
+  return out + std::to_string(a->constant);
+}
+
+/// One line per access to `arrays`: kind, array, index forms, guard depth
+/// and the enclosing loops' variables, innermost first.
+std::vector<std::string> Accesses(const AccessStream& s,
+                                  const std::set<std::string>& arrays) {
+  std::vector<std::string> out;
+  for (const AccessEvent& e : s.events) {
+    if (e.kind > AccessEvent::kWrite || arrays.count(s.arrays[e.array]) == 0) {
+      continue;
+    }
+    std::string line =
+        (e.kind == AccessEvent::kWrite ? "W " : "R ") + s.arrays[e.array];
+    for (const MaybeAffine& d : e.index) {
+      line += '[';
+      line += Render(s, d);
+      line += ']';
+    }
+    line += " guard " + std::to_string(e.guard) + " in";
+    for (int l = e.loop; l >= 0; l = s.loops[l].parent) {
+      line += " " + s.vars[s.loops[l].var];
+    }
+    out.push_back(line);
+  }
+  return out;
+}
+
+/// Returns how many on-chip accesses were compared.
+std::size_t ExpectFrontEndsAgree(const core::Deployment& d) {
+  std::size_t compared = 0;
+  for (const auto& pk : d.kernels()) {
+    const ir::Kernel& k = pk.built.kernel;
+    SCOPED_TRACE(k.name);
+    const AccessStream ir = KernelAccessStream(k);
+    const AccessStream src =
+        srclint::KernelAccessStream(codegen::BuildKernel(k));
+    // Local and private arrays keep their array form in the source, so
+    // every on-chip access matches element for element.
+    std::set<std::string> on_chip;
+    for (const auto& b : k.local_buffers) on_chip.insert(b->name);
+    const std::vector<std::string> accesses = Accesses(ir, on_chip);
+    EXPECT_EQ(accesses, Accesses(src, on_chip));
+    compared += accesses.size();
+    // The loop nests match; the IR front end gives only constant loop
+    // boxes a range, which the source must reproduce.
+    EXPECT_EQ(ir.loops.size(), src.loops.size());
+    for (std::size_t l = 0; l < std::min(ir.loops.size(), src.loops.size());
+         ++l) {
+      EXPECT_EQ(ir.vars[ir.loops[l].var], src.vars[src.loops[l].var]);
+      EXPECT_EQ(ir.loops[l].parent, src.loops[l].parent);
+      if (ir.loops[l].lo) {
+        EXPECT_EQ(Render(ir, ir.loops[l].lo), Render(src, src.loops[l].lo));
+        EXPECT_EQ(Render(ir, ir.loops[l].hi), Render(src, src.loops[l].hi));
+      }
+    }
+  }
+  return compared;
+}
+
+TEST(AccessModel, FrontEndsAgreeOnEveryShippedKernel) {
+  Rng rng(7);
+  const graph::Graph lenet = nets::BuildLeNet5(rng);
+  const graph::Graph mobilenet = nets::BuildMobileNetV1(rng);
+  const graph::Graph resnet = nets::BuildResNet(18, rng);
+  for (const auto& board : fpga::EvaluationBoards()) {
+    SCOPED_TRACE(board.key);
+    core::DeployOptions o;
+    o.board = board;
+    o.mode = core::ExecutionMode::kPipelined;
+    std::size_t lenet_accesses = 0;
+    for (const auto& recipe : core::PipelineLadder()) {
+      SCOPED_TRACE(recipe.name);
+      o.recipe = recipe;
+      lenet_accesses += ExpectFrontEndsAgree(core::Deployment::Compile(lenet, o));
+    }
+    EXPECT_GT(lenet_accesses, 0u);
+    o.mode = core::ExecutionMode::kFolded;
+    o.recipe = core::FoldedMobileNet(board.key);
+    EXPECT_GT(ExpectFrontEndsAgree(core::Deployment::Compile(mobilenet, o)), 0u);
+    o.recipe = core::FoldedResNet();
+    EXPECT_GT(ExpectFrontEndsAgree(core::Deployment::Compile(resnet, o)), 0u);
+  }
 }
 
 }  // namespace

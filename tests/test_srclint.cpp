@@ -220,6 +220,43 @@ TEST(SrclintInit, DeadStoreCitesTheFirstStoreInExecutionOrder) {
       << diags.ToText();
 }
 
+// --- CLF806 ---------------------------------------------------------------
+
+TEST(SrclintBounds, EveryAccessOnALineIsBounded) {
+  // The read acc[(i + 1)] passes the end at i = 3, though the write on
+  // its line stays in bounds.
+  analysis::DiagnosticEngine diags;
+  ASSERT_TRUE(LintSource(std::string(kInitKernelHead) +
+                             "  for (int i = 0; i < 4; ++i) {\n"
+                             "    acc[i] = 0.0f;\n"
+                             "  }\n"
+                             "  for (int i = 0; i < 4; ++i) {\n"
+                             "    acc[i] = acc[(i + 1)];\n"
+                             "  }\n"
+                             "  out[0] = acc[0];\n"
+                             "}\n",
+                         diags)
+                  .has_value());
+  EXPECT_EQ(Findings(diags), std::vector<std::string>{"CLF806 line 7"})
+      << diags.ToText();
+}
+
+TEST(SrclintBounds, PartialRankAccessBoundsItsLeadingDimensions) {
+  // t[i] names row i of a 4-row array; row 4 does not exist.
+  analysis::DiagnosticEngine diags;
+  ASSERT_TRUE(LintSource("__kernel void k_rows(__global float* restrict out) {\n"
+                         "  float t[4][2];\n"
+                         "  for (int i = 0; i < 5; ++i) {\n"
+                         "    t[i] = 0.0f;\n"
+                         "  }\n"
+                         "  out[0] = t[0][0];\n"
+                         "}\n",
+                         diags)
+                  .has_value());
+  EXPECT_EQ(Findings(diags), std::vector<std::string>{"CLF806 line 4"})
+      << diags.ToText();
+}
+
 // --- Injected defects: every CLF8xx code fires ------------------------------
 
 class SrclintInjection : public ::testing::Test {
