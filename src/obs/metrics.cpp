@@ -130,9 +130,6 @@ LogHistogram Histogram::log_buckets() const {
   return buckets_;
 }
 
-namespace {
-
-/// Nearest-rank percentile over an ascending-sorted sample vector.
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
   const auto n = static_cast<double>(sorted.size());
@@ -140,8 +137,6 @@ double Percentile(const std::vector<double>& sorted, double p) {
   rank = std::min(std::max<std::size_t>(rank, 1), sorted.size());
   return sorted[rank - 1];
 }
-
-}  // namespace
 
 Histogram::Snapshot Histogram::snapshot() const {
   std::vector<double> sorted;
@@ -242,7 +237,11 @@ std::string LabelsJson(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + JsonEscape(k) + "\":\"" + JsonEscape(v) + "\"";
+    out += '"';
+    out += JsonEscape(k);
+    out += "\":\"";
+    out += JsonEscape(v);
+    out += '"';
   }
   return out + "}";
 }
@@ -366,13 +365,14 @@ namespace {
 /// namespacing) become underscores; anything else outside [a-zA-Z0-9_:]
 /// is folded to '_' as well.
 std::string PromName(const std::string& name) {
-  std::string out = name;
+  std::string out;
+  if (!name.empty() && name[0] >= '0' && name[0] <= '9') out += '_';
+  out += name;
   for (char& c : out) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     if (!ok) c = '_';
   }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, "_");
   return out;
 }
 

@@ -67,6 +67,10 @@ class Gauge {
   double value_ = 0.0;
 };
 
+/// Nearest-rank percentile (p in [0, 1]) of an ascending-sorted sample
+/// vector; 0 when it is empty.
+[[nodiscard]] double Percentile(const std::vector<double>& sorted, double p);
+
 class Histogram {
  public:
   struct Snapshot {

@@ -43,16 +43,6 @@ void Distribute(obs::TimeSeries& series, SimTime from, SimTime to) {
   }
 }
 
-/// Exact nearest-rank percentile over an unsorted copy.
-double Pct(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  auto rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(v.size())));
-  rank = std::min(std::max<std::size_t>(rank, 1), v.size());
-  return v[rank - 1];
-}
-
 /// The campaign core, shared by both targets. `serve_one` runs one batch
 /// and reports its simulated cost; `sample_boards` (optional) records
 /// per-board state after each completion.
@@ -199,11 +189,11 @@ LoadgenReport RunCampaign(
     }
     report.failovers += r.failovers;
   }
-  report.p50_us = Pct(lat, 0.50);
-  report.p95_us = Pct(lat, 0.95);
-  report.p99_us = Pct(lat, 0.99);
-  report.max_us = lat.empty() ? 0.0 : *std::max_element(lat.begin(),
-                                                        lat.end());
+  std::sort(lat.begin(), lat.end());
+  report.p50_us = obs::Percentile(lat, 0.50);
+  report.p95_us = obs::Percentile(lat, 0.95);
+  report.p99_us = obs::Percentile(lat, 0.99);
+  report.max_us = lat.empty() ? 0.0 : lat.back();
   report.mean_queue_delay_us =
       report.requests.empty()
           ? 0.0

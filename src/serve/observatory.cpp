@@ -1,7 +1,6 @@
 #include "serve/observatory.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <sstream>
 
@@ -14,15 +13,6 @@ namespace clflow::serve {
 namespace {
 
 using obs::HtmlEscape;
-
-/// Exact nearest-rank percentile over an ascending-sorted vector.
-double Pct(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  auto rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(sorted.size())));
-  rank = std::min(std::max<std::size_t>(rank, 1), sorted.size());
-  return sorted[rank - 1];
-}
 
 /// Pulls a registry series as an (x, y) line. Counter windows keep their
 /// zeros (a zero rate is information); gauge series skip empty windows so
@@ -87,9 +77,9 @@ Observatory BuildObservatory(const LoadgenReport& report,
     std::sort(lats.begin(), lats.end());
     const double x = static_cast<double>(w) * res_us;
     p50.x_us.push_back(x);
-    p50.y.push_back(Pct(lats, 0.50));
+    p50.y.push_back(obs::Percentile(lats, 0.50));
     p99.x_us.push_back(x);
-    p99.y.push_back(Pct(lats, 0.99));
+    p99.y.push_back(obs::Percentile(lats, 0.99));
   }
   ObsSeries objective{"objective", {}, {}};
   if (!p50.x_us.empty()) {
