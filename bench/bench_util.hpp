@@ -101,7 +101,10 @@ class BenchSnapshot {
     for (const auto& [key, v] : metrics_) {
       if (!first) out += ",";
       first = false;
-      out += "\"" + obs::JsonEscape(key) + "\":" + obs::JsonNum(v);
+      out += '"';
+      out += obs::JsonEscape(key);
+      out += "\":";
+      out += obs::JsonNum(v);
     }
     out += "}}";
     const std::string path = "BENCH_" + name_ + ".json";

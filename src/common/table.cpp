@@ -58,4 +58,10 @@ std::string Table::Pct(double fraction, int digits) {
   return Num(fraction * 100.0, digits) + "%";
 }
 
+std::string Table::SignedPct(double fraction, int digits) {
+  std::string out = fraction >= 0 ? "+" : "";
+  out += Pct(fraction, digits);
+  return out;
+}
+
 }  // namespace clflow

@@ -31,6 +31,8 @@ class Table {
   [[nodiscard]] static std::string Speedup(double v, int digits = 2);
   /// Formats a fraction as e.g. "37%".
   [[nodiscard]] static std::string Pct(double fraction, int digits = 0);
+  /// Pct with an explicit sign for gains, e.g. "+3.2%" / "-1.0%".
+  [[nodiscard]] static std::string SignedPct(double fraction, int digits = 0);
 
  private:
   std::vector<std::string> header_;

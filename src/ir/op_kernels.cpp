@@ -81,7 +81,9 @@ Stmt FillLocal(const BufferPtr& local, const BufferPtr& channel,
   std::vector<VarPtr> vars;
   std::vector<Expr> idx;
   for (std::size_t d = 0; d < local->shape.size(); ++d) {
-    vars.push_back(MakeVar("f" + std::to_string(d)));
+    std::string name(1, 'f');
+    name += std::to_string(d);
+    vars.push_back(MakeVar(std::move(name)));
     idx.push_back(VarRef(vars.back()));
   }
   Expr value = channel ? ReadChannel(channel) : ir::Load(global_src, idx);

@@ -250,7 +250,7 @@ int RunBenchDiff(const std::vector<std::string>& args, std::ostream& out) {
     if (d.status == MetricStatus::kInvalid) ++invalids;
     table.AddRow(
         {d.key, Table::Num(d.baseline, 4), Table::Num(d.current, 4),
-         (d.rel_change >= 0 ? "+" : "") + Table::Pct(d.rel_change, 1),
+         Table::SignedPct(d.rel_change, 1),
          Table::Pct(d.tolerance, 0), std::string(MetricStatusName(d.status))});
   }
   out << "bench_diff: " << baseline->bench << " (" << diff.deltas.size()

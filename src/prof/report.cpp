@@ -39,7 +39,7 @@ std::string ToText(const Profile& p) {
          Table::Pct(k.share), Us(k.compute_us), Us(k.memory_us),
          Us(k.fmax_us), Us(k.stall_us), Us(k.launch_us),
          std::string(BottleneckName(k.bottleneck)),
-         (k.drift >= 0 ? "+" : "") + Table::Pct(k.drift, 1)});
+         Table::SignedPct(k.drift, 1)});
   }
   os << attribution.ToString() << "\n";
 

@@ -13,12 +13,13 @@ std::string SequencedDumpPath(const std::string& path, std::uint64_t seq) {
   if (seq == 0) return path;
   const std::size_t slash = path.find_last_of('/');
   const std::size_t dot = path.find_last_of('.');
-  const std::string suffix = "." + std::to_string(seq);
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    return path + suffix;  // no extension: append
-  }
-  return path.substr(0, dot) + suffix + path.substr(dot);
+  const bool extension =
+      dot != std::string::npos && (slash == std::string::npos || dot > slash);
+  std::string out = path.substr(0, extension ? dot : path.size());
+  out += '.';
+  out += std::to_string(seq);
+  if (extension) out += path.substr(dot);  // the suffix goes before it
+  return out;
 }
 
 namespace {

@@ -26,8 +26,9 @@ TestDesign MakeDesign(int n, const fpga::BoardSpec& board) {
   std::vector<fpga::SynthInput> inputs;
   d.built.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    d.built.push_back(
-        ir::BuildCopyKernel(1024, "k" + std::to_string(i)));
+    std::string name(1, 'k');
+    name += std::to_string(i);
+    d.built.push_back(ir::BuildCopyKernel(1024, name));
   }
   for (const auto& b : d.built) inputs.push_back({&b.kernel, {}});
   d.bitstream = fpga::Synthesize(inputs, board);

@@ -246,7 +246,7 @@ TEST(Prof, ReportsRenderInAllFormats) {
 
 prof::BenchSnapshot Snap(std::map<std::string, double> metrics) {
   prof::BenchSnapshot s;
-  s.bench = "t";
+  s.bench.append("t");
   s.metrics = std::move(metrics);
   return s;
 }
