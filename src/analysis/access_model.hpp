@@ -88,6 +88,8 @@ struct AccessStream {
   std::size_t Access(bool write, int array, std::vector<MaybeAffine> index,
                      int loc = 0);
 
+  /// The loop being walked, -1 at top level.
+  [[nodiscard]] int loop() const { return loop_; }
   /// The innermost loop around `loop` (itself included) binding `var`.
   [[nodiscard]] int Binder(int var, int loop) const;
   /// `a` with each loop variable of `loop`'s nest replaced by the end of

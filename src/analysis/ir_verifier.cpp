@@ -65,10 +65,7 @@ class StmtVerifier {
     return engine_.error_count() - before;
   }
 
-  AccessStream TakeStream(const Stmt& root) {
-    Visit(root);
-    return std::move(stream_);
-  }
+  [[nodiscard]] const AccessStream& stream() const { return stream_; }
 
   /// CLF106: on-chip buffers read but never written hold undefined values
   /// (global arguments are host-initialized and exempt).
@@ -112,9 +109,7 @@ class StmtVerifier {
                           s->ann.IsUnrolled() && lo && *extent > 1
                               ? std::min(*extent, kMaxLanes)
                               : 0);
-        loop_vars_.push_back(s->var.get());
         Visit(s->body);
-        loop_vars_.pop_back();
         stream_.EndLoop();
         break;
       }
@@ -123,10 +118,13 @@ class StmtVerifier {
         VisitExpr(s->value);
         Access(/*write=*/true, s->buffer, s->indices);
         if (s->buffer->scope == ir::MemScope::kConstant) {
-          Report104(s->buffer, "store to read-only constant buffer ");
+          Report104(s->buffer,
+                    "store to read-only constant buffer " + s->buffer->name);
         }
         if (s->buffer->scope == ir::MemScope::kChannel) {
-          Report104(s->buffer, "", " is stored to by address; use write_channel");
+          Report104(s->buffer, "channel " + s->buffer->name +
+                                   " is stored to by address; use "
+                                   "write_channel");
         }
         break;
       case StmtKind::kBlock:
@@ -145,7 +143,8 @@ class StmtVerifier {
       case StmtKind::kWriteChannel:
         VisitExpr(s->value);
         if (s->buffer->scope != ir::MemScope::kChannel) {
-          Report104(s->buffer, "write_channel on non-channel buffer ");
+          Report104(s->buffer,
+                    "write_channel on non-channel buffer " + s->buffer->name);
         }
         break;
     }
@@ -158,12 +157,14 @@ class StmtVerifier {
     } else if (e->kind == ExprKind::kLoad) {
       Access(/*write=*/false, e->buffer, e->indices);
       if (e->buffer->scope == ir::MemScope::kChannel) {
-        Report104(e->buffer, "", " is loaded by address; use read_channel");
+        Report104(e->buffer, "channel " + e->buffer->name +
+                                 " is loaded by address; use read_channel");
       }
     } else if (e->kind == ExprKind::kCall && e->buffer &&
                e->callee == "read_channel" &&
                e->buffer->scope != ir::MemScope::kChannel) {
-      Report104(e->buffer, "read_channel on non-channel buffer ");
+      Report104(e->buffer,
+                "read_channel on non-channel buffer " + e->buffer->name);
     }
     // Select evaluates both arms on hardware but only the chosen value is
     // meaningful; an arm guarded by an in-bounds condition may compute an
@@ -232,8 +233,9 @@ class StmtVerifier {
   // CLF101: every variable is bound by an enclosing loop or declared as a
   // scalar argument.
   void CheckDefined(const ir::VarPtr& var) {
+    const auto it = vars_.find(var.get());
     if (defined_ == nullptr || defined_->count(var.get()) != 0 ||
-        std::count(loop_vars_.begin(), loop_vars_.end(), var.get()) != 0) {
+        (it != vars_.end() && stream_.Binder(it->second, stream_.loop()) >= 0)) {
       return;
     }
     ReportOnce(kUndefinedVar, {kernel_, "", ""},
@@ -244,12 +246,9 @@ class StmtVerifier {
 
   /// CLF104 (kernels only): read-only memory written, channels indexed,
   /// channel intrinsics on non-channel buffers.
-  void Report104(const ir::BufferPtr& buffer, const std::string& before,
-                 const std::string& after = "") {
+  void Report104(const ir::BufferPtr& buffer, std::string message) {
     if (defined_ == nullptr) return;
-    ReportOnce(kScopeViolation, {kernel_, "", buffer->name},
-               before.empty() ? "channel " + buffer->name + after
-                              : before + buffer->name);
+    ReportOnce(kScopeViolation, {kernel_, "", buffer->name}, std::move(message));
   }
 
   void ReportOnce(const CodeInfo& info, DiagLocation loc,
@@ -267,7 +266,6 @@ class StmtVerifier {
   AccessStream stream_;
   std::unordered_map<const ir::VarNode*, int> vars_;
   std::unordered_map<const ir::BufferNode*, int> arrays_;
-  std::vector<const ir::VarNode*> loop_vars_;
   std::set<std::string> emitted_;
 };
 
@@ -297,7 +295,9 @@ int VerifyKernel(const ir::Kernel& kernel, DiagnosticEngine& engine) {
 
 AccessStream KernelAccessStream(const ir::Kernel& kernel) {
   DiagnosticEngine scratch;
-  return StmtVerifier(scratch, kernel.name, nullptr).TakeStream(kernel.body);
+  StmtVerifier verifier(scratch, kernel.name, nullptr);
+  (void)verifier.Run(kernel.body);
+  return verifier.stream();
 }
 
 Diagnostic FromScheduleError(const ScheduleError& error) {

@@ -25,41 +25,22 @@ std::string AtLine(int line) { return "line " + std::to_string(line) + ": "; }
 /// One channel operation in execution order: 'R' = read, 'W' = write.
 using ChannelOp = std::pair<char, std::string>;
 
-void IrExprChannels(const ir::Expr& e, std::vector<ChannelOp>& out) {
-  if (!e) return;
-  if (e->kind == ir::ExprKind::kCall && e->callee == "read_channel") {
-    out.emplace_back('R', e->buffer->name);
-    return;
-  }
-  IrExprChannels(e->a, out);
-  IrExprChannels(e->b, out);
-  IrExprChannels(e->c, out);
-  for (const auto& idx : e->indices) IrExprChannels(idx, out);
-  for (const auto& arg : e->args) IrExprChannels(arg, out);
-}
-
-void IrChannelOps(const ir::Stmt& s, std::vector<ChannelOp>& out) {
-  if (!s) return;
-  switch (s->kind) {
-    case ir::StmtKind::kFor:
-      IrChannelOps(s->body, out);
-      return;
-    case ir::StmtKind::kStore:
-      IrExprChannels(s->value, out);
-      return;
-    case ir::StmtKind::kBlock:
-      for (const auto& child : s->stmts) IrChannelOps(child, out);
-      return;
-    case ir::StmtKind::kIf:
-      IrExprChannels(s->cond, out);
-      IrChannelOps(s->then_body, out);
-      IrChannelOps(s->else_body, out);
-      return;
-    case ir::StmtKind::kWriteChannel:
-      IrExprChannels(s->value, out);  // payload reads fire first
+void IrChannelOps(const ir::Stmt& body, std::vector<ChannelOp>& out) {
+  auto reads = [&](const ir::Expr& e) {
+    ir::VisitExprsIn(e, [&](const ir::Expr& x) {
+      if (x->kind == ir::ExprKind::kCall && x->callee == "read_channel") {
+        out.emplace_back('R', x->buffer->name);
+      }
+    });
+  };
+  ir::VisitStmts(body, [&](const ir::Stmt& s) {
+    if (s->kind == ir::StmtKind::kIf) reads(s->cond);
+    if (s->kind == ir::StmtKind::kStore) reads(s->value);
+    if (s->kind == ir::StmtKind::kWriteChannel) {
+      reads(s->value);  // payload reads fire first
       out.emplace_back('W', s->buffer->name);
-      return;
-  }
+    }
+  });
 }
 
 void SrcExprChannels(const SrcExpr& e, std::vector<ChannelOp>& out) {
@@ -432,9 +413,8 @@ class KernelLinter {
     }
   }
 
-  analysis::AccessStream TakeStream() {
-    Walk(kernel_.body);
-    return std::move(stream_);
+  [[nodiscard]] const analysis::AccessStream& stream() const {
+    return stream_;
   }
 
   void Run() {
@@ -628,7 +608,9 @@ void ValidateAgainstPlan(const SrcProgram& program,
 
 analysis::AccessStream KernelAccessStream(const SrcKernel& kernel) {
   analysis::DiagnosticEngine scratch;
-  return KernelLinter(kernel, scratch).TakeStream();
+  KernelLinter linter(kernel, scratch);
+  linter.Run();
+  return linter.stream();
 }
 
 void LintKernelSource(const SrcKernel& kernel,
