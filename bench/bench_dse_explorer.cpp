@@ -34,7 +34,6 @@
 #include <cinttypes>
 #include <cstring>
 
-#include "common/fnv.hpp"
 #include "core/dse.hpp"
 
 using namespace clflow;
@@ -47,32 +46,6 @@ double SweepWallUs(const std::function<core::DseResult()>& sweep,
   out = sweep();
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
-}
-
-/// FNV-1a over everything the determinism contract covers, so two runs
-/// (any thread counts) can be compared with one line of grep+diff.
-std::uint64_t RankedDigest(const core::DseResult& r) {
-  common::Fnv f;
-  f.U64(r.considered);
-  f.U64(r.rejected_divisibility);
-  f.U64(r.rejected_bandwidth);
-  f.U64(r.rejected_bound);
-  f.U64(r.rejected_dominated);
-  f.U64(r.rejected_fit);
-  f.U64(r.rejected_route);
-  f.U64(r.feasible_total);
-  f.F64(r.worst_kept_fps);
-  f.F64(r.best_dropped_fps);
-  for (const auto& c : r.ranked) {
-    f.U64(static_cast<std::uint64_t>(c.conv1x1.c1));
-    f.U64(static_cast<std::uint64_t>(c.conv1x1.w2));
-    f.U64(static_cast<std::uint64_t>(c.conv1x1.c2));
-    f.F64(c.predicted_fps);
-    f.F64(c.fmax_mhz);
-    f.U64(static_cast<std::uint64_t>(c.dsps));
-    for (char ch : c.status_detail) f.U64(static_cast<std::uint64_t>(ch));
-  }
-  return f.h;
 }
 
 bool SameRanking(const core::DseResult& a, const core::DseResult& b) {
@@ -183,7 +156,7 @@ int main(int argc, char** argv) {
       mismatch = true;
     }
     std::printf("ranked-digest: %s %016" PRIx64 "\n", board.key.c_str(),
-                RankedDigest(parallel));
+                parallel.RankedDigest());
 
     const double per_candidate_us =
         seed_us / static_cast<double>(result.considered);

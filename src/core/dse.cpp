@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/fnv.hpp"
 #include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 
@@ -27,6 +28,30 @@ OptimizationRecipe DseResult::BestRecipe(const std::string& tag) const {
   r.conv3x3 = b.conv3x3;
   r.conv_dw = b.conv_dw;
   return r;
+}
+
+std::uint64_t DseResult::RankedDigest() const {
+  common::Fnv f;
+  f.U64(considered);
+  f.U64(rejected_divisibility);
+  f.U64(rejected_bandwidth);
+  f.U64(rejected_bound);
+  f.U64(rejected_dominated);
+  f.U64(rejected_fit);
+  f.U64(rejected_route);
+  f.U64(feasible_total);
+  f.F64(worst_kept_fps);
+  f.F64(best_dropped_fps);
+  for (const auto& c : ranked) {
+    f.U64(static_cast<std::uint64_t>(c.conv1x1.c1));
+    f.U64(static_cast<std::uint64_t>(c.conv1x1.w2));
+    f.U64(static_cast<std::uint64_t>(c.conv1x1.c2));
+    f.F64(c.predicted_fps);
+    f.F64(c.fmax_mhz);
+    f.U64(static_cast<std::uint64_t>(c.dsps));
+    for (char ch : c.status_detail) f.U64(static_cast<std::uint64_t>(ch));
+  }
+  return f.h;
 }
 
 void DseResult::ExportMetrics(obs::Registry& registry) const {

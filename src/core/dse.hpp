@@ -180,6 +180,10 @@ struct DseResult {
   [[nodiscard]] const DseCandidate& best() const;
   /// A folded recipe configured with the best candidate's tilings.
   [[nodiscard]] OptimizationRecipe BestRecipe(const std::string& tag) const;
+  /// FNV-1a over everything the jobs-invariance contract covers (the
+  /// filter counts, the top_k cut and every ranked candidate), so two
+  /// sweeps at any thread counts compare with one line of grep+diff.
+  [[nodiscard]] std::uint64_t RankedDigest() const;
 
   /// Writes the sweep's `dse.*` gauges (counters, fps figures) and the
   /// `dse.cache.*` series into `registry`. ExploreFoldedTilings also

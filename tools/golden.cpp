@@ -24,6 +24,15 @@
 // dispatch ("digest" is LoadgenReport::digest, "metrics.prom" its
 // registry), and "runtime/chaos/digest" a fixed-seed chaos campaign.
 //
+// "dse/mobilenet/<board>/ranked" is DseResult::RankedDigest of the
+// bench_dse_explorer sweep (bound, shared prewarmed cache) at jobs 1; when
+// the jobs-4 sweep ranks differently the key records both digests.
+// "observatory/lenet/s10sx/<shape>/" pins the JSON, HTML and Chrome-trace
+// renderings of seeded Poisson and bursty campaigns through a 2-board
+// replica set whose board 0 hangs on its first 16 dispatches, and
+// "profile/lenet/s10sx/<mode>/" the prof::ToJson / ToHtml renderings and
+// the CLF6xx EmitDiagnostics findings of one profiled batch per mode.
+//
 // The static checks are pinned too. Every plan records the digest of its
 // compile gate's DiagnosticEngine::ToJson ("diagnostics.json"). "lint/"
 // keys hold srclint::LintProgram's JSON digest and error count over the
@@ -61,13 +70,17 @@
 #include "analysis/ir_verifier.hpp"
 #include "codegen/opencl_codegen.hpp"
 #include "core/deployment.hpp"
+#include "core/dse.hpp"
 #include "core/host_codegen.hpp"
 #include "fpga/report.hpp"
 #include "ha/chaos.hpp"
 #include "ha/replica_set.hpp"
 #include "nets/nets.hpp"
 #include "ocl/trace.hpp"
+#include "prof/prof.hpp"
+#include "prof/report.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/observatory.hpp"
 #include "srclint/inject.hpp"
 #include "srclint/parser.hpp"
 #include "srclint/srclint.hpp"
@@ -147,6 +160,71 @@ std::shared_ptr<resilience::FaultInjector> Injector(
   return std::make_shared<resilience::FaultInjector>(plan);
 }
 
+void RecordDse(Manifest& out, const graph::Graph& mobilenet) {
+  for (const fpga::BoardSpec& board : fpga::EvaluationBoards()) {
+    core::PrewarmFoldedCache(mobilenet, board);
+    std::string ranked[2];
+    for (int i = 0; i < 2; ++i) {
+      core::DseOptions opts;
+      opts.jobs = i == 0 ? 1 : 4;
+      opts.verify_candidates = false;
+      ranked[i] = Hex(
+          core::ExploreFoldedTilings(mobilenet, board, opts).RankedDigest());
+    }
+    out["dse/mobilenet/" + board.key + "/ranked"] =
+        ranked[0] == ranked[1] ? ranked[0]
+                               : "jobs1 " + ranked[0] + " jobs4 " + ranked[1];
+  }
+}
+
+void RecordObservatory(Manifest& out, const graph::Graph& lenet,
+                       const Tensor& image) {
+  std::vector<resilience::FaultSpec> sick;
+  for (int i = 0; i < 16; ++i) {
+    resilience::FaultSpec s;
+    s.kind = resilience::FaultKind::kKernelHang;
+    s.target = "k_conv1";
+    s.index = i;
+    sick.push_back(s);
+  }
+  for (const serve::TraceShape shape :
+       {serve::TraceShape::kPoisson, serve::TraceShape::kBursty}) {
+    ha::ReplicaSet set(lenet, LenetServing());
+    set.set_fault_injector(0, Injector(sick));
+    serve::LoadgenOptions lo;
+    lo.seed = 2021;
+    lo.requests = 120;
+    lo.shape = shape;
+    const serve::Observatory obs = serve::BuildObservatory(
+        serve::RunLoadCampaign(set, image, lo), "lenet @ s10sx");
+    const std::string key = std::string("observatory/lenet/s10sx/") +
+                            serve::TraceShapeName(shape) + "/";
+    out[key + "json"] = Digest(obs.ToJson());
+    out[key + "html"] = Digest(obs.ToHtml());
+    out[key + "trace"] = Digest(obs.ToChromeTrace());
+  }
+}
+
+void RecordProfile(Manifest& out, const graph::Graph& lenet,
+                   const Tensor& image) {
+  core::DeployOptions folded;
+  folded.mode = core::ExecutionMode::kFolded;
+  folded.recipe = core::FoldedBase();
+  folded.board = fpga::Stratix10SX();
+  const std::pair<const char*, core::DeployOptions> modes[] = {
+      {"pipelined", LenetServing()}, {"folded", folded}};
+  for (const auto& [name, dep] : modes) {
+    core::Deployment d = core::Deployment::Compile(lenet, dep);
+    const prof::Profile p = prof::BuildProfile(d, image);
+    analysis::DiagnosticEngine diags;
+    prof::EmitDiagnostics(p, diags);
+    const std::string key = std::string("profile/lenet/s10sx/") + name + "/";
+    out[key + "json"] = Digest(prof::ToJson(p));
+    out[key + "html"] = Digest(prof::ToHtml(p));
+    out[key + "diagnostics"] = Digest(diags.ToJson());
+  }
+}
+
 void RecordRuntime(Manifest& out, const graph::Graph& lenet) {
   Rng rng(11);
   const Tensor image = Tensor::Random(
@@ -208,6 +286,9 @@ void RecordRuntime(Manifest& out, const graph::Graph& lenet) {
   chaos.seed = 2021;
   out["runtime/chaos/lenet/s10sx/digest"] =
       Hex(ha::RunChaosCampaign(lenet, LenetServing(), chaos).Digest());
+
+  RecordObservatory(out, lenet, image);
+  RecordProfile(out, lenet, image);
 }
 
 /// Lint records: the engine's JSON digest and its error count.
@@ -466,6 +547,7 @@ Manifest Build() {
   Corpus corpus;
   RecordRuntime(m, lenet);
   RecordSourceLint(m, lenet, mobilenet, resnet);
+  RecordDse(m, mobilenet);
   for (const fpga::BoardSpec& board : fpga::EvaluationBoards()) {
     for (core::OptimizationRecipe recipe : core::PipelineLadder()) {
       Record(m, "lenet", lenet, core::ExecutionMode::kPipelined, recipe, "",
