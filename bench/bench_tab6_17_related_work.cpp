@@ -32,9 +32,8 @@ int main() {
                                  fpga::Stratix10SX());
     const double ours = OpClassGflops(d, "3x3 conv S=1");
     json.Metric("resnet34_3x3_gflops", ours);
-    // Sanity-check their Winograd claim with our own implementation: the
-    // F(2,3) transform computes identical results with 2.25x fewer
-    // multiplies (cpu::Conv2dWinograd; verified in tests).
+    // Their engine uses the Winograd F(2,3) transform (2.25x fewer
+    // multiplies for 3x3/stride-1 convolutions); ours is direct.
     Table t({"", "DiCecco et al. [18]", "This work"});
     t.AddRow({"Workload", "3x3 convs, 4 nets (geomean)",
               "3x3 convs in ResNet-34"});

@@ -819,9 +819,8 @@ int main(int argc, char** argv) {
   }
 
   if (profile) {
-    prof::ProfileOptions popts;
-    const prof::Profile p = prof::BuildProfile(d, image, popts);
-    prof::EmitDiagnostics(p, d.diagnostics(), popts);
+    const prof::Profile p = prof::BuildProfile(d, image);
+    prof::EmitDiagnostics(p, d.diagnostics());
     std::printf("\n%s", prof::ToText(p).c_str());
     if (!d.diagnostics().diagnostics().empty()) {
       std::printf("\n--- profiler diagnostics ---\n");

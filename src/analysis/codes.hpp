@@ -254,8 +254,8 @@ inline constexpr CodeInfo kRequestStarvation{
 inline constexpr CodeInfo kFlightRecorderOverflow{
     "CLF703", Severity::kNote,
     "flight recorder overflowed before the dump", "SS6.2",
-    "the ring dropped its oldest events; raise DeployOptions::"
-    "flightrec_capacity if the postmortem needs a longer look-back"};
+    "the ring keeps the last FlightRecorder::kDefaultCapacity (256) events, "
+    "so the postmortem covers only the batches just before the fault"};
 inline constexpr CodeInfo kSloFastBurn{
     "CLF704", Severity::kWarning,
     "fast-horizon SLO burn: violation burst in the last few windows", "SS6.2",

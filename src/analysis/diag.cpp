@@ -126,10 +126,4 @@ void DiagnosticEngine::MirrorToTrace(obs::Tracer& tracer) const {
   }
 }
 
-void DiagnosticEngine::Clear() {
-  diagnostics_.clear();
-  errors_ = 0;
-  warnings_ = 0;
-}
-
 }  // namespace clflow::analysis

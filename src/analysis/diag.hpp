@@ -89,8 +89,6 @@ class DiagnosticEngine {
   /// the compile phases.
   void MirrorToTrace(obs::Tracer& tracer) const;
 
-  void Clear();
-
  private:
   obs::Registry* registry_ = nullptr;
   std::map<std::string, Severity> overrides_;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/fnv.hpp"
-#include "obs/metrics.hpp"
 
 namespace clflow::core {
 
@@ -299,38 +298,9 @@ void CompileCache::InsertStats(const std::string& key,
   stats_.bytes += StatsBytes(key, stats);
 }
 
-void CompileCache::Clear() {
-  const std::scoped_lock lock(mu_);
-  designs_.clear();
-  kernels_.clear();
-  kernel_stats_.clear();
-  stats_.entries = 0;
-  stats_.bytes = 0;
-}
-
 CompileCacheStats CompileCache::stats() const {
   const std::scoped_lock lock(mu_);
   return stats_;
-}
-
-void CompileCache::ExportMetrics(obs::Registry& registry,
-                                 const std::string& prefix,
-                                 const CompileCacheStats& base) const {
-  const CompileCacheStats s = stats().Since(base);
-  auto set = [&](const char* name, double v) {
-    registry.gauge(prefix + name).Set(v);
-  };
-  set("hits", static_cast<double>(s.hits()));
-  set("misses", static_cast<double>(s.misses()));
-  set("hit_rate", s.hit_rate());
-  set("design.hits", static_cast<double>(s.design_hits));
-  set("design.misses", static_cast<double>(s.design_misses));
-  set("lower.hits", static_cast<double>(s.lower_hits));
-  set("lower.misses", static_cast<double>(s.lower_misses));
-  set("stats.hits", static_cast<double>(s.stats_hits));
-  set("stats.misses", static_cast<double>(s.stats_misses));
-  set("entries", static_cast<double>(s.entries));
-  set("bytes", static_cast<double>(s.bytes));
 }
 
 const std::shared_ptr<CompileCache>& CompileCache::SharedPtr() {

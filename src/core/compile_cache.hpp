@@ -27,8 +27,7 @@
 //     computed by AssembleBitstream), so the board is deliberately NOT
 //     part of the key; changing the cost model or AOC flags changes the
 //     fingerprint, which is the invalidation path -- stale entries can
-//     never be returned, only orphaned. Clear() drops them (e.g. between
-//     unrelated sweeps).
+//     never be returned, only orphaned.
 //
 // Thread safety: all methods are safe to call from concurrent
 // Deployment::Compile workers (core::ExploreFoldedTilings jobs > 1). A
@@ -50,10 +49,6 @@
 #include "fpga/synth.hpp"
 #include "ir/analysis.hpp"
 #include "ir/op_kernels.hpp"
-
-namespace clflow::obs {
-class Registry;
-}
 
 namespace clflow::core {
 
@@ -168,16 +163,7 @@ class CompileCache {
       const std::string& key);
   void InsertStats(const std::string& key, const ir::KernelStats& stats);
 
-  /// Drops every entry; counters survive (they are cumulative).
-  void Clear();
-
   [[nodiscard]] CompileCacheStats stats() const;
-
-  /// Writes `<prefix>hits/misses/hit_rate/entries/bytes` (plus the
-  /// design/lowering split) as gauges, e.g. the `dse.cache.*` series.
-  void ExportMetrics(obs::Registry& registry,
-                     const std::string& prefix = "dse.cache.",
-                     const CompileCacheStats& base = {}) const;
 
   /// Process-wide instance used by the DSE, the fallback ladder, and the
   /// benches. Deployment::Compile only caches when DeployOptions names a

@@ -220,8 +220,7 @@ Deployment Deployment::Compile(const graph::Graph& g,
   d.telemetry_ = std::make_shared<obs::Telemetry>();
   d.diags_ =
       std::make_shared<analysis::DiagnosticEngine>(&d.telemetry_->registry);
-  d.flightrec_ = std::make_shared<telemetry::FlightRecorder>(
-      options.flightrec_capacity);
+  d.flightrec_ = std::make_shared<telemetry::FlightRecorder>();
   for (const auto& [code, severity] : options.analysis.severity_overrides) {
     d.diags_->OverrideSeverity(code, severity);
   }

@@ -81,8 +81,6 @@ struct DeployOptions {
   /// suffix (telemetry::SequencedDumpPath) so no postmortem overwrites a
   /// previous one.
   std::string flightrec_path;
-  /// Ring capacity of the flight recorder (events retained at dump time).
-  std::size_t flightrec_capacity = telemetry::FlightRecorder::kDefaultCapacity;
 };
 
 struct RunResult {

@@ -10,6 +10,10 @@ namespace clflow::core {
 
 namespace {
 
+/// Total compile attempts of the ladder (the original recipe counts as
+/// one).
+constexpr int kFallbackMaxAttempts = 6;
+
 /// Halves the largest >1 channel-tiling factor across the conv families
 /// (power-of-two factors stay divisors of every layer they divided
 /// before; W2vec is left alone because halving 7 would break
@@ -134,8 +138,7 @@ std::string FallbackAttempt::ToString() const {
 }
 
 FallbackResult CompileWithFallback(const graph::Graph& g,
-                                   const DeployOptions& options,
-                                   const FallbackPolicy& policy) {
+                                   const DeployOptions& options) {
   FallbackResult result;
   DeployOptions cur = options;
   if (!cur.compile_cache) {
@@ -144,7 +147,7 @@ FallbackResult CompileWithFallback(const graph::Graph& g,
   std::string delta = "requested recipe";
   bool tried_dse = false;
 
-  for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kFallbackMaxAttempts; ++attempt) {
     FallbackAttempt a;
     a.index = attempt;
     a.recipe = cur.recipe.name;

@@ -30,15 +30,6 @@
 
 namespace clflow::core {
 
-/// The ladder memoizes lowering/synthesis across attempts (and the embedded
-/// DSE sweep) through options.compile_cache, or CompileCache::Shared() when
-/// that is null: the rungs of a ladder differ only in one tiling family, so
-/// most kernels are reused.
-struct FallbackPolicy {
-  /// Total compile attempts (the original recipe counts as one).
-  int max_attempts = 6;
-};
-
 /// One rung of the ladder: what was compiled and how it went.
 struct FallbackAttempt {
   int index = 0;
@@ -66,12 +57,16 @@ struct FallbackResult {
   }
 };
 
-/// Compiles `g` with `options`, degrading the recipe per `policy` until a
-/// deployment synthesizes or the ladder is exhausted. Never throws for
-/// fit/route/verify/schedule failures (they become logged attempts);
-/// genuine usage errors (malformed graphs etc.) still propagate.
-[[nodiscard]] FallbackResult CompileWithFallback(
-    const graph::Graph& g, const DeployOptions& options,
-    const FallbackPolicy& policy = {});
+/// Compiles `g` with `options`, degrading the recipe one rung per attempt
+/// until a deployment synthesizes or six attempts (the original recipe
+/// counts as one) are spent. Never
+/// throws for fit/route/verify/schedule failures (they become logged
+/// attempts); genuine usage errors (malformed graphs etc.) still
+/// propagate. The ladder memoizes lowering/synthesis across attempts (and
+/// the embedded DSE sweep) through options.compile_cache, or
+/// CompileCache::Shared() when that is null: the rungs of a ladder differ
+/// only in one tiling family, so most kernels are reused.
+[[nodiscard]] FallbackResult CompileWithFallback(const graph::Graph& g,
+                                                 const DeployOptions& options);
 
 }  // namespace clflow::core

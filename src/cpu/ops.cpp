@@ -650,121 +650,6 @@ Tensor Softmax(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2dWinograd(const Tensor& input, const Tensor& weights,
-                      const Tensor& bias, Activation activation,
-                      int num_threads) {
-  CheckNchw(input, "winograd input");
-  if (weights.shape().rank() != 4 || weights.shape()[2] != 3 ||
-      weights.shape()[3] != 3) {
-    throw ShapeError("winograd requires 3x3 weights");
-  }
-  const std::int64_t c1 = input.shape().channels();
-  const std::int64_t h1 = input.shape().height();
-  const std::int64_t w1 = input.shape().width();
-  const std::int64_t k = weights.shape()[0];
-  if (weights.shape()[1] != c1) throw ShapeError("winograd channel mismatch");
-  const std::int64_t h2 = h1 - 2, w2 = w1 - 2;  // stride 1, pad 0
-  if (h2 <= 0 || w2 <= 0 || h2 % 2 != 0 || w2 % 2 != 0) {
-    throw ShapeError("winograd F(2,3) needs even output extents");
-  }
-  if (bias.defined() && bias.size() != k) {
-    throw ShapeError("winograd bias size mismatch");
-  }
-
-  // Pre-transform all filters: U = G g G^T, with
-  // G = [[1,0,0],[1/2,1/2,1/2],[1/2,-1/2,1/2],[0,0,1]] (4x3).
-  std::vector<float> u(static_cast<std::size_t>(k * c1 * 16));
-  {
-    const auto w = weights.data();
-    for (std::int64_t oc = 0; oc < k; ++oc) {
-      for (std::int64_t ic = 0; ic < c1; ++ic) {
-        const float* g = w.data() + (oc * c1 + ic) * 9;
-        float tmp[4][3];
-        for (int col = 0; col < 3; ++col) {
-          const float g0 = g[col], g1 = g[3 + col], g2 = g[6 + col];
-          tmp[0][col] = g0;
-          tmp[1][col] = 0.5f * (g0 + g1 + g2);
-          tmp[2][col] = 0.5f * (g0 - g1 + g2);
-          tmp[3][col] = g2;
-        }
-        float* uu = u.data() + (oc * c1 + ic) * 16;
-        for (int row = 0; row < 4; ++row) {
-          const float t0 = tmp[row][0], t1 = tmp[row][1], t2 = tmp[row][2];
-          uu[row * 4 + 0] = t0;
-          uu[row * 4 + 1] = 0.5f * (t0 + t1 + t2);
-          uu[row * 4 + 2] = 0.5f * (t0 - t1 + t2);
-          uu[row * 4 + 3] = t2;
-        }
-      }
-    }
-  }
-
-  Tensor out(Shape{1, k, h2, w2});
-  const auto in = input.data();
-  auto o = out.data();
-  const float* b = bias.defined() ? bias.data().data() : nullptr;
-
-  ParallelFor(0, k, num_threads, [&](std::int64_t oc) {
-    for (std::int64_t ty = 0; ty < h2 / 2; ++ty) {
-      for (std::int64_t tx = 0; tx < w2 / 2; ++tx) {
-        // Accumulate the element-wise products in the transform domain
-        // across input channels, then inverse-transform once per tile.
-        float m[16] = {};
-        for (std::int64_t ic = 0; ic < c1; ++ic) {
-          // d = 4x4 input tile at (2*ty, 2*tx).
-          float d[4][4];
-          for (int r = 0; r < 4; ++r) {
-            const float* row =
-                in.data() + (ic * h1 + (2 * ty + r)) * w1 + 2 * tx;
-            d[r][0] = row[0];
-            d[r][1] = row[1];
-            d[r][2] = row[2];
-            d[r][3] = row[3];
-          }
-          // V = B^T d B with B^T = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],
-          //                         [0,1,0,-1]].
-          float bd[4][4];
-          for (int col = 0; col < 4; ++col) {
-            bd[0][col] = d[0][col] - d[2][col];
-            bd[1][col] = d[1][col] + d[2][col];
-            bd[2][col] = -d[1][col] + d[2][col];
-            bd[3][col] = d[1][col] - d[3][col];
-          }
-          float v[16];
-          for (int row = 0; row < 4; ++row) {
-            v[row * 4 + 0] = bd[row][0] - bd[row][2];
-            v[row * 4 + 1] = bd[row][1] + bd[row][2];
-            v[row * 4 + 2] = -bd[row][1] + bd[row][2];
-            v[row * 4 + 3] = bd[row][1] - bd[row][3];
-          }
-          const float* uu = u.data() + (oc * c1 + ic) * 16;
-          for (int i = 0; i < 16; ++i) m[i] += uu[i] * v[i];
-        }
-        // Y = A^T m A with A^T = [[1,1,1,0],[0,1,-1,-1]].
-        float am[2][4];
-        for (int col = 0; col < 4; ++col) {
-          am[0][col] = m[col] + m[4 + col] + m[8 + col];
-          am[1][col] = m[4 + col] - m[8 + col] - m[12 + col];
-        }
-        float y[2][2];
-        for (int row = 0; row < 2; ++row) {
-          y[row][0] = am[row][0] + am[row][1] + am[row][2];
-          y[row][1] = am[row][1] - am[row][2] - am[row][3];
-        }
-        for (int dy = 0; dy < 2; ++dy) {
-          for (int dx = 0; dx < 2; ++dx) {
-            float v = y[dy][dx];
-            if (b != nullptr) v += b[oc];
-            o[(oc * h2 + 2 * ty + dy) * w2 + 2 * tx + dx] =
-                ApplyActivation(activation, v);
-          }
-        }
-      }
-    }
-  });
-  return out;
-}
-
 FoldedBatchNorm FoldBatchNorm(const Tensor& weights, const Tensor& bias,
                               const Tensor& gamma, const Tensor& beta,
                               const Tensor& mean, const Tensor& variance,

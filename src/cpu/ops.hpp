@@ -101,16 +101,6 @@ struct PoolParams {
 /// Numerically stabilized softmax over the last axis of a rank-1/2 tensor.
 [[nodiscard]] Tensor Softmax(const Tensor& input);
 
-/// Winograd F(2x2, 3x3) convolution: computes the same result as Conv2d
-/// for 3x3/stride-1 kernels with 2.25x fewer multiplications (the
-/// transform behind DiCecco et al.'s engine, which the paper compares
-/// against in SS6.6 -- and explains why pointwise convolutions cannot
-/// benefit). Output spatial extents must be even; use Conv2d otherwise.
-[[nodiscard]] Tensor Conv2dWinograd(const Tensor& input,
-                                    const Tensor& weights, const Tensor& bias,
-                                    Activation activation,
-                                    int num_threads = 1);
-
 /// Folds inference-mode batch norm (gamma, beta, mean, var) into
 /// per-output-channel scale/shift applied to conv weights and bias,
 /// returning {folded_weights, folded_bias}. This is how the paper's flow

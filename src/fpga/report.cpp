@@ -6,8 +6,7 @@
 
 namespace clflow::fpga {
 
-std::string WriteFitReport(const Bitstream& bitstream,
-                           const ReportOptions& options) {
+std::string WriteFitReport(const Bitstream& bitstream) {
   std::ostringstream os;
   const BoardSpec& board = bitstream.board;
   os << "=== clflow fit report ===\n";
@@ -58,7 +57,7 @@ std::string WriteFitReport(const Bitstream& bitstream,
     os << table.ToString();
   }
 
-  if (options.lsu_inventory) {
+  {
     os << "\n-- LSU inventory (SS2.4.3 taxonomy) --\n";
     Table table({"Kernel", "Buffer", "Dir", "Type", "Width", "Replicas",
                  "Run"});
@@ -74,7 +73,7 @@ std::string WriteFitReport(const Bitstream& bitstream,
     os << table.ToString();
   }
 
-  if (options.dynamic_estimates && bitstream.ok()) {
+  if (bitstream.ok()) {
     os << "\n-- dynamic estimates (representative bindings) --\n";
     Table table({"Kernel", "Cycles", "Time us", "Read MB", "Write MB"});
     for (const auto& k : bitstream.kernels) {

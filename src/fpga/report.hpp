@@ -14,15 +14,9 @@
 
 namespace clflow::fpga {
 
-struct ReportOptions {
-  /// Include the per-site LSU inventory (the largest section).
-  bool lsu_inventory = true;
-  /// Include per-kernel dynamic estimates (cycles, bytes).
-  bool dynamic_estimates = true;
-};
-
-/// Renders a complete fit report for a synthesized (or failed) bitstream.
-[[nodiscard]] std::string WriteFitReport(const Bitstream& bitstream,
-                                         const ReportOptions& options = {});
+/// Renders a complete fit report for a synthesized (or failed) bitstream:
+/// resource totals, per-kernel area, the per-site LSU inventory and, when
+/// the design synthesized, per-kernel dynamic estimates (cycles, bytes).
+[[nodiscard]] std::string WriteFitReport(const Bitstream& bitstream);
 
 }  // namespace clflow::fpga

@@ -24,6 +24,18 @@ using obs::JsonEscape;
 
 constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
 
+/// Client batches issued per scenario (each checked against the oracle).
+constexpr int kChaosBatchesPerScenario = 3;
+/// Fault specs per scenario are drawn uniformly from [1, kChaosMaxFaults].
+constexpr int kChaosMaxFaults = 3;
+/// Invariant 3: max simulated time a single batch may burn in failed
+/// attempts before completing.
+constexpr SimTime kChaosRecoveryBound = SimTime::Ms(150.0);
+/// Watchdog for the scenario runtimes, kept tight so hang scenarios are
+/// detected in bounded simulated time. It replaces the caller's
+/// DeployOptions::runtime.watchdog_timeout.
+constexpr SimTime kChaosWatchdogTimeout = SimTime::Ms(5.0);
+
 /// Draws one random FaultSpec. `times` is allowed past the retry cap
 /// (max_attempts = 4) so a slice of scenarios is unrecoverable in place
 /// and must fail over.
@@ -184,9 +196,6 @@ ChaosReport RunChaosCampaign(const graph::Graph& g,
                              const core::DeployOptions& base_options,
                              const ChaosOptions& options) {
   CLFLOW_CHECK_MSG(options.scenarios >= 1, "chaos needs >= 1 scenario");
-  CLFLOW_CHECK_MSG(options.batches_per_scenario >= 1,
-                   "chaos needs >= 1 batch per scenario");
-  CLFLOW_CHECK_MSG(options.max_faults >= 1, "chaos needs max_faults >= 1");
 
   // One template compile validates the design (full analysis gate as the
   // caller configured it) and names the kernels faults can target. Every
@@ -214,7 +223,7 @@ ChaosReport RunChaosCampaign(const graph::Graph& g,
   sopts.analysis.verify = false;
   sopts.analysis.lint_source = false;
   sopts.functional_threads = 1;  // determinism at any jobs setting
-  sopts.runtime.watchdog_timeout = options.watchdog_timeout;
+  sopts.runtime.watchdog_timeout = kChaosWatchdogTimeout;
 
   ChaosReport report;
   report.scenarios.resize(static_cast<std::size_t>(options.scenarios));
@@ -225,22 +234,22 @@ ChaosReport RunChaosCampaign(const graph::Graph& g,
         const int i = static_cast<int>(idx);
         ChaosScenario& sc = report.scenarios[static_cast<std::size_t>(i)];
         sc.index = i;
-        sc.batches = options.batches_per_scenario;
+        sc.batches = kChaosBatchesPerScenario;
         // All randomness in the scenario flows from this one seed.
         Rng rng(options.seed ^
                 (kGolden * (static_cast<std::uint64_t>(i) + 1)));
 
-        // Scatter 1..max_faults specs across the replicas.
+        // Scatter 1..kChaosMaxFaults specs across the replicas.
         std::vector<resilience::FaultPlan> plans(
             static_cast<std::size_t>(options.replicas));
         const int num_faults =
             1 + static_cast<int>(
-                    rng.Below(static_cast<std::uint64_t>(options.max_faults)));
+                    rng.Below(static_cast<std::uint64_t>(kChaosMaxFaults)));
         for (int f = 0; f < num_faults; ++f) {
           const auto board =
               rng.Below(static_cast<std::uint64_t>(options.replicas));
           plans[board].specs.push_back(
-              DrawSpec(rng, kernels, options.batches_per_scenario));
+              DrawSpec(rng, kernels, kChaosBatchesPerScenario));
         }
         std::ostringstream desc;
         for (std::size_t b = 0; b < plans.size(); ++b) {
@@ -266,7 +275,7 @@ ChaosReport RunChaosCampaign(const graph::Graph& g,
                        plans[static_cast<std::size_t>(b)]));
           }
 
-          for (int batch = 0; batch < options.batches_per_scenario;
+          for (int batch = 0; batch < kChaosBatchesPerScenario;
                ++batch) {
             const Tensor input = Tensor::Random(in_shape, rng, 0.0f, 1.0f);
             const Tensor expected = graph::Execute(oracle_graph, input, 1);
@@ -284,12 +293,12 @@ ChaosReport RunChaosCampaign(const graph::Graph& g,
               return;
             }
             // Invariant 3: bounded recovery time per batch.
-            if (r.recovery_time > options.recovery_bound) {
+            if (r.recovery_time > kChaosRecoveryBound) {
               sc.outcome = "invariant 3 violated: batch " +
                            std::to_string(batch) + " burned " +
                            std::to_string(r.recovery_time.us()) +
                            "us recovering (bound " +
-                           std::to_string(options.recovery_bound.us()) +
+                           std::to_string(kChaosRecoveryBound.us()) +
                            "us)";
               return;
             }
@@ -302,7 +311,7 @@ ChaosReport RunChaosCampaign(const graph::Graph& g,
           }
 
           // Invariant 2: conservation of batches in the counters.
-          if (rs.batches_requested() != options.batches_per_scenario ||
+          if (rs.batches_requested() != kChaosBatchesPerScenario ||
               rs.batches_completed() != rs.batches_requested()) {
             sc.outcome = "invariant 2 violated: requested " +
                          std::to_string(rs.batches_requested()) +

@@ -10,7 +10,7 @@
 //   2. conservation: no batch is lost or duplicated -- requested ==
 //      completed, and per board dispatched == completed + faults;
 //   3. bounded recovery: the simulated time burned by failed attempts of
-//      any one batch stays under `recovery_bound` (the watchdog converts
+//      any one batch stays under 150 ms (the watchdog converts
 //      hangs into structured faults, so detection cannot be unbounded);
 //   4. observable accounting: the ha.* gauges exported after the scenario
 //      re-derive the same conservation sums (what the operator sees is
@@ -27,28 +27,21 @@
 #include <string>
 #include <vector>
 
-#include "common/sim_time.hpp"
 #include "core/deployment.hpp"
 
 namespace clflow::ha {
 
+/// Every scenario issues 3 client batches (each checked against the
+/// oracle) under 1 to 3 fault specs, runs its replicas with a 5 ms
+/// watchdog, and bounds the failed-attempt time of any one batch at 150 ms
+/// (invariant 3).
 struct ChaosOptions {
   int scenarios = 200;
   std::uint64_t seed = 2021;
   int replicas = 2;
-  /// Client batches issued per scenario (each checked against the oracle).
-  int batches_per_scenario = 3;
-  /// Fault specs per scenario are drawn uniformly from [1, max_faults].
-  int max_faults = 3;
   /// Worker threads running scenarios (results are aggregated in index
   /// order, so the report is identical at any setting).
   int jobs = 1;
-  /// Invariant 3: max simulated time a single batch may burn in failed
-  /// attempts before completing.
-  SimTime recovery_bound = SimTime::Ms(150.0);
-  /// Watchdog for the scenario runtimes (kept tight so hang scenarios are
-  /// detected in bounded simulated time).
-  SimTime watchdog_timeout = SimTime::Ms(5.0);
   /// Per-scenario flight-recorder prefix: scenario i dumps under
   /// "<prefix>s<i>_...". Empty disables dumps (the fast path for tests).
   std::string flightrec_prefix;
@@ -88,7 +81,8 @@ struct ChaosReport {
 /// Runs a chaos campaign for `g`. `base_options` supplies the board /
 /// recipe / cost model; the campaign overrides the analysis gate (the
 /// design is verified once up front), functional threading (forced to 1
-/// for determinism), and the runtime watchdog. Throws clflow::Error when
+/// for determinism), and the runtime watchdog (5 ms, whatever
+/// base_options.runtime.watchdog_timeout says). Throws clflow::Error when
 /// the design itself does not compile.
 [[nodiscard]] ChaosReport RunChaosCampaign(const graph::Graph& g,
                                            const core::DeployOptions& base_options,

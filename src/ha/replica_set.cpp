@@ -1,6 +1,5 @@
 #include "ha/replica_set.hpp"
 
-#include <exception>
 #include <utility>
 
 #include "common/error.hpp"
@@ -20,6 +19,9 @@ std::string_view BoardHealthName(BoardHealth health) {
 }
 
 namespace {
+
+/// Consecutive clean batches that promote a degraded board to healthy.
+constexpr int kPromoteAfter = 2;
 
 std::string BoardTag(int board) {
   return board < 0 ? std::string("fallback")
@@ -126,7 +128,7 @@ void ReplicaSet::OnSuccess(int board, bool clean) {
       // Half-open probe succeeded: the circuit breaker closes.
       st.health = BoardHealth::kHealthy;
     } else if (st.health == BoardHealth::kDegraded &&
-               st.consecutive_ok >= ha_.promote_after) {
+               st.consecutive_ok >= kPromoteAfter) {
       st.health = BoardHealth::kHealthy;
     }
   }
@@ -227,7 +229,6 @@ HaRunResult ReplicaSet::Run(const Tensor& input, bool functional) {
   std::vector<bool> attempted(static_cast<std::size_t>(num_replicas()),
                               false);
   HaRunResult out;
-  std::exception_ptr last_fault;
   for (;;) {
     const int b = PickBoard(attempted);
     if (b < 0) break;
@@ -269,7 +270,6 @@ HaRunResult ReplicaSet::Run(const Tensor& input, bool functional) {
       base = {rt.xfer_retries(), rt.kernel_reruns(), rt.reprograms()};
       ++st.faults;
       ++failovers_;
-      last_fault = std::current_exception();
       out.failed_attempts.push_back({b, e.code(), cost});
       out.recovery_time += cost;
       recovery_time_ += cost;
@@ -296,12 +296,6 @@ HaRunResult ReplicaSet::Run(const Tensor& input, bool functional) {
 
   // Every replica is quarantined or already failed this batch: last-resort
   // graceful degradation to the folded baseline.
-  if (!ha_.allow_fallback) {
-    if (last_fault) std::rethrow_exception(last_fault);
-    throw RuntimeFaultError(
-        std::string(analysis::kAllReplicasDown.id),
-        "all replicas quarantined and HaOptions::allow_fallback is false");
-  }
   core::Deployment& fb = EnsureFallback();
   obs::ScopedSpan span(&telemetry_->tracer, "ha:fallback_run", "ha");
   span.Arg("batch", static_cast<std::int64_t>(batch_id));
@@ -314,34 +308,6 @@ HaRunResult ReplicaSet::Run(const Tensor& input, bool functional) {
   out.used_fallback = true;
   TickCooldowns();
   return out;
-}
-
-void ReplicaSet::Heartbeat(const Tensor& input) {
-  for (int b = 0; b < num_replicas(); ++b) {
-    BoardState& st = boards_[static_cast<std::size_t>(b)];
-    if (st.health == BoardHealth::kQuarantined) continue;
-    ++st.probes;
-    ++st.dispatched;
-    ++attempts_;
-    core::Deployment& dep = replicas_[static_cast<std::size_t>(b)];
-    ocl::Runtime& rt = dep.runtime();
-    RecoveryBaseline& base = baselines_[static_cast<std::size_t>(b)];
-    try {
-      (void)dep.Run(input, /*functional=*/false);
-      const bool clean = rt.xfer_retries() == base.xfer_retries &&
-                         rt.kernel_reruns() == base.kernel_reruns &&
-                         rt.reprograms() == base.reprograms;
-      base = {rt.xfer_retries(), rt.kernel_reruns(), rt.reprograms()};
-      ++st.completed;
-      OnSuccess(b, clean);
-    } catch (const RuntimeFaultError& e) {
-      rt.AbortBatch();
-      base = {rt.xfer_retries(), rt.kernel_reruns(), rt.reprograms()};
-      ++st.faults;
-      OnFault(b, e);
-    }
-  }
-  TickCooldowns();
 }
 
 void ReplicaSet::ExportMetrics(obs::Registry& registry,

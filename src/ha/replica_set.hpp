@@ -7,10 +7,10 @@
 //
 //   * per-board health state machine
 //         healthy -> degraded -> quarantined -> recovering -> healthy
-//     fed by the structured CLF5xx RuntimeFaultError signals, by the
+//     fed by the structured CLF5xx RuntimeFaultError signals and by the
 //     runtime's recovery counters (a batch that survived only via
-//     retries/reruns/reprograms degrades the board), and by heartbeat
-//     probes;
+//     retries/reruns/reprograms degrades the board; two consecutive
+//     clean batches promote it back);
 //   * a per-board circuit breaker: `quarantine_after` consecutive hard
 //     faults open the breaker; after `cooldown_batches` dispatch rounds
 //     the board goes half-open (kRecovering) and the next batch probes it
@@ -55,8 +55,6 @@ struct HaOptions {
   int quarantine_after = 2;
   /// Dispatch rounds a quarantined board sits out before going half-open.
   int cooldown_batches = 8;
-  /// Consecutive clean batches that promote a degraded board to healthy.
-  int promote_after = 2;
   /// Path prefix for per-board flight-recorder postmortems: board i's
   /// escaping faults dump to "<prefix>board<i>_flightrec.json" (sequence-
   /// suffixed after the first) and each quarantine additionally dumps
@@ -64,10 +62,6 @@ struct HaOptions {
   /// Runtime hardening knobs (watchdog, retry caps) come from
   /// DeployOptions::runtime, validated at compile time (CLF507).
   std::string flightrec_prefix;
-  /// Compile the CompileWithFallback folded baseline lazily when every
-  /// replica is quarantined; false makes an all-quarantined batch rethrow
-  /// the last board's fault instead.
-  bool allow_fallback = true;
 };
 
 /// Health/accounting state of one board, exposed for tests and reports.
@@ -80,7 +74,7 @@ struct BoardState {
   std::int64_t completed = 0;  ///< attempts that returned a result
   std::int64_t faults = 0;     ///< attempts that threw a RuntimeFaultError
   std::int64_t quarantines = 0;
-  std::int64_t probes = 0;     ///< half-open + heartbeat probes
+  std::int64_t probes = 0;     ///< half-open probes
 };
 
 /// One failed dispatch attempt inside a Run (for reports and the
@@ -156,14 +150,8 @@ class ReplicaSet {
 
   /// Runs one batch through the dispatcher, failing over across replicas
   /// and degrading to the folded fallback as needed. Throws only when no
-  /// replica can serve and the fallback is disabled or cannot compile.
+  /// replica can serve and the fallback cannot compile.
   [[nodiscard]] HaRunResult Run(const Tensor& input, bool functional = true);
-
-  /// Heartbeat round: issues one timing-only probe batch on every
-  /// non-quarantined board, feeding the same health transitions as client
-  /// batches, and ticks quarantine cooldowns. Cheap (no functional
-  /// execution) and safe to call from a monitoring loop.
-  void Heartbeat(const Tensor& input);
 
   // --- Accounting (the chaos campaign's conservation invariant) -------------
 

@@ -121,34 +121,6 @@ std::string ToString(const Stmt& stmt, int indent) {
   return os.str();
 }
 
-std::string ToString(const Kernel& kernel) {
-  std::ostringstream os;
-  if (kernel.autorun) os << "[autorun] ";
-  os << "kernel " << kernel.name << '(';
-  bool first = true;
-  for (const auto& b : kernel.buffer_args) {
-    if (!first) os << ", ";
-    os << MemScopeName(b->scope) << ' ' << ScalarTypeName(b->dtype) << "* "
-       << b->name;
-    first = false;
-  }
-  for (const auto& v : kernel.scalar_args) {
-    if (!first) os << ", ";
-    os << "int " << v->name;
-    first = false;
-  }
-  os << ") {\n";
-  for (const auto& b : kernel.local_buffers) {
-    os << "  " << MemScopeName(b->scope) << ' ' << ScalarTypeName(b->dtype)
-       << ' ' << b->name;
-    for (const auto& d : b->shape) os << '[' << ToString(d) << ']';
-    os << ";\n";
-  }
-  os << ToString(kernel.body, 1);
-  os << "}\n";
-  return os.str();
-}
-
 void VisitStmts(const Stmt& stmt, const std::function<void(const Stmt&)>& fn) {
   if (!stmt) return;
   fn(stmt);

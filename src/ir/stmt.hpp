@@ -103,9 +103,6 @@ struct Kernel {
 /// Pretty-prints a statement tree with indentation.
 [[nodiscard]] std::string ToString(const Stmt& stmt, int indent = 0);
 
-/// Pretty-prints a whole kernel (header + body).
-[[nodiscard]] std::string ToString(const Kernel& kernel);
-
 /// Visits every statement in the tree (pre-order).
 void VisitStmts(const Stmt& stmt,
                 const std::function<void(const Stmt&)>& fn);

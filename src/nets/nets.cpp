@@ -228,42 +228,6 @@ graph::Graph BuildAlexNet(Rng& rng) {
   return g;
 }
 
-graph::Graph BuildVggA(Rng& rng) {
-  Graph g;
-  g.set_name("vgg_a");
-  NodeId x = g.AddInput(Shape{1, 3, 224, 224});
-
-  // Stage config: channels per stage, one conv per entry.
-  const std::int64_t stages[][2] = {{3, 64},   {64, 128},  {128, 256},
-                                    {256, 256}, {256, 512}, {512, 512},
-                                    {512, 512}, {512, 512}};
-  // Pools after conv 1, 2, 4, 6, 8.
-  const bool pool_after[] = {true, true, false, true, false, true, false,
-                             true};
-  for (int i = 0; i < 8; ++i) {
-    const std::string base = "conv" + std::to_string(i + 1);
-    x = g.AddPad(x, 1, base + "_pad");
-    x = g.AddConv2d(x, ConvWeights(rng, stages[i][1], stages[i][0], 3),
-                    Tensor::Random(Shape{stages[i][1]}, rng, -0.05f, 0.05f),
-                    1, base, Activation::kRelu);
-    if (pool_after[i]) {
-      x = g.AddMaxPool(x, 2, 2, "pool" + std::to_string(i + 1));
-    }
-  }
-  // 512x7x7 -> classifier.
-  x = g.AddFlatten(x, "flatten");  // 25088
-  x = g.AddDense(x, Tensor::HeNormal(Shape{4096, 25088}, rng, 25088),
-                 Tensor::Random(Shape{4096}, rng, -0.05f, 0.05f), "fc6",
-                 Activation::kRelu);
-  x = g.AddDense(x, Tensor::HeNormal(Shape{4096, 4096}, rng, 4096),
-                 Tensor::Random(Shape{4096}, rng, -0.05f, 0.05f), "fc7",
-                 Activation::kRelu);
-  x = g.AddDense(x, Tensor::HeNormal(Shape{1000, 4096}, rng, 4096),
-                 Tensor::Random(Shape{1000}, rng, -0.05f, 0.05f), "fc8");
-  g.AddSoftmax(x, "softmax");
-  return g;
-}
-
 Tensor SyntheticMnistImage(Rng& rng) {
   // A blurred random stroke pattern: deterministic, roughly digit-like
   // statistics (sparse bright strokes on a dark background).

@@ -37,10 +37,6 @@ namespace clflow::nets {
 /// five convolutions, three dense layers. ~61M parameters, ~1.4G FLOPs.
 [[nodiscard]] graph::Graph BuildAlexNet(Rng& rng);
 
-/// VGG-A (VGG-11): DiCecco et al.'s heaviest 3x3-convolution workload.
-/// ~133M parameters, ~15G FLOPs.
-[[nodiscard]] graph::Graph BuildVggA(Rng& rng);
-
 /// A synthetic "MNIST-like" input batch: deterministic pseudo-digit
 /// images in [0,1], shape [1,1,28,28].
 [[nodiscard]] Tensor SyntheticMnistImage(Rng& rng);

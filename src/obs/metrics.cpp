@@ -30,11 +30,6 @@ void Gauge::Set(double value) {
   value_ = value;
 }
 
-void Gauge::Add(double delta) {
-  std::lock_guard lock(mu_);
-  value_ += delta;
-}
-
 double Gauge::value() const {
   std::lock_guard lock(mu_);
   return value_;
@@ -78,51 +73,9 @@ void Histogram::set_window(std::size_t n) {
   }
 }
 
-std::size_t Histogram::window() const {
-  std::lock_guard lock(mu_);
-  return window_;
-}
-
 std::vector<double> Histogram::window_samples() const {
   std::lock_guard lock(mu_);
   return {samples_.begin(), samples_.end()};
-}
-
-void Histogram::MergeFrom(const Histogram& other) {
-  std::vector<double> other_samples;
-  LogHistogram other_buckets;
-  bool other_retained = false;
-  {
-    std::lock_guard lock(other.mu_);
-    other_retained = other.retain_samples_;
-    if (other_retained) {
-      other_samples.assign(other.samples_.begin(), other.samples_.end());
-    } else {
-      other_buckets = other.buckets_;
-    }
-  }
-  std::lock_guard lock(mu_);
-  if (retain_samples_) {
-    // Retained targets only absorb retained sources (a bucketed source
-    // has no samples to replay); mixed merges go the other way.
-    for (double v : other_samples) {
-      samples_.push_back(v);
-      if (window_ > 0 && samples_.size() > window_) samples_.pop_front();
-    }
-  } else if (other_retained) {
-    for (double v : other_samples) buckets_.Observe(v);
-  } else {
-    buckets_.MergeFrom(other_buckets);
-  }
-}
-
-std::uint64_t Histogram::Digest() const {
-  std::lock_guard lock(mu_);
-  if (!retain_samples_) return buckets_.Digest();
-  common::Fnv f;
-  f.U64(samples_.size());
-  for (double v : samples_) f.F64(v);
-  return f.h;
 }
 
 LogHistogram Histogram::log_buckets() const {
@@ -246,17 +199,6 @@ std::string LabelsJson(const Labels& labels) {
   return out + "}";
 }
 
-std::string LabelsCsv(const Labels& labels) {
-  std::string out;
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ";";
-    first = false;
-    out += k + "=" + v;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string Registry::ToJson() const {
@@ -316,46 +258,6 @@ std::string Registry::ToJson() const {
     os << "]}";
   }
   os << "]}";
-  return os.str();
-}
-
-std::string Registry::ToCsv() const {
-  std::lock_guard lock(mu_);
-  std::ostringstream os;
-  os << "kind,name,labels,stat,value\n";
-  for (const auto& [key, e] : counters_) {
-    os << "counter," << e.name << "," << LabelsCsv(e.labels) << ",value,"
-       << JsonNum(e.metric->value()) << "\n";
-  }
-  for (const auto& [key, e] : gauges_) {
-    os << "gauge," << e.name << "," << LabelsCsv(e.labels) << ",value,"
-       << JsonNum(e.metric->value()) << "\n";
-  }
-  for (const auto& [key, e] : histograms_) {
-    const Histogram::Snapshot s = e.metric->snapshot();
-    const std::string prefix =
-        "histogram," + e.name + "," + LabelsCsv(e.labels) + ",";
-    os << prefix << "count," << s.count << "\n";
-    os << prefix << "sum," << JsonNum(s.sum) << "\n";
-    os << prefix << "min," << JsonNum(s.min) << "\n";
-    os << prefix << "max," << JsonNum(s.max) << "\n";
-    os << prefix << "p50," << JsonNum(s.p50) << "\n";
-    os << prefix << "p95," << JsonNum(s.p95) << "\n";
-    os << prefix << "p99," << JsonNum(s.p99) << "\n";
-  }
-  for (const auto& [key, e] : series_) {
-    const TimeSeries& ts = *e.metric;
-    const std::string prefix =
-        std::string("series,") + e.name + "," + LabelsCsv(e.labels) + ",";
-    os << prefix << "total," << JsonNum(ts.Total()) << "\n";
-    os << prefix << "windows,"
-       << (ts.has_data() ? ts.last_index() - ts.base_index() + 1 : 0)
-       << "\n";
-    os << prefix << "rate_per_s,"
-       << JsonNum(ts.RateOver(ts.spec().resolution *
-                              static_cast<std::int64_t>(ts.spec().windows)))
-       << "\n";
-  }
   return os.str();
 }
 
@@ -516,20 +418,6 @@ Table Registry::SummaryTable() const {
     table.AddRow({key, "series", Table::Num(value, 2), "", "", "", ""});
   }
   return table;
-}
-
-void Registry::Clear() {
-  std::lock_guard lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  series_.clear();
-}
-
-bool Registry::empty() const {
-  std::lock_guard lock(mu_);
-  return counters_.empty() && gauges_.empty() && histograms_.empty() &&
-         series_.empty();
 }
 
 Registry& Registry::Default() {

@@ -59,7 +59,6 @@ class Counter {
 class Gauge {
  public:
   void Set(double value);
-  void Add(double delta);
   [[nodiscard]] double value() const;
 
  private:
@@ -101,20 +100,10 @@ class Histogram {
   /// sample for every percentile in JSON, CSV, and the summary table
   /// alike. `n` = 0 keeps sample retention without a bound.
   void set_window(std::size_t n);
-  [[nodiscard]] std::size_t window() const;
 
   /// Copy of the currently retained samples, oldest first (empty in the
   /// default log-bucketed mode).
   [[nodiscard]] std::vector<double> window_samples() const;
-
-  /// Merges another histogram recorded in the same mode (bucketed adds
-  /// bucket counts; retained appends samples, then trims to the window).
-  /// Deterministic when shards merge in a fixed order.
-  void MergeFrom(const Histogram& other);
-
-  /// Integer-state FNV digest (bucket counts, or sample bit patterns in
-  /// retained mode) for determinism tests.
-  [[nodiscard]] std::uint64_t Digest() const;
 
   /// The underlying buckets (meaningful in the default bucketed mode);
   /// exposed for quantile-drift gates in tests.
@@ -162,10 +151,6 @@ class Registry {
   ///             windows:[{index,start_us,value,count}...]}...]}
   [[nodiscard]] std::string ToJson() const;
 
-  /// kind,name,labels,stat,value rows (histograms expand to one row per
-  /// statistic; series contribute total/rate_per_s/windows rows).
-  [[nodiscard]] std::string ToCsv() const;
-
   /// Prometheus text exposition format (version 0.0.4): one `# TYPE`
   /// header per metric name, counters/gauges as single samples, histograms
   /// as summaries (quantile series plus _sum/_count), time series as a
@@ -177,9 +162,6 @@ class Registry {
 
   /// Human-readable summary, one instrument per row.
   [[nodiscard]] Table SummaryTable() const;
-
-  void Clear();
-  [[nodiscard]] bool empty() const;
 
   /// Process-wide fallback registry.
   [[nodiscard]] static Registry& Default();

@@ -17,12 +17,6 @@ std::int64_t Tracer::NowUs() const {
       .count();
 }
 
-void Tracer::Clear() {
-  std::lock_guard lock(mu_);
-  spans_.clear();
-  depth_ = 0;
-}
-
 Tracer* Tracer::Current() { return detail::g_current_tracer; }
 
 std::size_t Tracer::Open(std::string name, std::string category) {
@@ -61,10 +55,6 @@ ScopedSpan::~ScopedSpan() {
 
 void ScopedSpan::Arg(const std::string& key, std::string value) {
   if (tracer_ != nullptr) tracer_->AddArg(index_, key, std::move(value));
-}
-
-void ScopedSpan::Arg(const std::string& key, double value) {
-  if (tracer_ != nullptr) tracer_->AddArg(index_, key, JsonNum(value));
 }
 
 void ScopedSpan::Arg(const std::string& key, std::int64_t value) {

@@ -49,7 +49,6 @@ class Tracer {
   [[nodiscard]] const std::vector<SpanRecord>& spans() const {
     return spans_;
   }
-  void Clear();
 
   /// The tracer ScopedSpan records into on this thread (innermost
   /// ScopedTelemetry's), or null when none is installed.
@@ -83,7 +82,6 @@ class ScopedSpan {
   ~ScopedSpan();
 
   void Arg(const std::string& key, std::string value);
-  void Arg(const std::string& key, double value);
   void Arg(const std::string& key, std::int64_t value);
 
  private:

@@ -66,25 +66,6 @@ void LogHistogram::Add(std::int32_t index, std::int64_t n) {
 
 void LogHistogram::Clear() { *this = LogHistogram(); }
 
-void LogHistogram::MergeFrom(const LogHistogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  zero_count_ += other.zero_count_;
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    if (other.buckets_[i] != 0) {
-      Add(other.lo_ + static_cast<std::int32_t>(i), other.buckets_[i]);
-    }
-  }
-}
-
 double LogHistogram::Quantile(double q) const {
   if (count_ == 0) return 0.0;
   const auto n = static_cast<double>(count_);
@@ -108,18 +89,6 @@ double LogHistogram::Quantile(double q) const {
 
 std::size_t LogHistogram::bucket_count() const {
   return used_ + (zero_count_ > 0 ? 1 : 0);
-}
-
-std::uint64_t LogHistogram::Digest() const {
-  common::Fnv f;
-  f.U64(static_cast<std::uint64_t>(count_));
-  f.U64(static_cast<std::uint64_t>(zero_count_));
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    f.I64(lo_ + static_cast<std::int64_t>(i));
-    f.U64(static_cast<std::uint64_t>(buckets_[i]));
-  }
-  return f.h;
 }
 
 // ---------------------------------------------------------------------------
@@ -193,17 +162,6 @@ std::vector<TimeSeries::Window> TimeSeries::Windows() const {
 
 double TimeSeries::Total() const { return total_; }
 
-double TimeSeries::SumOverLast(std::size_t k) const {
-  if (!has_data() || k == 0) return 0.0;
-  const std::int64_t first = std::max(
-      base_index_, last_index_ - static_cast<std::int64_t>(k) + 1);
-  double total = 0.0;
-  for (std::int64_t i = first; i <= last_index_; ++i) {
-    total += values_[Slot(i)];
-  }
-  return total;
-}
-
 double TimeSeries::SumOverRange(std::int64_t first, std::int64_t last) const {
   if (!has_data()) return 0.0;
   first = std::max(first, base_index_);
@@ -238,57 +196,6 @@ double TimeSeries::ValueAt(SimTime t) const {
     if (counts_[Slot(index)] > 0) return values_[Slot(index)];
   }
   return 0.0;
-}
-
-void TimeSeries::MergeFrom(const TimeSeries& other) {
-  if (!other.has_data()) return;
-  dropped_late_ += other.dropped_late_;
-  if (kind_ == Kind::kCounter) total_ += other.total_;
-  for (std::int64_t i = other.base_index_; i <= other.last_index_; ++i) {
-    const std::size_t oslot = other.Slot(i);
-    if (other.counts_[oslot] == 0) {
-      // Still advance: an empty window observed by a shard is part of the
-      // merged timeline (keeps clock-jump gaps identical to serial runs).
-      if (!(has_data() && i < base_index_)) AdvanceTo(i);
-      continue;
-    }
-    if (has_data() && i < base_index_) {
-      dropped_late_ += other.counts_[oslot];
-      continue;
-    }
-    AdvanceTo(i);
-    const std::size_t slot = Slot(i);
-    if (kind_ == Kind::kCounter) {
-      values_[slot] += other.values_[oslot];
-    } else {
-      values_[slot] = other.values_[oslot];
-    }
-    counts_[slot] += other.counts_[oslot];
-  }
-}
-
-std::uint64_t TimeSeries::Digest() const {
-  common::Fnv f;
-  f.I64(spec_.resolution.ps());
-  f.U64(spec_.windows);
-  if (!has_data()) return f.h;
-  for (std::int64_t i = base_index_; i <= last_index_; ++i) {
-    const std::size_t slot = Slot(i);
-    f.I64(i);
-    f.U64(static_cast<std::uint64_t>(counts_[slot]));
-    f.F64(values_[slot]);
-  }
-  f.U64(static_cast<std::uint64_t>(dropped_late_));
-  return f.h;
-}
-
-void TimeSeries::Clear() {
-  std::fill(values_.begin(), values_.end(), 0.0);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  base_index_ = 0;
-  last_index_ = -1;
-  dropped_late_ = 0;
-  total_ = 0.0;
 }
 
 const char* TimeSeriesKindName(TimeSeries::Kind kind) {

@@ -46,7 +46,7 @@ struct WindowSpec {
 };
 
 /// Bounded-memory value distribution over logarithmic buckets.
-/// Not thread-safe: shard locally, MergeFrom in shard order.
+/// Not thread-safe.
 class LogHistogram {
  public:
   /// Bucket width ratio. Quantile error ≤ √kGrowth − 1 (< 1%).
@@ -54,11 +54,6 @@ class LogHistogram {
 
   void Observe(double value);
   void Clear();
-
-  /// Adds `other`'s buckets into this one. Count/min/max merge exactly;
-  /// sum is floating-point and depends on merge order, so deterministic
-  /// pipelines must merge shards in a fixed order.
-  void MergeFrom(const LogHistogram& other);
 
   [[nodiscard]] std::int64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
@@ -75,11 +70,6 @@ class LogHistogram {
 
   /// Distinct buckets in use (the memory bound).
   [[nodiscard]] std::size_t bucket_count() const;
-
-  /// FNV-1a over (bucket index, count) pairs in ascending index order
-  /// plus the zero-bucket and total counts. Integer-only, so equal for
-  /// any sharding merged in a fixed order.
-  [[nodiscard]] std::uint64_t Digest() const;
 
  private:
   static std::int32_t BucketIndex(double v);
@@ -100,7 +90,7 @@ class LogHistogram {
 };
 
 /// Ring-buffer of fixed-resolution windows on the simulated clock.
-/// Not thread-safe: shard locally, MergeFrom in shard order.
+/// Not thread-safe.
 class TimeSeries {
  public:
   enum class Kind { kCounter, kGauge };
@@ -143,10 +133,6 @@ class TimeSeries {
   /// Monotone, so a Prometheus `_total` derived from it never decreases.
   [[nodiscard]] double Total() const;
 
-  /// Counter sum over the most recent `k` retained windows (all when
-  /// fewer are retained).
-  [[nodiscard]] double SumOverLast(std::size_t k) const;
-
   /// Counter sum over the absolute window range [first, last]; windows
   /// outside the retained span contribute 0. Lets two series recorded on
   /// the same clock be compared over one horizon even when one of them
@@ -162,19 +148,6 @@ class TimeSeries {
   /// Gauge value at `t`: the last value recorded in the window of `t` or
   /// the nearest earlier non-empty window (0 before any record).
   [[nodiscard]] double ValueAt(SimTime t) const;
-
-  /// Merges a shard-local series recorded with the same spec/kind.
-  /// Counters add per-window; for gauges the record from the later
-  /// shard wins within a window (callers merge shards in shard order, so
-  /// this is deterministic). Window alignment follows the merged ring.
-  void MergeFrom(const TimeSeries& other);
-
-  /// FNV-1a over (index, count, value-bits) per retained window. Values
-  /// recorded serially (or integer-valued counters merged in shard
-  /// order) digest identically at any thread count.
-  [[nodiscard]] std::uint64_t Digest() const;
-
-  void Clear();
 
  private:
   [[nodiscard]] std::size_t Slot(std::int64_t index) const {

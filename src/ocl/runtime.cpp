@@ -76,22 +76,6 @@ Runtime::Runtime(fpga::Bitstream bitstream, fpga::CostModel cost_model,
   kernel_usage_.resize(bitstream_.kernels.size());
 }
 
-void Runtime::set_retry_policy(const resilience::RetryPolicy& policy) {
-  RuntimeOptions probe;
-  probe.retry = policy;
-  probe.watchdog_timeout = watchdog_timeout_;
-  ValidateRuntimeOptions(probe);
-  retry_policy_ = policy;
-}
-
-void Runtime::set_watchdog_timeout(SimTime timeout) {
-  RuntimeOptions probe;
-  probe.retry = retry_policy_;
-  probe.watchdog_timeout = timeout;
-  ValidateRuntimeOptions(probe);
-  watchdog_timeout_ = timeout;
-}
-
 BufferPtr Runtime::CreateBuffer(std::int64_t num_floats) {
   return std::make_shared<Buffer>(num_floats);
 }
@@ -547,12 +531,6 @@ std::map<std::string, SimTime> Runtime::channel_stall() const {
   return stalls;
 }
 
-SimTime Runtime::total_channel_stall() const {
-  SimTime total;
-  for (const auto& [_, t] : channel_stall()) total += t;
-  return total;
-}
-
 std::map<std::string, Runtime::KernelUsage> Runtime::kernel_usage() const {
   std::map<std::string, KernelUsage> usage;
   for (std::size_t k = 0; k < kernel_usage_.size(); ++k) {
@@ -608,8 +586,8 @@ void Runtime::ExportMetrics(obs::Registry& registry,
         .Set(static_cast<double>(usage.invocations));
   }
   // Event-duration quantiles come from the runtime-owned log-bucketed
-  // histogram; exporting them as gauges (not MergeFrom into a registry
-  // histogram) keeps repeated exports idempotent.
+  // histogram; exporting them as gauges (not observations into a
+  // registry histogram) keeps repeated exports idempotent.
   if (const obs::Histogram::Snapshot ev = event_duration_us_.snapshot();
       ev.count > 0) {
     registry.gauge("ocl.event.duration_p50_us", base_labels).Set(ev.p50);

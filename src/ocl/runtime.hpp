@@ -148,17 +148,10 @@ class Runtime {
     return injector_;
   }
 
-  /// Retry/backoff/reprogram parameters for fault recovery. Validated as
-  /// in ValidateRuntimeOptions (throws CLF507 on non-positive knobs).
-  void set_retry_policy(const resilience::RetryPolicy& policy);
+  /// The RuntimeOptions the runtime was constructed with.
   [[nodiscard]] const resilience::RetryPolicy& retry_policy() const {
     return retry_policy_;
   }
-
-  /// Simulated-time bound the watchdog charges to a kernel blocked on a
-  /// channel whose writer never arrives before declaring deadlock.
-  /// Validated: a timeout <= 0 throws CLF507.
-  void set_watchdog_timeout(SimTime timeout);
   [[nodiscard]] SimTime watchdog_timeout() const { return watchdog_timeout_; }
 
   /// Recovery counters, accumulated across batches.
@@ -258,7 +251,6 @@ class Runtime {
   /// (for autorun kernels: time from batch start until the channel's data
   /// arrived). Built on each call.
   [[nodiscard]] std::map<std::string, SimTime> channel_stall() const;
-  [[nodiscard]] SimTime total_channel_stall() const;
 
   [[nodiscard]] std::int64_t bytes_h2d() const { return bytes_h2d_; }
   [[nodiscard]] std::int64_t bytes_d2h() const { return bytes_d2h_; }

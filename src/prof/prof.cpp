@@ -212,8 +212,7 @@ Profile AttributeEvents(const core::Deployment& d,
 
 }  // namespace
 
-Profile BuildProfile(core::Deployment& d, const Tensor& input,
-                     const ProfileOptions& /*opts*/) {
+Profile BuildProfile(core::Deployment& d, const Tensor& input) {
   ocl::Runtime& rt = d.runtime();
   const int nq = rt.num_queues();
   std::vector<ocl::Runtime::QueueUsage> before;
@@ -232,10 +231,13 @@ Profile BuildProfile(core::Deployment& d, const Tensor& input,
   return AttributeEvents(d, rt.event_pool(), r.latency.us(), busy, idle);
 }
 
-void EmitDiagnostics(const Profile& p, analysis::DiagnosticEngine& diags,
-                     const ProfileOptions& opts) {
+void EmitDiagnostics(const Profile& p, analysis::DiagnosticEngine& diags) {
+  // |observed/predicted - 1| beyond this flags CLF601 per kernel.
+  constexpr double kDriftTolerance = 0.10;
+  // (queue idle + launch overhead) / makespan beyond this flags CLF603.
+  constexpr double kOverheadFraction = 0.60;
   for (const auto& kp : p.kernels) {
-    if (kp.predicted_us <= 0 || std::abs(kp.drift) <= opts.drift_tolerance) {
+    if (kp.predicted_us <= 0 || std::abs(kp.drift) <= kDriftTolerance) {
       continue;
     }
     std::ostringstream os;
@@ -267,7 +269,7 @@ void EmitDiagnostics(const Profile& p, analysis::DiagnosticEngine& diags,
     for (const auto& q : p.queues) idle += q.idle_us;
     const double frac =
         idle / (p.makespan_us * static_cast<double>(p.queues.size()));
-    if (frac > opts.overhead_fraction) {
+    if (frac > kOverheadFraction) {
       std::ostringstream os;
       os.precision(3);
       os << "queues sit idle " << frac * 100.0

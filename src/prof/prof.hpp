@@ -133,22 +133,14 @@ struct Profile {
   double conservation_error_us = 0.0;
 };
 
-struct ProfileOptions {
-  /// |observed/predicted - 1| beyond this flags CLF601 per kernel.
-  double drift_tolerance = 0.10;
-  /// (queue idle + launch overhead) / makespan beyond this flags CLF603.
-  double overhead_fraction = 0.60;
-};
-
 /// Runs one timing-only inference on `d` (clearing prior events) and
 /// attributes the resulting event stream. Throws when !d.ok().
-[[nodiscard]] Profile BuildProfile(core::Deployment& d, const Tensor& input,
-                                   const ProfileOptions& opts = {});
+[[nodiscard]] Profile BuildProfile(core::Deployment& d, const Tensor& input);
 
 /// Reports the profile's CLF6xx findings into `diags`: CLF601 per
-/// drifting kernel, CLF602 on a broken conservation/matching invariant,
-/// CLF603 when overhead dominates the makespan.
-void EmitDiagnostics(const Profile& p, analysis::DiagnosticEngine& diags,
-                     const ProfileOptions& opts = {});
+/// kernel drifting more than 10% from its predicted time, CLF602 on a
+/// broken conservation/matching invariant, CLF603 when the host queues
+/// sit idle more than 60% of the makespan.
+void EmitDiagnostics(const Profile& p, analysis::DiagnosticEngine& diags);
 
 }  // namespace clflow::prof

@@ -333,12 +333,6 @@ QuantizedGraph QuantizedGraph::Calibrate(const graph::Graph& fused,
   return q;
 }
 
-float QuantizedGraph::activation_scale(graph::NodeId id) const {
-  auto it = act_scales_.find(id);
-  CLFLOW_CHECK_MSG(it != act_scales_.end(), "no scale for node");
-  return it->second;
-}
-
 std::int64_t QuantizedGraph::parameter_bytes() const {
   std::int64_t bytes = 0;
   for (const auto& [id, w] : weights_) {

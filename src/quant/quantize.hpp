@@ -101,7 +101,6 @@ class QuantizedGraph {
                                int num_threads = 1) const;
 
   [[nodiscard]] const graph::Graph& graph() const { return *graph_; }
-  [[nodiscard]] float activation_scale(graph::NodeId id) const;
   /// Total int8 parameter bytes (vs 4x that in float).
   [[nodiscard]] std::int64_t parameter_bytes() const;
 

@@ -1,6 +1,8 @@
 #include "resilience/fault.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -54,12 +56,20 @@ FaultSpec ParseFaultSpec(const std::string& spec) {
     throw Error("empty fault spec");
   }
 
-  auto to_int = [&spec](const std::string& s) -> std::int64_t {
-    try {
-      return std::stoll(s);
-    } catch (const std::exception&) {
+  // Every numeric field must be consumed whole and fit its target type:
+  // "1x", "0.5abc" and an index past int64 are typos, not specs.
+  auto to_int = [&spec](const std::string& s, std::int64_t lo,
+                        std::int64_t hi, const char* what) {
+    std::int64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || end != s.data() + s.size()) {
       throw Error("fault spec '" + spec + "': '" + s + "' is not an integer");
     }
+    if (v < lo || v > hi) {
+      throw Error("fault spec '" + spec + "': " + what + " must be in [" +
+                  std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return v;
   };
 
   FaultSpec f;
@@ -69,10 +79,11 @@ FaultSpec ParseFaultSpec(const std::string& spec) {
       throw Error("fault spec '" + spec + "': expected fmax-droop:<factor>");
     }
     f.kind = FaultKind::kFmaxDroop;
-    try {
-      f.factor = std::stod(parts[1]);
-    } catch (const std::exception&) {
-      throw Error("fault spec '" + spec + "': bad factor '" + parts[1] + "'");
+    const std::string& text = parts[1];
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), f.factor);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      throw Error("fault spec '" + spec + "': bad factor '" + text + "'");
     }
     if (!(f.factor > 0.0) || f.factor > 1.0) {
       throw Error("fault spec '" + spec + "': factor must be in (0, 1]");
@@ -91,9 +102,12 @@ FaultSpec ParseFaultSpec(const std::string& spec) {
     f.kind = kind == "hang"      ? FaultKind::kKernelHang
              : kind == "corrupt" ? FaultKind::kKernelCorrupt
                                  : FaultKind::kDeviceReset;
-    if (parts.size() < 2 || parts[1].empty()) {
+    // Only a corruption repeats: hang and reset take no `times`.
+    const std::size_t max_fields = kind == "corrupt" ? 4 : 3;
+    if (parts.size() < 2 || parts[1].empty() || parts.size() > max_fields) {
       throw Error("fault spec '" + spec + "': expected " + kind +
-                  ":<kernel>[:index]");
+                  (kind == "corrupt" ? ":<kernel>[:index[:times]]"
+                                     : ":<kernel>[:index]"));
     }
   } else {
     throw Error("fault spec '" + spec + "': unknown kind '" + kind + "'");
@@ -102,12 +116,13 @@ FaultSpec ParseFaultSpec(const std::string& spec) {
     throw Error("fault spec '" + spec + "': too many fields");
   }
   f.target = parts[1];
-  if (parts.size() > 2) f.index = to_int(parts[2]);
+  if (parts.size() > 2) {
+    f.index = to_int(parts[2], 0, std::numeric_limits<std::int64_t>::max(),
+                     "index");
+  }
   if (parts.size() > 3) {
-    f.times = static_cast<int>(to_int(parts[3]));
-    if (f.times < 1) {
-      throw Error("fault spec '" + spec + "': times must be >= 1");
-    }
+    f.times = static_cast<int>(
+        to_int(parts[3], 1, std::numeric_limits<int>::max(), "times"));
   }
   return f;
 }

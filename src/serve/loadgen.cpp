@@ -43,39 +43,48 @@ void Distribute(obs::TimeSeries& series, SimTime from, SimTime to) {
   }
 }
 
+/// The fixed trace shape: a bursty trace runs at kBurstFactor x the mean
+/// rate for the first kBurstDuty of every kBurstPeriodWindows windows; a
+/// ramp trace rises linearly to kRampFactor x by its last request; a
+/// request is good within kSloHeadroom x the base service time.
+constexpr double kBurstFactor = 4.0;
+constexpr double kBurstDuty = 0.25;
+constexpr int kBurstPeriodWindows = 8;
+constexpr double kRampFactor = 3.0;
+constexpr double kSloHeadroom = 3.0;
+
+void CheckOptions(const LoadgenOptions& options) {
+  if (!std::isfinite(options.utilization) || options.utilization <= 0.0) {
+    throw Error("LoadgenOptions::utilization must be finite and > 0 (got " +
+                std::to_string(options.utilization) + ")");
+  }
+}
+
 /// The campaign core, shared by both targets. `serve_one` runs one batch
 /// and reports its simulated cost; `sample_boards` (optional) records
 /// per-board state after each completion.
 LoadgenReport RunCampaign(
-    const LoadgenOptions& opts_in, const std::string& target_name,
+    const LoadgenOptions& options, const std::string& target_name,
     SimTime base_service,
     const std::function<Served()>& serve_one,
     const std::function<void(obs::Registry&, const obs::WindowSpec&,
                              SimTime)>& sample_boards) {
   LoadgenReport report;
-  report.options = opts_in;
+  report.options = options;
   report.target = target_name;
   report.base_service = std::max(base_service, SimTime::Ps(1));
-  LoadgenOptions& opts = report.options;
-
-  if (opts.requests < 1) opts.requests = 1;
-  if (opts.rate_rps <= 0.0) {
-    opts.rate_rps = opts.utilization / report.base_service.seconds();
-  }
-  report.objective =
-      SimTime::Us(opts.slo_headroom * report.base_service.us());
-  if (opts.auto_window) {
-    // Aim for roughly half the ring over the expected arrival span so
-    // bursts and the queueing tail still fit before eviction.
-    const double span_s =
-        static_cast<double>(opts.requests) / opts.rate_rps;
-    const double target_windows =
-        static_cast<double>(std::max<std::size_t>(opts.window.windows, 2)) /
-        2.0;
-    opts.window.resolution = std::max(
-        SimTime::Seconds(span_s / target_windows), SimTime::Us(1.0));
-  }
-  const obs::WindowSpec ws = opts.window;
+  const int requests = std::max(options.requests, 1);
+  report.rate_rps = options.utilization / report.base_service.seconds();
+  report.objective = SimTime::Us(kSloHeadroom * report.base_service.us());
+  // Aim for roughly half the ring over the expected arrival span so
+  // bursts and the queueing tail still fit before eviction.
+  obs::WindowSpec ws;
+  const double span_s = static_cast<double>(requests) / report.rate_rps;
+  ws.resolution =
+      std::max(SimTime::Seconds(span_s / (static_cast<double>(ws.windows) /
+                                          2.0)),
+               SimTime::Us(1.0));
+  report.resolution = ws.resolution;
 
   report.metrics = std::make_shared<obs::Registry>();
   obs::Registry& reg = *report.metrics;
@@ -97,22 +106,20 @@ LoadgenReport RunCampaign(
   // Open-loop arrivals: the trace never waits for the server. The rate
   // is modulated per the shape; exponential gaps come from the seeded
   // stream, rounded to integer picoseconds (the digest's domain).
-  Rng rng(opts.seed);
-  const double period_us =
-      ws.resolution.us() * std::max(opts.burst_period_windows, 1);
-  const double burst_us = period_us * std::clamp(opts.burst_duty, 0.0, 1.0);
+  Rng rng(options.seed);
+  const double period_us = ws.resolution.us() * kBurstPeriodWindows;
+  const double burst_us = period_us * kBurstDuty;
   auto rate_at = [&](SimTime t, int index) {
-    double rate = opts.rate_rps;
-    if (opts.shape == TraceShape::kBursty) {
+    double rate = report.rate_rps;
+    if (options.shape == TraceShape::kBursty) {
       const double phase = std::fmod(t.us(), period_us);
-      if (phase < burst_us) rate *= std::max(opts.burst_factor, 1e-9);
-    } else if (opts.shape == TraceShape::kRamp) {
+      if (phase < burst_us) rate *= kBurstFactor;
+    } else if (options.shape == TraceShape::kRamp) {
       const double frac =
-          opts.requests > 1
-              ? static_cast<double>(index) /
-                    static_cast<double>(opts.requests - 1)
-              : 0.0;
-      rate *= 1.0 + (opts.ramp_factor - 1.0) * frac;
+          requests > 1 ? static_cast<double>(index) /
+                             static_cast<double>(requests - 1)
+                       : 0.0;
+      rate *= 1.0 + (kRampFactor - 1.0) * frac;
     }
     return rate;
   };
@@ -120,10 +127,10 @@ LoadgenReport RunCampaign(
   SimTime arrival = kSimTimeZero;
   SimTime server_free = kSimTimeZero;
   std::vector<SimTime> done_times;  // FIFO: monotone completion times
-  done_times.reserve(static_cast<std::size_t>(opts.requests));
+  done_times.reserve(static_cast<std::size_t>(requests));
   common::Fnv digest;
 
-  for (int i = 0; i < opts.requests; ++i) {
+  for (int i = 0; i < requests; ++i) {
     const double rate = rate_at(arrival, i);
     const double u = rng.NextDouble();
     const double gap_s = -std::log(1.0 - u) / rate;
@@ -202,11 +209,11 @@ LoadgenReport RunCampaign(
   const SimTime completion_span = report.requests.back().completion;
   report.offered_rps =
       arrival_span > kSimTimeZero
-          ? static_cast<double>(opts.requests) / arrival_span.seconds()
+          ? static_cast<double>(requests) / arrival_span.seconds()
           : 0.0;
   report.achieved_rps =
       completion_span > kSimTimeZero
-          ? static_cast<double>(opts.requests) / completion_span.seconds()
+          ? static_cast<double>(requests) / completion_span.seconds()
           : 0.0;
   report.goodput = static_cast<double>(good) /
                    static_cast<double>(report.requests.size());
@@ -223,15 +230,16 @@ LoadgenReport RunCampaign(
 
 LoadgenReport RunLoadCampaign(core::Deployment& target, const Tensor& input,
                               const LoadgenOptions& options) {
+  CheckOptions(options);
   // Calibrate the base service time with one warmup batch (also pays the
   // first-fill pipeline charge so steady-state requests are uniform).
-  const SimTime base = target.Run(input, options.functional).latency;
+  const SimTime base = target.Run(input, /*functional=*/false).latency;
   return RunCampaign(
       options, "deployment", base,
       [&]() {
         Served s;
         try {
-          s.service = target.Run(input, options.functional).latency;
+          s.service = target.Run(input, /*functional=*/false).latency;
         } catch (const Error&) {
           s.ok = false;
           s.service = base;
@@ -243,7 +251,8 @@ LoadgenReport RunLoadCampaign(core::Deployment& target, const Tensor& input,
 
 LoadgenReport RunLoadCampaign(ha::ReplicaSet& target, const Tensor& input,
                               const LoadgenOptions& options) {
-  const SimTime base = target.Run(input, options.functional).latency;
+  CheckOptions(options);
+  const SimTime base = target.Run(input, /*functional=*/false).latency;
   // Each board's ha.board.state series, resolved at the first sample.
   std::vector<obs::TimeSeries*> board_state;
   auto sample_boards = [&target, &board_state](obs::Registry& reg,
@@ -273,7 +282,7 @@ LoadgenReport RunLoadCampaign(ha::ReplicaSet& target, const Tensor& input,
         if (target.fallback()) target.fallback()->runtime().ClearEvents();
         Served s;
         try {
-          const ha::HaRunResult r = target.Run(input, options.functional);
+          const ha::HaRunResult r = target.Run(input, /*functional=*/false);
           // Failed attempts burn simulated time before the successful
           // one: the client waits for both.
           s.service = r.latency + r.recovery_time;

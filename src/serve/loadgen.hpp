@@ -1,17 +1,26 @@
 // Deterministic open-loop load generator (obs v2, tentpole c).
 //
 // Drives a core::Deployment or ha::ReplicaSet with seeded synthetic
-// traffic entirely on the simulated clock: arrivals come from a Poisson,
-// bursty, or ramp trace; the target serves them FIFO (one in flight --
-// the serving layer's dynamic batcher is the next PR); every request
-// records arrival/start/completion, so latency *includes* queueing delay
-// the way a client would measure it. Everything lands in an obs::Registry
+// timing-only traffic entirely on the simulated clock: arrivals come from
+// a Poisson, bursty, or ramp trace; the target serves them FIFO (one in
+// flight -- the serving layer's dynamic batcher is the next PR); every
+// request records arrival/start/completion, so latency *includes*
+// queueing delay the way a client would measure it.
+//
+// The mean offered rate is `utilization` x the base service rate measured
+// by one warmup batch. The trace shapes are fixed: a bursty trace runs at
+// 4x the mean rate for the first quarter of every 8-window period, a ramp
+// trace rises linearly to 3x the mean rate by its last request, and a
+// request is "good" when it completes within 3x the base service time.
+// The window resolution is sized so the expected arrival span fills half
+// of the default 512-window ring. Everything lands in an obs::Registry
 // as windowed time series (serve.arrivals, serve.completions, serve.good,
 // serve.busy_us, serve.queue_depth, per-board ha.board.state steps) plus
 // bounded log-bucketed latency histograms -- the substrate the
 // observatory dashboard and bench_serving_obs render.
 //
-// Determinism: arrivals are a pure function of (seed, shape knobs);
+// Determinism: arrivals are a pure function of (seed, shape, requests,
+// utilization, base service time);
 // service times come from the discrete-event runtime; the report digest
 // hashes the integer picosecond timeline of every request, so two runs
 // with the same seed -- at any host thread count -- digest identically.
@@ -45,34 +54,9 @@ struct LoadgenOptions {
   std::uint64_t seed = 2021;
   int requests = 200;
   TraceShape shape = TraceShape::kPoisson;
-
-  /// Mean offered rate in requests/second. 0 auto-calibrates to
-  /// `utilization` of the target's measured base service rate.
-  double rate_rps = 0.0;
-  /// Open-loop utilization target used when rate_rps == 0.
+  /// Open-loop utilization target: the mean offered rate is this fraction
+  /// of the target's measured base service rate. Must be finite and > 0.
   double utilization = 0.7;
-
-  /// Bursty trace: rate multiplier during a burst, the fraction of each
-  /// period spent bursting, and the period length in windows.
-  double burst_factor = 4.0;
-  double burst_duty = 0.25;
-  int burst_period_windows = 8;
-
-  /// Ramp trace: final/initial rate ratio, applied linearly per request.
-  double ramp_factor = 3.0;
-
-  /// Latency objective for goodput = `slo_headroom` x the measured base
-  /// service time (a request is "good" when it completes OK within it).
-  double slo_headroom = 3.0;
-
-  /// Windowing of the recorded series. With auto_window (default) the
-  /// resolution is derived from the expected campaign span so roughly
-  /// half the ring is used; otherwise `window` is taken as given.
-  obs::WindowSpec window;
-  bool auto_window = true;
-
-  /// Run requests functionally (real tensors) or timing-only.
-  bool functional = false;
 };
 
 /// One served request on the loadgen's virtual clock.
@@ -89,10 +73,12 @@ struct RequestRecord {
 };
 
 struct LoadgenReport {
-  LoadgenOptions options;  ///< resolved: rate_rps/window filled in
+  LoadgenOptions options;  ///< as given
   std::string target;      ///< "deployment" or "replicaset:<n>"
   SimTime base_service;    ///< calibration run latency
   SimTime objective;       ///< latency objective used for goodput
+  double rate_rps = 0.0;   ///< mean offered rate the utilization resolved to
+  SimTime resolution;      ///< window width of every recorded series
 
   std::vector<RequestRecord> requests;
 
@@ -115,7 +101,8 @@ struct LoadgenReport {
   std::uint64_t digest = 0;
 };
 
-/// Runs a seeded campaign against a single deployment.
+/// Runs a seeded campaign against a single deployment. Throws
+/// clflow::Error when `utilization` is not finite and positive.
 [[nodiscard]] LoadgenReport RunLoadCampaign(core::Deployment& target,
                                             const Tensor& input,
                                             const LoadgenOptions& options);

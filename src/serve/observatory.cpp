@@ -45,7 +45,7 @@ Observatory BuildObservatory(const LoadgenReport& report,
   obs.shape = TraceShapeName(report.options.shape);
   obs.seed = report.options.seed;
   obs.requests = static_cast<std::int64_t>(report.requests.size());
-  obs.resolution_us = report.options.window.resolution.us();
+  obs.resolution_us = report.resolution.us();
   obs.objective_us = report.objective.us();
   obs.p50_us = report.p50_us;
   obs.p95_us = report.p95_us;

@@ -1,12 +1,8 @@
-// Tests for the comparison networks (AlexNet, VGG-A) and the Winograd
-// convolution used in the SS6.6 analysis.
+// Tests for the comparison network AlexNet used in the SS6.6 analysis.
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/deployment.hpp"
-#include "cpu/ops.hpp"
 #include "nets/nets.hpp"
 
 namespace clflow {
@@ -49,73 +45,6 @@ TEST(AlexNet, FoldedDeploymentOnA10) {
   ASSERT_TRUE(d.ok()) << d.bitstream().status_detail;
   Tensor image = Tensor::Full(Shape{1, 3, 227, 227}, 0.1f);
   EXPECT_GT(d.EstimateFps(image), 0.5);
-}
-
-TEST(VggA, ArchitectureAndCost) {
-  Rng rng(3);
-  graph::Graph g = nets::BuildVggA(rng);
-  EXPECT_EQ(NodeByName(g, "conv1").output_shape, (Shape{1, 64, 224, 224}));
-  EXPECT_EQ(NodeByName(g, "pool1").output_shape, (Shape{1, 64, 112, 112}));
-  EXPECT_EQ(NodeByName(g, "conv8").output_shape, (Shape{1, 512, 14, 14}));
-  EXPECT_EQ(NodeByName(g, "pool8").output_shape, (Shape{1, 512, 7, 7}));
-  EXPECT_EQ(NodeByName(g, "flatten").output_shape, (Shape{1, 25088}));
-  const auto cost = graph::GraphCost(g);
-  EXPECT_NEAR(cost.flops, 15.2e9, 1.0e9);
-  EXPECT_NEAR(static_cast<double>(cost.params), 133e6, 3e6);
-}
-
-// --- Winograd -------------------------------------------------------------------
-
-TEST(Winograd, MatchesDirectConvolution) {
-  Rng rng(4);
-  Tensor input = Tensor::Random(Shape{1, 6, 10, 10}, rng);
-  Tensor w = Tensor::Random(Shape{4, 6, 3, 3}, rng);
-  Tensor bias = Tensor::Random(Shape{4}, rng);
-  Tensor direct = cpu::Conv2d(input, w, bias,
-                              {.stride = 1, .activation = Activation::kRelu});
-  Tensor wino = cpu::Conv2dWinograd(input, w, bias, Activation::kRelu, 2);
-  EXPECT_EQ(wino.shape(), direct.shape());
-  // Winograd reassociates; allow small fp drift.
-  EXPECT_LT(Tensor::MaxRelDiff(wino, direct, 1e-3f), 1e-3f);
-}
-
-TEST(Winograd, SweepOverShapes) {
-  Rng rng(5);
-  for (const auto& [c1, k, h] : std::vector<std::tuple<int, int, int>>{
-           {1, 1, 6}, {3, 8, 8}, {16, 4, 16}}) {
-    Tensor input = Tensor::Random(Shape{1, c1, h, h}, rng);
-    Tensor w = Tensor::Random(Shape{k, c1, 3, 3}, rng);
-    Tensor direct = cpu::Conv2d(input, w, Tensor(), {});
-    Tensor wino =
-        cpu::Conv2dWinograd(input, w, Tensor(), Activation::kNone);
-    EXPECT_LT(Tensor::MaxRelDiff(wino, direct, 1e-3f), 1e-3f)
-        << c1 << "x" << h << "->" << k;
-  }
-}
-
-TEST(Winograd, RejectsUnsupportedShapes) {
-  Rng rng(6);
-  Tensor input = Tensor::Random(Shape{1, 2, 9, 9}, rng);  // odd output
-  Tensor w3 = Tensor::Random(Shape{2, 2, 3, 3}, rng);
-  EXPECT_THROW(
-      (void)cpu::Conv2dWinograd(input, w3, Tensor(), Activation::kNone),
-      ShapeError);
-  Tensor input_ok = Tensor::Random(Shape{1, 2, 10, 10}, rng);
-  Tensor w5 = Tensor::Random(Shape{2, 2, 5, 5}, rng);
-  EXPECT_THROW(
-      (void)cpu::Conv2dWinograd(input_ok, w5, Tensor(), Activation::kNone),
-      ShapeError);
-}
-
-TEST(Winograd, PointwiseCannotBenefit) {
-  // The paper's point (SS6.6.1): 1x1 convolutions are outside Winograd's
-  // domain entirely.
-  Rng rng(7);
-  Tensor input = Tensor::Random(Shape{1, 4, 8, 8}, rng);
-  Tensor w1 = Tensor::Random(Shape{4, 4, 1, 1}, rng);
-  EXPECT_THROW(
-      (void)cpu::Conv2dWinograd(input, w1, Tensor(), Activation::kNone),
-      ShapeError);
 }
 
 }  // namespace

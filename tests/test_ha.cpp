@@ -222,23 +222,6 @@ TEST(Ha, AllQuarantinedDegradesToFoldedFallback) {
   EXPECT_EQ(rs.batches_completed(), 2);
 }
 
-TEST(Ha, AllowFallbackFalseRethrowsLastFault) {
-  Rng rng(7);
-  graph::Graph net = nets::BuildLeNet5(rng);
-  HaOptions ha;
-  ha.replicas = 2;
-  ha.quarantine_after = 1;
-  ha.cooldown_batches = 64;
-  ha.allow_fallback = false;
-  ReplicaSet rs(net, LenetOptions(), ha);
-  rs.set_fault_injector(0, DeadBoard());
-  rs.set_fault_injector(1, DeadBoard());
-
-  Tensor image = Tensor::Random(net.node(net.input_id()).output_shape, rng,
-                                0.0f, 1.0f);
-  EXPECT_THROW((void)rs.Run(image, false), RuntimeFaultError);
-}
-
 TEST(Ha, AccountingBalancesAndGaugesAgree) {
   Rng rng(7);
   graph::Graph net = nets::BuildLeNet5(rng);
@@ -286,31 +269,6 @@ TEST(Ha, AccountingBalancesAndGaugesAgree) {
             .value();
   }
   EXPECT_DOUBLE_EQ(gauge_dispatched, static_cast<double>(rs.attempts()));
-}
-
-TEST(Ha, HeartbeatProbesFeedHealthAndCooldowns) {
-  Rng rng(7);
-  graph::Graph net = nets::BuildLeNet5(rng);
-  HaOptions ha;
-  ha.replicas = 2;
-  ha.quarantine_after = 1;
-  ha.cooldown_batches = 2;
-  ReplicaSet rs(net, LenetOptions(), ha);
-  rs.set_fault_injector(0, Plan({"hang:k_conv1:0"}));
-
-  Tensor image = Tensor::Random(net.node(net.input_id()).output_shape, rng,
-                                0.0f, 1.0f);
-  rs.Heartbeat(image);  // board 0's probe faults -> quarantined
-  EXPECT_EQ(rs.health(0), BoardHealth::kQuarantined);
-  EXPECT_EQ(rs.health(1), BoardHealth::kHealthy);
-  rs.Heartbeat(image);  // quarantined board skipped; cooldown expires
-  EXPECT_EQ(rs.health(0), BoardHealth::kRecovering);
-  rs.Heartbeat(image);  // recovering board probes clean -> healthy
-  EXPECT_EQ(rs.health(0), BoardHealth::kHealthy);
-  // Heartbeats never touch the client-batch ledger.
-  EXPECT_EQ(rs.batches_requested(), 0);
-  EXPECT_EQ(rs.batches_completed(), 0);
-  EXPECT_GE(rs.board_state(1).probes, 3);
 }
 
 TEST(Ha, QuarantineDumpsAreSequencedPerBoard) {

@@ -37,8 +37,6 @@ TEST(Metrics, GaugeLastWriteWins) {
   reg.gauge("fmax").Set(260.0);
   reg.gauge("fmax").Set(241.5);
   EXPECT_DOUBLE_EQ(reg.gauge("fmax").value(), 241.5);
-  reg.gauge("fmax").Add(-1.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("fmax").value(), 240.0);
 }
 
 TEST(Metrics, HistogramPercentilesNearestRank) {
@@ -183,24 +181,6 @@ TEST(Json, RegistryToJsonParses) {
   // Nearest-rank p99 of {0, 1000, ..., 9000} is the last sample.
   ASSERT_NE(hists->array[0].Find("p99"), nullptr);
   EXPECT_DOUBLE_EQ(hists->array[0].Find("p99")->number, 9000.0);
-}
-
-TEST(Json, RegistryCsvHasP99Column) {
-  Registry reg;
-  for (int i = 1; i <= 4; ++i) reg.histogram("h").Observe(i);
-  const std::string csv = reg.ToCsv();
-  EXPECT_NE(csv.find("p99"), std::string::npos);
-}
-
-TEST(Json, RegistryCsvHasOneRowPerStat) {
-  Registry reg;
-  reg.counter("c").Add();
-  reg.gauge("g").Set(1);
-  reg.histogram("h").Observe(1);
-  const std::string csv = reg.ToCsv();
-  EXPECT_NE(csv.find("counter,c,"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g,"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,h,"), std::string::npos);
 }
 
 // --------------------------------------------------------- chrome trace
@@ -479,23 +459,6 @@ TEST(Metrics, BucketedHistogramQuantilesWithinOnePercent) {
   EXPECT_LT(std::abs(b.p50 - e.p50) / e.p50, 0.01);
   EXPECT_LT(std::abs(b.p95 - e.p95) / e.p95, 0.01);
   EXPECT_LT(std::abs(b.p99 - e.p99) / e.p99, 0.01);
-}
-
-TEST(Metrics, HistogramMergeAndDigestAreShardOrderDeterministic) {
-  Histogram a, b;
-  for (int i = 0; i < 100; ++i) {
-    (i % 2 == 0 ? a : b).Observe(i + 1);
-  }
-  // Shard-order merge must digest like the serial stream that observed
-  // a's samples then b's (bucket counts are order-free integers).
-  Histogram ordered;
-  for (int i = 0; i < 100; i += 2) ordered.Observe(i + 1);
-  for (int i = 1; i < 100; i += 2) ordered.Observe(i + 1);
-  Histogram merged;
-  merged.MergeFrom(a);
-  merged.MergeFrom(b);
-  EXPECT_EQ(merged.Digest(), ordered.Digest());
-  EXPECT_EQ(merged.snapshot().count, 100);
 }
 
 TEST(Metrics, ToPrometheusEscapesLabelValues) {

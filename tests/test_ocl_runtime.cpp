@@ -382,7 +382,6 @@ TEST(Runtime, ChannelStallAttributedToBlockedReader) {
                         .writes_channels = {}});
   rt.Finish();
 
-  EXPECT_GT(rt.total_channel_stall(), kSimTimeZero);
   ASSERT_EQ(rt.channel_stall().count("ch"), 1u);
   EXPECT_GT(rt.channel_stall().at("ch"), kSimTimeZero);
   // The reader's profiled event carries its own stall time.

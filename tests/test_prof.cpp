@@ -206,11 +206,11 @@ TEST(Prof, OverheadDominatedMakespanRaisesClf603) {
   prof::EmitDiagnostics(p, diags);
   EXPECT_EQ(diags.ByCode("CLF603").size(), 1u);
 
-  // Raising the threshold above the idle fraction silences it.
+  // Idle time under the 60% threshold is not flagged.
+  p.queues[0].busy_us = 50.0;
+  p.queues[0].idle_us = 50.0;
   analysis::DiagnosticEngine lax;
-  prof::ProfileOptions opts;
-  opts.overhead_fraction = 0.90;
-  prof::EmitDiagnostics(p, lax, opts);
+  prof::EmitDiagnostics(p, lax);
   EXPECT_TRUE(lax.ByCode("CLF603").empty());
 }
 

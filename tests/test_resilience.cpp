@@ -116,6 +116,27 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   EXPECT_THROW((void)ParseFaultSpec("corrupt:k:0:1:9"), Error);
 }
 
+TEST(FaultSpec, RejectsNumbersThatDoNotParseWholeOrFit) {
+  for (const char* s : {
+           "hang:k_conv1:1x",              // trailing junk after the index
+           "hang:k_conv1:-1",              // an index no invocation has
+           "xfer-fail:write:0:4294967297",  // times past int
+           "xfer-fail:write:0:2x",          // trailing junk after times
+           "xfer-fail:write:99999999999999999999",  // index past int64
+           "fmax-droop:0.5abc",             // trailing junk after the factor
+           "fmax-droop:",                   // no factor at all
+           "hang:k_conv1:0:1",              // times is not in hang's grammar
+           "reset:k_pool:1:2",              // nor in reset's
+       }) {
+    EXPECT_THROW((void)ParseFaultSpec(s), Error) << s;
+  }
+  // The valid forms still parse, to the same fields as before.
+  EXPECT_EQ(ParseFaultSpec("xfer-fail:write:0:2").times, 2);
+  EXPECT_EQ(ParseFaultSpec("hang:k_conv1:15").index, 15);
+  EXPECT_DOUBLE_EQ(ParseFaultSpec("fmax-droop:0.9").factor, 0.9);
+  EXPECT_EQ(ParseFaultSpec("corrupt:k_dense:1:2").times, 2);
+}
+
 // --- Transfer retry ---------------------------------------------------------
 
 TEST(Resilience, TransferFailureRetriesAndRecovers) {
@@ -167,10 +188,9 @@ TEST(Resilience, CorruptedTransferIsDetectedAndRetried) {
 
 TEST(Resilience, RetryExhaustionThrowsStructuredClf503) {
   TestDesign d = MakeDesign(1, fpga::Stratix10SX());
-  Runtime rt(d.bitstream);
-  resilience::RetryPolicy policy;
-  policy.max_attempts = 3;
-  rt.set_retry_policy(policy);
+  ocl::RuntimeOptions options;
+  options.retry.max_attempts = 3;
+  Runtime rt(d.bitstream, {}, options);
   Inject(rt, {"xfer-fail:write:0:99"});
   auto buf = rt.CreateBuffer(16);
   std::vector<float> src(16, 1.0f);
@@ -233,8 +253,9 @@ TEST(Resilience, PersistentKernelCorruptionThrowsClf504) {
 
 TEST(Resilience, HungConsumerRaisesWatchdogDeadlock) {
   TestDesign d = MakeDesign(2, fpga::Stratix10SX());
-  Runtime rt(d.bitstream);
-  rt.set_watchdog_timeout(SimTime::Ms(5.0));
+  ocl::RuntimeOptions options;
+  options.watchdog_timeout = SimTime::Ms(5.0);
+  Runtime rt(d.bitstream, {}, options);
   Inject(rt, {"hang:k0"});
   rt.EnqueueKernel(0, {.name = "k0", .stats = FixedCycles(1000),
                        .functional = {}, .reads_channels = {},
@@ -407,13 +428,14 @@ TEST(Resilience, DeploymentRecoversSeededPlanBitExactly) {
 TEST(Resilience, DeploymentSurfacesDeadlockInDiagnostics) {
   Rng rng(7);
   graph::Graph net = nets::BuildLeNet5(rng);
-  auto d = core::Deployment::Compile(net, LenetPipelinedOptions());
+  core::DeployOptions opts = LenetPipelinedOptions();
+  opts.runtime.watchdog_timeout = SimTime::Ms(10.0);
+  auto d = core::Deployment::Compile(net, opts);
   ASSERT_TRUE(d.ok());
 
   FaultPlan plan;
   plan.specs.push_back(ParseFaultSpec("hang:k_conv1"));
   d.runtime().set_fault_injector(std::make_shared<FaultInjector>(plan));
-  d.runtime().set_watchdog_timeout(SimTime::Ms(10.0));
 
   const Shape& in_shape = net.node(net.input_id()).output_shape;
   Tensor image = Tensor::Random(in_shape, rng, 0.0f, 1.0f);
@@ -443,8 +465,7 @@ TEST(Fallback, RecoversRouteFailedTiling) {
   opts.recipe.conv1x1 = core::ConvTiling{8, 7, 16, true};
   opts.board = fpga::Stratix10SX();
 
-  core::FallbackPolicy policy;
-  auto result = core::CompileWithFallback(net, opts, policy);
+  auto result = core::CompileWithFallback(net, opts);
 
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.recovered());
@@ -481,10 +502,8 @@ TEST(Fallback, ExhaustedLadderReportsEveryRung) {
   opts.recipe = core::PipelineTvmAutorun();
   opts.board = fpga::Stratix10SX();
   opts.board.aluts = 20000;  // nothing fits
-  core::FallbackPolicy policy;
-  policy.max_attempts = 8;
 
-  const auto result = core::CompileWithFallback(net, opts, policy);
+  const auto result = core::CompileWithFallback(net, opts);
   EXPECT_FALSE(result.ok());
   EXPECT_GE(result.attempts.size(), 4u);
   bool switched = false;
@@ -595,7 +614,7 @@ TEST(Fallback, RecoveredLadderDeploymentSurvivesConcurrentFaults) {
   opts.recipe.conv1x1 = core::ConvTiling{8, 7, 16, true};  // route-fails
   opts.board = fpga::Stratix10SX();
 
-  auto result = core::CompileWithFallback(net, opts, {});
+  auto result = core::CompileWithFallback(net, opts);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result.recovered());
   auto& d = *result.deployment;
@@ -646,17 +665,21 @@ TEST(RuntimeOptionsTest, ConstructorRejectsNonPositiveKnobs) {
   EXPECT_NO_THROW(ocl::ValidateRuntimeOptions(ocl::RuntimeOptions{}));
 }
 
-TEST(RuntimeOptionsTest, SettersValidateToo) {
+TEST(RuntimeOptionsTest, RuntimeConstructorValidatesToo) {
   TestDesign d = MakeDesign(1, fpga::Stratix10SX());
-  Runtime rt(d.bitstream);
-  EXPECT_THROW(rt.set_watchdog_timeout(kSimTimeZero), RuntimeFaultError);
-  resilience::RetryPolicy p;
-  p.max_attempts = -1;
-  EXPECT_THROW(rt.set_retry_policy(p), RuntimeFaultError);
+  ocl::RuntimeOptions bad;
+  bad.watchdog_timeout = kSimTimeZero;
+  EXPECT_THROW((void)Runtime(d.bitstream, {}, bad), RuntimeFaultError);
+  ocl::RuntimeOptions bad_retry;
+  bad_retry.retry.max_attempts = -1;
+  EXPECT_THROW((void)Runtime(d.bitstream, {}, bad_retry), RuntimeFaultError);
   // Valid values are accepted and applied.
-  rt.set_watchdog_timeout(SimTime::Ms(1.0));
-  p.max_attempts = 2;
-  rt.set_retry_policy(p);
+  ocl::RuntimeOptions ok;
+  ok.watchdog_timeout = SimTime::Ms(1.0);
+  ok.retry.max_attempts = 2;
+  Runtime rt(d.bitstream, {}, ok);
+  EXPECT_EQ(rt.watchdog_timeout().ps(), SimTime::Ms(1.0).ps());
+  EXPECT_EQ(rt.retry_policy().max_attempts, 2);
 }
 
 TEST(RuntimeOptionsTest, DeployOptionsValidateAtCompileTime) {
@@ -696,7 +719,7 @@ TEST(Fallback, FirstAttemptSuccessIsNotARecovery) {
   Rng rng(7);
   graph::Graph net = nets::BuildLeNet5(rng);
   const auto result =
-      core::CompileWithFallback(net, LenetPipelinedOptions(), {});
+      core::CompileWithFallback(net, LenetPipelinedOptions());
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.recovered());
   ASSERT_EQ(result.attempts.size(), 1u);

@@ -4,8 +4,10 @@
 // counters).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
+#include "common/error.hpp"
 #include "core/deployment.hpp"
 #include "ha/replica_set.hpp"
 #include "nets/nets.hpp"
@@ -70,9 +72,8 @@ TEST(Loadgen, SameSeedSameDigestOnFreshDeployments) {
   EXPECT_EQ(r1.digest, r2.digest);
   EXPECT_DOUBLE_EQ(r1.p99_us, r2.p99_us);
   EXPECT_DOUBLE_EQ(r1.goodput, r2.goodput);
-  // The recorded series digest identically too.
-  EXPECT_EQ(r1.metrics->series("serve.arrivals").Digest(),
-            r2.metrics->series("serve.arrivals").Digest());
+  // The recorded series export identically too.
+  EXPECT_EQ(r1.metrics->ToJson(), r2.metrics->ToJson());
 }
 
 TEST(Loadgen, DifferentSeedsAndShapesDiverge) {
@@ -118,6 +119,24 @@ TEST(Loadgen, ReportInvariantsHold) {
   const obs::Histogram& h = r.metrics->histogram("serve.latency_us");
   EXPECT_FALSE(h.retain_samples());
   EXPECT_NEAR(h.log_buckets().Quantile(0.99), r.p99_us, r.p99_us * 0.01);
+}
+
+TEST(Loadgen, RejectsUtilizationThatGivesNoRate) {
+  Fixture f;
+  auto d = f.Deploy();
+  for (const double u : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    auto lo = SmallCampaign(serve::TraceShape::kPoisson);
+    lo.utilization = u;
+    EXPECT_THROW((void)RunLoadCampaign(d, f.image, lo), Error) << u;
+  }
+  // The rate and window it resolves to are reported, not echoed back.
+  const auto r =
+      RunLoadCampaign(d, f.image, SmallCampaign(serve::TraceShape::kPoisson));
+  EXPECT_DOUBLE_EQ(r.rate_rps, 0.7 / r.base_service.seconds());
+  EXPECT_GE(r.resolution.ps(), SimTime::Us(1.0).ps());
+  EXPECT_EQ(r.metrics->series("serve.arrivals").spec().resolution.ps(),
+            r.resolution.ps());
 }
 
 TEST(Loadgen, RampShapeRaisesLateArrivalsRate) {

@@ -327,16 +327,20 @@ TEST(FlightRecorderTest, OverflowAtDumpTimeReportsClf703) {
 
   core::DeployOptions opts = LenetPipelinedOptions();
   opts.flightrec_path = path;
-  opts.flightrec_capacity = 2;  // force the ring to wrap immediately
   auto d = CompileLenet(opts);
 
+  // Clean batches first, until the ring has wrapped.
+  const Tensor image = LenetImage();
+  while (d.flight_recorder().total_recorded() <=
+         telemetry::FlightRecorder::kDefaultCapacity) {
+    (void)d.Run(image, /*functional=*/false);
+  }
   resilience::FaultPlan plan;
   plan.seed = 17;
   plan.specs.push_back(resilience::ParseFaultSpec("hang:k_conv1"));
   d.runtime().set_fault_injector(
       std::make_shared<resilience::FaultInjector>(plan));
 
-  const Tensor image = LenetImage();
   EXPECT_THROW((void)d.Run(image, /*functional=*/false), RuntimeFaultError);
 
   bool found = false;
@@ -403,24 +407,6 @@ TEST(FlightRecorderTest, RepeatedFaultsNeverOverwriteAPostmortem) {
   }
   std::remove(first.c_str());
   std::remove(second.c_str());
-}
-
-TEST(FlightRecorderTest, AttachingARecorderNeverChangesSpanNumbering) {
-  // RecordFault does not consume span ids and the recorder is a pure
-  // mirror, so the profiled event stream (ids included) is identical
-  // with and without the postmortem machinery armed.
-  const Tensor image = LenetImage();
-
-  auto with = CompileLenet([] {
-    core::DeployOptions o = LenetPipelinedOptions();
-    o.flightrec_capacity = 4;
-    return o;
-  }());
-  auto without = CompileLenet(LenetPipelinedOptions());
-  (void)with.Run(image, /*functional=*/false);
-  (void)without.Run(image, /*functional=*/false);
-  EXPECT_EQ(ocl::ExportChromeTrace(with.runtime().event_pool()),
-            ocl::ExportChromeTrace(without.runtime().event_pool()));
 }
 
 // --- SLO monitor -------------------------------------------------------------
