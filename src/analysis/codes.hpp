@@ -256,13 +256,6 @@ inline constexpr CodeInfo kFlightRecorderOverflow{
     "flight recorder overflowed before the dump", "SS6.2",
     "the ring keeps the last FlightRecorder::kDefaultCapacity (256) events, "
     "so the postmortem covers only the batches just before the fault"};
-inline constexpr CodeInfo kSloFastBurn{
-    "CLF704", Severity::kWarning,
-    "fast-horizon SLO burn: violation burst in the last few windows", "SS6.2",
-    "the short-window burn rate crossed the paging threshold before the "
-    "slow horizon confirmed it -- a burst, not (yet) sustained spend; "
-    "check telemetry.slo.fast_burn_rate and the utilization timelines for "
-    "the window where latency spiked"};
 
 // --- Source linter (srclint) ------------------------------------------------
 inline constexpr CodeInfo kSrcParseFailure{
@@ -344,7 +337,6 @@ inline constexpr const CodeInfo* kAllCodes[] = {
     &kAllReplicasDown,
     &kProfPredictionDrift, &kProfAttributionGap, &kProfOverheadDominant,
     &kSloLatencyBurn,   &kRequestStarvation, &kFlightRecorderOverflow,
-    &kSloFastBurn,
     &kSrcParseFailure,  &kSrcSignatureMismatch, &kSrcChannelSequence,
     &kSrcUnrollMismatch, &kSrcChannelDecl,  &kSrcLoopCarried,
     &kSrcIndexOob,      &kSrcMissingRestrict, &kSrcDeadStore,

@@ -45,20 +45,6 @@ void* Arena::Allocate(std::size_t bytes, std::size_t align) {
   return p;
 }
 
-void Arena::Reset() {
-  if (blocks_.size() > 1) {
-    blocks_.erase(blocks_.begin() + 1, blocks_.end());
-  }
-  if (!blocks_.empty()) {
-    blocks_.front().used = 0;
-    bytes_reserved_ = blocks_.front().size;
-  } else {
-    bytes_reserved_ = 0;
-  }
-  bytes_used_ = 0;
-  num_allocations_ = 0;
-}
-
 namespace {
 thread_local ArenaScope* tls_current_scope = nullptr;
 }  // namespace

@@ -55,16 +55,11 @@ class Arena : public std::enable_shared_from_this<Arena> {
   /// Oversized requests get a dedicated block.
   [[nodiscard]] void* Allocate(std::size_t bytes, std::size_t align);
 
-  /// Rewinds the arena: keeps the first block, drops the rest. Only legal
-  /// when no allocation is still referenced (callers that hand nodes to
-  /// the CompileCache must not Reset; they let the arena die instead).
-  void Reset();
-
-  /// Bytes handed out since construction / last Reset.
+  /// Bytes handed out since construction.
   [[nodiscard]] std::size_t bytes_used() const { return bytes_used_; }
   /// Bytes reserved from the system (>= bytes_used).
   [[nodiscard]] std::size_t bytes_reserved() const { return bytes_reserved_; }
-  /// Number of Allocate calls since construction / last Reset.
+  /// Number of Allocate calls since construction.
   [[nodiscard]] std::size_t num_allocations() const {
     return num_allocations_;
   }

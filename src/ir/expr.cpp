@@ -309,17 +309,4 @@ bool UsesVar(const Expr& e, const VarPtr& var) {
   return false;
 }
 
-bool UsesShapeParam(const Expr& e) {
-  if (!e) return false;
-  if (e->kind == ExprKind::kVar) return e->var->kind == VarKind::kShapeParam;
-  if (e->a && UsesShapeParam(e->a)) return true;
-  if (e->b && UsesShapeParam(e->b)) return true;
-  if (e->c && UsesShapeParam(e->c)) return true;
-  for (const auto& idx : e->indices)
-    if (UsesShapeParam(idx)) return true;
-  for (const auto& arg : e->args)
-    if (UsesShapeParam(arg)) return true;
-  return false;
-}
-
 }  // namespace clflow::ir

@@ -168,7 +168,4 @@ class ExprNode {
 /// True if the expression references the variable.
 [[nodiscard]] bool UsesVar(const Expr& e, const VarPtr& var);
 
-/// True if the expression references any kShapeParam variable.
-[[nodiscard]] bool UsesShapeParam(const Expr& e);
-
 }  // namespace clflow::ir

@@ -32,4 +32,18 @@ void WritePageHead(std::ostream& os, std::string_view title,
      << "</style></head><body>";
 }
 
+void WriteSvgOpen(std::ostream& os, int width, int height) {
+  os << "<svg width=\"" << width << "\" height=\"" << height
+     << "\" xmlns=\"http://www.w3.org/2000/svg\">";
+}
+
+void WriteLegend(std::ostream& os, const std::vector<LegendEntry>& entries) {
+  os << "<p class=\"legend\">";
+  for (const LegendEntry& e : entries) {
+    os << "<span style=\"background:" << e.color << "\">"
+       << HtmlEscape(e.label) << "</span>";
+  }
+  os << "</p>";
+}
+
 }  // namespace clflow::obs

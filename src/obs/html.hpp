@@ -2,13 +2,14 @@
 // profiler's prof::ToHtml and the serving observatory's ToHtml).
 //
 // Both pages are single files with inline CSS and SVG and no external
-// assets; this header holds the escaping and the common page head so the
-// two renderers cannot drift apart.
+// assets; this header holds the escaping, the common page head, the SVG
+// canvas tag and the legend row so the two renderers cannot drift apart.
 #pragma once
 
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace clflow::obs {
 
@@ -21,5 +22,17 @@ namespace clflow::obs {
 /// stylesheet followed by the page's own `extra_css`.
 void WritePageHead(std::ostream& os, std::string_view title,
                    std::string_view extra_css);
+
+/// Opens an inline SVG canvas of `width` x `height` pixels.
+void WriteSvgOpen(std::ostream& os, int width, int height);
+
+/// One legend swatch: `label` on a `color` background.
+struct LegendEntry {
+  std::string_view color;
+  std::string_view label;
+};
+
+/// Writes a legend row (the stylesheet's `.legend` spans), labels escaped.
+void WriteLegend(std::ostream& os, const std::vector<LegendEntry>& entries);
 
 }  // namespace clflow::obs

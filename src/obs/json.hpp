@@ -20,7 +20,7 @@ namespace clflow::obs {
 
 /// Escapes `s` for use inside a JSON string literal: quote, backslash,
 /// the \b \t \n \f \r shorthands, and \u00XX for any other char < 0x20.
-[[nodiscard]] std::string JsonEscape(const std::string& s);
+[[nodiscard]] std::string JsonEscape(std::string_view s);
 
 /// Formats a double as a JSON number token (finite shortest round-trip;
 /// NaN/inf degrade to 0, which JSON cannot represent).

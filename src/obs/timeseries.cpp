@@ -179,10 +179,7 @@ double TimeSeries::RateOver(SimTime span) const {
       std::max<std::int64_t>(1, span.ps() / spec_.resolution.ps());
   const std::int64_t first =
       std::max(base_index_, last_index_ - want + 1);
-  double total = 0.0;
-  for (std::int64_t i = first; i <= last_index_; ++i) {
-    total += values_[Slot(i)];
-  }
+  const double total = SumOverRange(first, last_index_);
   const double covered_s =
       static_cast<double>(last_index_ - first + 1) *
       spec_.resolution.seconds();

@@ -134,9 +134,7 @@ class TimeSeries {
   [[nodiscard]] double Total() const;
 
   /// Counter sum over the absolute window range [first, last]; windows
-  /// outside the retained span contribute 0. Lets two series recorded on
-  /// the same clock be compared over one horizon even when one of them
-  /// stopped advancing (e.g. violations during a quiet stretch).
+  /// outside the retained span contribute 0.
   [[nodiscard]] double SumOverRange(std::int64_t first,
                                     std::int64_t last) const;
 

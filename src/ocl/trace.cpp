@@ -1,16 +1,12 @@
 #include "ocl/trace.hpp"
 
 #include <map>
-#include <sstream>
 
-#include "obs/json.hpp"
+#include "obs/chrome_trace.hpp"
 
 namespace clflow::ocl {
 
 namespace {
-
-using obs::JsonEscape;
-using obs::JsonNum;
 
 const char* KindName(CommandKind kind) {
   switch (kind) {
@@ -24,35 +20,29 @@ const char* KindName(CommandKind kind) {
   return "?";
 }
 
-void EmitProcessName(std::ostringstream& os, int pid,
-                     const std::string& name) {
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-     << ",\"args\":{\"name\":\"" << JsonEscape(name) << "\"}}";
-}
-
-void EmitRuntimeEvents(std::ostringstream& os, const EventPool& events,
+void EmitRuntimeEvents(obs::ChromeTraceWriter& out, const EventPool& events,
                        int pid) {
   for (const auto& ev : events) {
     // Autorun kernels (queue -1) land on tid 0; queue q on tid q+1.
     const int tid = ev.queue + 1;
+    const std::string label(ev.label);
     // Channel-stall time precedes execution (the kernel was dispatched at
     // start - stall but blocked on its input channels); render it as its
     // own slice so stalls are visible instead of hiding in args.
     if (ev.stall.us() > 0) {
-      os << ",{\"name\":\"" << JsonEscape(std::string(ev.label))
-         << " [stall]\",\"cat\":\"stall\",\"ph\":\"X\",\"pid\":" << pid
-         << ",\"tid\":" << tid << ",\"ts\":" << (ev.start - ev.stall).us()
-         << ",\"dur\":" << ev.stall.us()
-         << ",\"args\":{\"channel_wait_us\":" << ev.stall.us() << "}}";
+      out.Slice(label + " [stall]", "stall", pid, tid,
+                (ev.start - ev.stall).us(), ev.stall.us(),
+                obs::TraceArgs().Num("channel_wait_us", ev.stall.us()));
     }
-    os << ",{\"name\":\"" << JsonEscape(std::string(ev.label)) << "\",\"cat\":\""
-       << KindName(ev.kind) << "\",\"ph\":\"X\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"ts\":" << ev.start.us()
-       << ",\"dur\":" << ev.duration().us()
-       << ",\"args\":{\"queued_us\":" << ev.queued.us()
-       << ",\"stall_us\":" << ev.stall.us() << ",\"bytes\":" << ev.bytes
-       << ",\"trace_id\":" << ev.trace_id << ",\"span_id\":" << ev.span_id
-       << ",\"parent_span_id\":" << ev.parent_span_id << "}}";
+    out.Slice(label, KindName(ev.kind), pid, tid, ev.start.us(),
+              ev.duration().us(),
+              obs::TraceArgs()
+                  .Num("queued_us", ev.queued.us())
+                  .Num("stall_us", ev.stall.us())
+                  .Int("bytes", ev.bytes)
+                  .Id("trace_id", ev.trace_id)
+                  .Id("span_id", ev.span_id)
+                  .Id("parent_span_id", ev.parent_span_id));
   }
 }
 
@@ -61,7 +51,7 @@ void EmitRuntimeEvents(std::ostringstream& os, const EventPool& events,
 /// the middle, "f" binding-to-enclosing at the last), so Perfetto renders
 /// the request's path across queues. Events are already in span order
 /// (the recorder numbers them on the single host thread).
-void EmitFlowEvents(std::ostringstream& os, const EventPool& events,
+void EmitFlowEvents(obs::ChromeTraceWriter& out, const EventPool& events,
                     int pid) {
   // Pool iteration yields Views by value, so group (queue, start) copies
   // rather than pointers into the range.
@@ -78,14 +68,9 @@ void EmitFlowEvents(std::ostringstream& os, const EventPool& events,
   for (const auto& [trace_id, evs] : requests) {
     if (evs.size() < 2) continue;
     for (std::size_t i = 0; i < evs.size(); ++i) {
-      const FlowPoint& ev = evs[i];
-      const int tid = ev.queue + 1;
-      const char* ph = i == 0 ? "s" : (i + 1 == evs.size() ? "f" : "t");
-      os << ",{\"name\":\"request\",\"cat\":\"request\",\"ph\":\"" << ph
-         << "\",\"id\":" << trace_id << ",\"pid\":" << pid
-         << ",\"tid\":" << tid << ",\"ts\":" << ev.start.us();
-      if (ph[0] == 'f') os << ",\"bp\":\"e\"";
-      os << "}";
+      const char phase = i == 0 ? 's' : (i + 1 == evs.size() ? 'f' : 't');
+      out.Flow("request", phase, trace_id, pid, evs[i].queue + 1,
+               evs[i].start.us());
     }
   }
 }
@@ -94,7 +79,7 @@ void EmitFlowEvents(std::ostringstream& os, const EventPool& events,
 /// how many transfer bytes are in flight at each instant. Deltas at equal
 /// timestamps merge into one sample, so zero-duration events contribute
 /// nothing (correctly).
-void EmitCounterTracks(std::ostringstream& os, const EventPool& events,
+void EmitCounterTracks(obs::ChromeTraceWriter& out, const EventPool& events,
                        int pid) {
   std::map<double, double> occupancy;    // ts -> delta concurrent commands
   std::map<double, double> outstanding;  // ts -> delta in-flight bytes
@@ -109,61 +94,49 @@ void EmitCounterTracks(std::ostringstream& os, const EventPool& events,
   double commands = 0;
   for (const auto& [ts, delta] : occupancy) {
     commands += delta;
-    os << ",{\"name\":\"queue occupancy\",\"ph\":\"C\",\"pid\":" << pid
-       << ",\"ts\":" << ts << ",\"args\":{\"commands\":" << JsonNum(commands)
-       << "}}";
+    out.Counter("queue occupancy", pid, /*tid=*/-1, ts, "commands", commands);
   }
   double bytes = 0;
   for (const auto& [ts, delta] : outstanding) {
     bytes += delta;
-    os << ",{\"name\":\"outstanding transfer bytes\",\"ph\":\"C\",\"pid\":"
-       << pid << ",\"ts\":" << ts << ",\"args\":{\"bytes\":" << JsonNum(bytes)
-       << "}}";
+    out.Counter("outstanding transfer bytes", pid, /*tid=*/-1, ts, "bytes",
+                bytes);
   }
 }
 
-void EmitCompileSpans(std::ostringstream& os,
-                      const std::vector<obs::SpanRecord>& spans, int pid) {
-  for (const auto& span : spans) {
-    os << ",{\"name\":\"" << JsonEscape(span.name) << "\",\"cat\":\""
-       << JsonEscape(span.category) << "\",\"ph\":\"X\",\"pid\":" << pid
-       << ",\"tid\":0,\"ts\":" << span.start_us << ",\"dur\":" << span.dur_us
-       << ",\"args\":{\"depth\":" << span.depth;
-    for (const auto& [key, value] : span.args) {
-      os << ",\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << "\"";
-    }
-    os << "}}";
-  }
+void EmitRuntime(obs::ChromeTraceWriter& out, const EventPool& events,
+                 int pid) {
+  EmitRuntimeEvents(out, events, pid);
+  EmitFlowEvents(out, events, pid);
+  EmitCounterTracks(out, events, pid);
 }
 
 }  // namespace
 
 std::string ExportChromeTrace(const EventPool& events,
                               const std::string& process_name) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  EmitProcessName(os, 1, process_name);
-  EmitRuntimeEvents(os, events, /*pid=*/1);
-  EmitFlowEvents(os, events, /*pid=*/1);
-  EmitCounterTracks(os, events, /*pid=*/1);
-  os << "]}";
-  return os.str();
+  obs::ChromeTraceWriter out;
+  out.ProcessName(1, process_name);
+  EmitRuntime(out, events, /*pid=*/1);
+  return out.Finish();
 }
 
 std::string ExportChromeTrace(const EventPool& events,
                               const std::vector<obs::SpanRecord>& compile_spans,
                               const std::string& process_name) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  EmitProcessName(os, 1, process_name + " compile (wall clock)");
-  os << ",";
-  EmitProcessName(os, 2, process_name + " runtime (simulated clock)");
-  EmitCompileSpans(os, compile_spans, /*pid=*/1);
-  EmitRuntimeEvents(os, events, /*pid=*/2);
-  EmitFlowEvents(os, events, /*pid=*/2);
-  EmitCounterTracks(os, events, /*pid=*/2);
-  os << "]}";
-  return os.str();
+  obs::ChromeTraceWriter out;
+  out.ProcessName(1, process_name + " compile (wall clock)");
+  out.ProcessName(2, process_name + " runtime (simulated clock)");
+  for (const auto& span : compile_spans) {
+    obs::TraceArgs args;
+    args.Int("depth", span.depth);
+    for (const auto& [key, value] : span.args) args.Str(key, value);
+    out.Slice(span.name, span.category, /*pid=*/1, /*tid=*/0,
+              static_cast<double>(span.start_us),
+              static_cast<double>(span.dur_us), args);
+  }
+  EmitRuntime(out, events, /*pid=*/2);
+  return out.Finish();
 }
 
 telemetry::RequestSummary SummarizeRequest(const EventPool& events,

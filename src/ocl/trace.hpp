@@ -22,8 +22,9 @@
 
 namespace clflow::ocl {
 
-/// Serializes events as a Chrome trace. Timestamps are the simulated
-/// clock in microseconds; queues map to thread ids (autorun = tid 0).
+/// Serializes events as a Chrome trace (through obs::ChromeTraceWriter).
+/// Timestamps are the simulated clock in microseconds at full precision;
+/// queues map to thread ids (autorun = tid 0).
 /// Channel-stall time renders as a separate "<label> [stall]" slice (cat
 /// "stall") preceding the kernel slice, and two counter tracks ("ph":"C")
 /// plot queue occupancy (concurrent commands) and outstanding transfer

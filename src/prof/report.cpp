@@ -176,9 +176,8 @@ std::string ToHtml(const Profile& p) {
   const double span = std::max(p.makespan_us, 1e-9);
   double t0 = 0.0;
   for (const auto& s : p.timeline) t0 = std::min(t0, s.start_us);
-  os << "<h2>Timeline (" << Table::Num(p.makespan_us, 1)
-     << " &micro;s)</h2><svg width=\"" << width << "\" height=\"" << height
-     << "\" xmlns=\"http://www.w3.org/2000/svg\">";
+  os << "<h2>Timeline (" << Table::Num(p.makespan_us, 1) << " &micro;s)</h2>";
+  obs::WriteSvgOpen(os, width, height);
   for (const auto& [q, l] : lane) {
     os << "<text x=\"0\" y=\"" << l * lane_h + 16 << "\">"
        << (q < 0 ? std::string("autorun") : "queue " + std::to_string(q))
@@ -196,21 +195,21 @@ std::string ToHtml(const Profile& p) {
        << Table::Num(s.dur_us, 2) << " us @ " << Table::Num(s.start_us, 2)
        << " us</title></rect>";
   }
-  os << "</svg><p class=\"legend\">"
-     << "<span style=\"background:#4c8dd6\">write</span>"
-     << "<span style=\"background:#7d6fc3\">kernel</span>"
-     << "<span style=\"background:#e0b13f\">stall</span>"
-     << "<span style=\"background:#55b8a0\">read</span>"
-     << "<span style=\"background:#d65a4c\">fault</span></p>";
+  os << "</svg>";
+  obs::WriteLegend(os, {{SliceColor("write"), "write"},
+                        {SliceColor("kernel"), "kernel"},
+                        {SliceColor("stall"), "stall"},
+                        {SliceColor("read"), "read"},
+                        {SliceColor("fault"), "fault"}});
 
   // --- Per-kernel attribution bars. ----------------------------------------
-  os << "<h2>Bottleneck attribution</h2><p class=\"legend\">"
-     << "<span style=\"background:#5a9e5d\">II</span>"
-     << "<span style=\"background:#c2703f\">memory</span>"
-     << "<span style=\"background:#b04a5a\">fmax</span>"
-     << "<span style=\"background:#e0b13f\">stall</span>"
-     << "<span style=\"background:#888\">launch</span></p><table>"
-     << "<tr><th>Kernel</th><th>Launches</th><th>Time &micro;s</th>"
+  os << "<h2>Bottleneck attribution</h2>";
+  obs::WriteLegend(os, {{"#5a9e5d", "II"},
+                        {"#c2703f", "memory"},
+                        {"#b04a5a", "fmax"},
+                        {"#e0b13f", "stall"},
+                        {"#888", "launch"}});
+  os << "<table><tr><th>Kernel</th><th>Launches</th><th>Time &micro;s</th>"
      << "<th>Attribution</th><th>Bottleneck</th><th>Drift</th></tr>";
   for (const auto& k : p.kernels) {
     const double whole =

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/table.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/html.hpp"
 #include "obs/json.hpp"
 
@@ -212,8 +213,7 @@ void ChartSvg(std::ostringstream& os, const ObsChart& chart) {
   auto Y = [&](double y) {
     return mt + ph - (y - ymin) / (ymax - ymin) * ph;
   };
-  os << "<svg width=\"" << width << "\" height=\"" << height
-     << "\" xmlns=\"http://www.w3.org/2000/svg\">";
+  obs::WriteSvgOpen(os, width, height);
   // Frame + axis labels (min/max only: this is a dashboard, not a paper).
   os << "<rect x=\"" << ml << "\" y=\"" << mt << "\" width=\"" << pw
      << "\" height=\"" << ph
@@ -226,11 +226,11 @@ void ChartSvg(std::ostringstream& os, const ObsChart& chart) {
      << Table::Num(xmin, 0) << " us</text>";
   os << "<text x=\"" << width - 120 << "\" y=\"" << height - 6 << "\">"
      << Table::Num(xmax, 0) << " us</text>";
-  int color = 0;
+  std::vector<obs::LegendEntry> legend;
   for (const ObsSeries& s : chart.series) {
     if (s.x_us.empty()) continue;
-    const char* stroke =
-        kColors[color++ % (sizeof(kColors) / sizeof(kColors[0]))];
+    const char* stroke = kColors[legend.size() % std::size(kColors)];
+    legend.push_back({stroke, s.name});
     os << "<polyline fill=\"none\" stroke=\"" << stroke
        << "\" stroke-width=\"1.5\" points=\"";
     for (std::size_t i = 0; i < s.x_us.size(); ++i) {
@@ -244,17 +244,8 @@ void ChartSvg(std::ostringstream& os, const ObsChart& chart) {
     }
     os << "\"><title>" << HtmlEscape(s.name) << "</title></polyline>";
   }
-  // Legend.
-  os << "</svg><p class=\"legend\">";
-  color = 0;
-  for (const ObsSeries& s : chart.series) {
-    if (s.x_us.empty()) continue;
-    const char* stroke =
-        kColors[color++ % (sizeof(kColors) / sizeof(kColors[0]))];
-    os << "<span style=\"background:" << stroke << "\">"
-       << HtmlEscape(s.name) << "</span>";
-  }
-  os << "</p>";
+  os << "</svg>";
+  obs::WriteLegend(os, legend);
 }
 
 }  // namespace
@@ -290,26 +281,16 @@ std::string Observatory::ToHtml() const {
 }
 
 std::string Observatory::ToChromeTrace() const {
-  using obs::JsonEscape;
-  using obs::JsonNum;
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
+  obs::ChromeTraceWriter out("ms");
   for (const ObsChart& c : charts) {
     for (const ObsSeries& s : c.series) {
       const std::string name = c.title + ": " + s.name;
       for (std::size_t i = 0; i < s.x_us.size(); ++i) {
-        if (!first) os << ",";
-        first = false;
-        os << "{\"name\":\"" << JsonEscape(name)
-           << "\",\"ph\":\"C\",\"pid\":9,\"tid\":0,\"ts\":"
-           << JsonNum(s.x_us[i]) << ",\"args\":{\"value\":"
-           << JsonNum(s.y[i]) << "}}";
+        out.Counter(name, /*pid=*/9, /*tid=*/0, s.x_us[i], "value", s.y[i]);
       }
     }
   }
-  os << "]}";
-  return os.str();
+  return out.Finish();
 }
 
 }  // namespace clflow::serve

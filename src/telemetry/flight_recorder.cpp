@@ -173,9 +173,4 @@ bool FlightRecorder::DumpToFile(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-void FlightRecorder::Clear() {
-  std::lock_guard lock(mu_);
-  next_seq_ = 0;
-}
-
 }  // namespace clflow::telemetry

@@ -94,8 +94,6 @@ class FlightRecorder {
   /// opened (the dump path must never throw -- it runs inside a catch).
   bool DumpToFile(const std::string& path) const;
 
-  void Clear();
-
  private:
   /// The kinds producers use, plus kOther for any other text.
   enum class Kind : std::uint8_t {
@@ -141,7 +139,7 @@ class FlightRecorder {
   const std::size_t capacity_;
   mutable std::mutex mu_;
   /// Slot of sequence number s is slots_[s % capacity_]; grows lazily up
-  /// to capacity_ and keeps its size across Clear().
+  /// to capacity_.
   std::vector<Slot> slots_;
   std::uint64_t next_seq_ = 0;
 };

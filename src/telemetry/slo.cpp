@@ -9,26 +9,21 @@ namespace clflow::telemetry {
 
 SloMonitor::SloMonitor(SloSpec spec) : spec_(spec) {
   if (spec_.window == 0) spec_.window = 1;
-  if (spec_.slow_windows == 0) spec_.slow_windows = 1;
-  if (spec_.fast_windows == 0) spec_.fast_windows = 1;
   latency_.set_window(spec_.window);
-  const obs::WindowSpec ws{spec_.window_resolution, spec_.slow_windows};
-  requests_ts_ = obs::TimeSeries(obs::TimeSeries::Kind::kCounter, ws);
-  violations_ts_ = obs::TimeSeries(obs::TimeSeries::Kind::kCounter, ws);
 }
 
-bool SloMonitor::FoldRequest(const RequestSummary& request,
-                             analysis::DiagnosticEngine* diags) {
+void SloMonitor::ObserveRequest(const RequestSummary& request,
+                                analysis::DiagnosticEngine* diags) {
   ++total_;
   latency_.Observe(request.latency_us);
   const bool late = spec_.latency_objective_us > 0.0 &&
                     request.latency_us > spec_.latency_objective_us;
   const bool violation = !request.ok || late;
   if (violation) ++total_violations_;
-  window_.push_back({violation});
+  window_.push_back(violation);
   if (violation) ++window_violations_;
   if (window_.size() > spec_.window) {
-    if (window_.front().violation) --window_violations_;
+    if (window_.front()) --window_violations_;
     window_.pop_front();
   }
 
@@ -48,12 +43,7 @@ bool SloMonitor::FoldRequest(const RequestSummary& request,
     diags->Report(analysis::Diagnostic::Make(
         analysis::kRequestStarvation, {}, msg.str()));
   }
-  return violation;
-}
 
-void SloMonitor::ObserveRequest(const RequestSummary& request,
-                                analysis::DiagnosticEngine* diags) {
-  FoldRequest(request, diags);
   const bool burning_now = burn_rate() > spec_.burn_threshold;
   if (diags != nullptr && burning_now && !burning_) {
     std::ostringstream msg;
@@ -68,72 +58,10 @@ void SloMonitor::ObserveRequest(const RequestSummary& request,
   burning_ = burning_now;
 }
 
-void SloMonitor::ObserveRequestAt(const RequestSummary& request, SimTime now,
-                                  analysis::DiagnosticEngine* diags) {
-  const bool violation = FoldRequest(request, diags);
-  requests_ts_.Record(now);
-  if (violation) violations_ts_.Record(now);
-
-  // Two-horizon alerting from the windowed series: the fast horizon pages
-  // on bursts, the slow horizon confirms sustained spend. Each edge is
-  // reported once per crossing.
-  const double fast = fast_burn_rate();
-  const bool fast_now = fast > spec_.fast_burn_threshold;
-  if (diags != nullptr && fast_now && !fast_burning_) {
-    std::ostringstream msg;
-    msg << "fast SLO burn " << fast << "x over the last "
-        << spec_.fast_windows << " windows ("
-        << spec_.window_resolution.us() << " us each): violation burst at "
-        << now.us() << " us against a "
-        << (1.0 - spec_.objective) * 100.0 << "% error budget";
-    diags->Report(analysis::Diagnostic::Make(
-        analysis::kSloFastBurn, {}, msg.str()));
-  }
-  fast_burning_ = fast_now;
-
-  const double slow = slow_burn_rate();
-  const bool slow_now = slow > spec_.burn_threshold;
-  if (diags != nullptr && slow_now && !slow_burning_) {
-    std::ostringstream msg;
-    msg << "latency SLO burn rate " << slow << "x over the last "
-        << spec_.slow_windows << " windows ("
-        << spec_.window_resolution.us() << " us each): "
-        << "sustained spend against a "
-        << (1.0 - spec_.objective) * 100.0 << "% error budget";
-    diags->Report(analysis::Diagnostic::Make(
-        analysis::kSloLatencyBurn, {}, msg.str()));
-  }
-  slow_burning_ = slow_now;
-}
-
 double SloMonitor::violation_rate() const {
   if (window_.empty()) return 0.0;
   return static_cast<double>(window_violations_) /
          static_cast<double>(window_.size());
-}
-
-double SloMonitor::BurnOverWindows(std::size_t windows) const {
-  if (!requests_ts_.has_data()) return 0.0;
-  // Both series advance on the request clock, so the horizon is anchored
-  // to the newest *request* window -- a violation burst ages out of the
-  // fast horizon even though the violation series stopped advancing.
-  const std::int64_t last = requests_ts_.last_index();
-  const std::int64_t first = last - static_cast<std::int64_t>(windows) + 1;
-  const double requests = requests_ts_.SumOverRange(first, last);
-  if (requests <= 0.0) return 0.0;
-  const double violations = violations_ts_.SumOverRange(first, last);
-  const double rate = violations / requests;
-  const double budget = 1.0 - spec_.objective;
-  if (budget <= 0.0) return rate > 0.0 ? 1e9 : 0.0;
-  return rate / budget;
-}
-
-double SloMonitor::fast_burn_rate() const {
-  return BurnOverWindows(spec_.fast_windows);
-}
-
-double SloMonitor::slow_burn_rate() const {
-  return BurnOverWindows(spec_.slow_windows);
 }
 
 double SloMonitor::burn_rate() const {
@@ -162,10 +90,6 @@ void SloMonitor::ExportMetrics(obs::Registry& registry,
   registry.gauge("telemetry.slo.violation_rate", base_labels)
       .Set(violation_rate());
   registry.gauge("telemetry.slo.burn_rate", base_labels).Set(burn_rate());
-  registry.gauge("telemetry.slo.fast_burn_rate", base_labels)
-      .Set(fast_burn_rate());
-  registry.gauge("telemetry.slo.slow_burn_rate", base_labels)
-      .Set(slow_burn_rate());
   registry.gauge("telemetry.slo.goodput", base_labels).Set(goodput());
   registry.gauge("telemetry.slo.starved_requests", base_labels)
       .Set(static_cast<double>(starved_requests_));

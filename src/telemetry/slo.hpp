@@ -14,15 +14,7 @@
 // raises CLF701; a request whose channel-stall share exceeds
 // `starvation_fraction` raises CLF702 (a queue is starving the request);
 // both are reported once per crossing/request, not per evaluation.
-//
-// Timestamped observations (ObserveRequestAt, obs v2) additionally feed
-// windowed request/violation TimeSeries on the simulated clock, giving
-// the two-horizon alerting SRE playbooks pair: a *fast* burn rate over
-// the last `fast_windows` windows (CLF704 -- pages quickly on a violation
-// burst) and a *slow* burn rate over `slow_windows` (CLF701 -- fires only
-// when the long horizon confirms sustained budget spend). Both rates read
-// the ring-buffered series in O(windows), never rescanning per-request
-// history, and violation_rate() over the request-count window is O(1).
+// violation_rate() over the request-count window is O(1).
 #pragma once
 
 #include <cstdint>
@@ -30,14 +22,12 @@
 #include <string>
 
 #include "analysis/diag.hpp"
-#include "common/sim_time.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 
 namespace clflow::telemetry {
 
 /// The declared objective: latency bound, aspired success fraction, and
-/// the window/alerting knobs.
+/// the window/alerting thresholds.
 struct SloSpec {
   /// A request meets the SLO when it completes OK within this bound.
   double latency_objective_us = 0.0;
@@ -54,19 +44,6 @@ struct SloSpec {
   /// blocked until upstream data arrives), so it only fires when a
   /// producer is genuinely wedged (hangs, retry storms).
   double starvation_fraction = 0.9;
-
-  // --- Windowed (timestamped) evaluation knobs, obs v2 ---------------------
-
-  /// Resolution of the request/violation time series.
-  SimTime window_resolution = SimTime::Ms(1.0);
-  /// Slow-burn lookback in windows (also the series ring capacity).
-  std::size_t slow_windows = 64;
-  /// Fast-burn lookback in windows.
-  std::size_t fast_windows = 8;
-  /// CLF704 fires when the fast-window burn rate crosses above this.
-  /// Higher than `burn_threshold` by convention: a short horizon must
-  /// burn much faster to page.
-  double fast_burn_threshold = 4.0;
 };
 
 /// One completed (or failed) request as the monitor sees it: identity,
@@ -94,13 +71,6 @@ class SloMonitor {
   void ObserveRequest(const RequestSummary& request,
                       analysis::DiagnosticEngine* diags = nullptr);
 
-  /// Timestamped observation: folds the request like ObserveRequest and
-  /// records it into the windowed series at simulated completion time
-  /// `now`. CLF701 (slow burn) and CLF704 (fast burn) are evaluated from
-  /// the series' two horizons, each reported once per crossing.
-  void ObserveRequestAt(const RequestSummary& request, SimTime now,
-                        analysis::DiagnosticEngine* diags = nullptr);
-
   [[nodiscard]] const SloSpec& spec() const { return spec_; }
   [[nodiscard]] std::uint64_t total_requests() const { return total_; }
   [[nodiscard]] std::uint64_t total_violations() const {
@@ -114,18 +84,6 @@ class SloMonitor {
   [[nodiscard]] double burn_rate() const;
   /// Fraction of windowed requests meeting the SLO.
   [[nodiscard]] double goodput() const;
-  /// Burn rate over the last spec().fast_windows series windows
-  /// (timestamped observations only; 0 before any).
-  [[nodiscard]] double fast_burn_rate() const;
-  /// Burn rate over the last spec().slow_windows series windows.
-  [[nodiscard]] double slow_burn_rate() const;
-  /// Windowed request/violation counters on the simulated clock.
-  [[nodiscard]] const obs::TimeSeries& request_series() const {
-    return requests_ts_;
-  }
-  [[nodiscard]] const obs::TimeSeries& violation_series() const {
-    return violations_ts_;
-  }
   /// Latency distribution over the window (p50/p95/p99 via obs).
   [[nodiscard]] obs::Histogram::Snapshot WindowLatency() const;
 
@@ -138,28 +96,14 @@ class SloMonitor {
   [[nodiscard]] std::string ToJson() const;
 
  private:
-  struct WindowEntry {
-    bool violation = false;
-  };
-
-  /// Shared request folding (count window, totals, starvation CLF702);
-  /// returns whether the request violated the SLO.
-  bool FoldRequest(const RequestSummary& request,
-                   analysis::DiagnosticEngine* diags);
-  [[nodiscard]] double BurnOverWindows(std::size_t windows) const;
-
   SloSpec spec_;
   obs::Histogram latency_;  ///< windowed to spec_.window
-  std::deque<WindowEntry> window_;
+  std::deque<bool> window_;  ///< per request: did it violate the SLO
   std::size_t window_violations_ = 0;  ///< violations in window_ (O(1) rate)
-  obs::TimeSeries requests_ts_;        ///< timestamped requests per window
-  obs::TimeSeries violations_ts_;      ///< timestamped violations per window
   std::uint64_t total_ = 0;
   std::uint64_t total_violations_ = 0;
   std::uint64_t starved_requests_ = 0;
-  bool burning_ = false;       ///< count-window CLF701 edge state
-  bool slow_burning_ = false;  ///< series CLF701 edge state
-  bool fast_burning_ = false;  ///< series CLF704 edge state
+  bool burning_ = false;  ///< CLF701 edge state
 };
 
 }  // namespace clflow::telemetry

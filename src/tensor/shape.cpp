@@ -37,8 +37,6 @@ std::vector<std::int64_t> Shape::Strides() const {
   return strides;
 }
 
-Shape Shape::Flattened() const { return Shape{NumElements()}; }
-
 std::string Shape::ToString() const {
   std::ostringstream os;
   os << '[';

@@ -28,9 +28,6 @@ class Shape {
   /// Row-major strides, in elements.
   [[nodiscard]] std::vector<std::int64_t> Strides() const;
 
-  /// Shape with all dimensions collapsed into one.
-  [[nodiscard]] Shape Flattened() const;
-
   /// e.g. "[1, 64, 56, 56]".
   [[nodiscard]] std::string ToString() const;
 

@@ -142,20 +142,6 @@ TEST(Arena, OversizedRequestGetsDedicatedBlock) {
   EXPECT_GE(arena.num_blocks(), 2u);
 }
 
-TEST(Arena, ResetKeepsFirstBlockDropsRest) {
-  common::Arena arena(256);
-  for (int i = 0; i < 50; ++i) (void)arena.Allocate(64, 8);
-  ASSERT_GT(arena.num_blocks(), 1u);
-  arena.Reset();
-  EXPECT_EQ(arena.num_blocks(), 1u);
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.num_allocations(), 0u);
-  // The retained block is reusable after the rewind.
-  void* p = arena.Allocate(16, 8);
-  EXPECT_NE(p, nullptr);
-  EXPECT_EQ(arena.bytes_used(), 16u);
-}
-
 TEST(ArenaScope, MakeArenaSharedUsesScopedArenaAndOutlivesIt) {
   std::shared_ptr<int> survivor;
   auto arena = std::make_shared<common::Arena>();

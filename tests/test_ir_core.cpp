@@ -72,13 +72,6 @@ TEST(Expr, DtypePropagation) {
   EXPECT_EQ(cmp->dtype, ScalarType::kInt32);
 }
 
-TEST(Expr, UsesShapeParamDetection) {
-  auto p = MakeVar("n", VarKind::kShapeParam);
-  auto l = MakeVar("i");
-  EXPECT_TRUE(UsesShapeParam(Add(VarRef(l), VarRef(p))));
-  EXPECT_FALSE(UsesShapeParam(Add(VarRef(l), IntImm(1))));
-}
-
 TEST(Expr, LoadArityChecked) {
   auto buf = MakeBuffer("b", {IntImm(4), IntImm(4)});
   EXPECT_THROW((void)Load(buf, {IntImm(0)}), Error);

@@ -262,22 +262,6 @@ TEST(FlightRecorderTest, MixedRecordsPastCapacityArePinned) {
   }
 }
 
-TEST(FlightRecorderTest, ClearedRingReusesItsSlots) {
-  FlightRecorder rec(/*capacity=*/8);
-  RecordMixed(rec, /*in_place=*/true);
-  rec.Clear();
-  EXPECT_EQ(rec.total_recorded(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
-  EXPECT_TRUE(rec.snapshot().empty());
-  rec.Note("note", "after clear", {});
-  const std::vector<FlightEvent> snap = rec.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].seq, 0u);
-  EXPECT_EQ(snap[0].kind, "note");
-  EXPECT_EQ(snap[0].label, "after clear");
-  EXPECT_EQ(snap[0].detail, "");
-}
-
 TEST(FlightRecorderTest, DumpOnFaultCarriesTheFailingRequestsTraceId) {
   const std::string path = testing::TempDir() + "clflow_flightrec_test.json";
   std::remove(path.c_str());
@@ -552,107 +536,6 @@ TEST(Slo, ExportMetricsWritesGaugesAndWindowedHistogram) {
   EXPECT_EQ(snap.count, 4);
   EXPECT_DOUBLE_EQ(snap.min, 30.0);
   EXPECT_DOUBLE_EQ(snap.max, 60.0);
-}
-
-TEST(Slo, Clf704FastBurnFiresBeforeSlowBurn) {
-  // Two-horizon alerting: a short violation burst saturates the fast
-  // horizon (CLF704) while the slow 64-window burn is still far under
-  // its threshold; only a sustained violation rate trips CLF701.
-  SloSpec spec;
-  spec.latency_objective_us = 100.0;
-  spec.objective = 0.9;  // 10% error budget
-  spec.burn_threshold = 1.0;
-  spec.fast_burn_threshold = 4.0;
-  spec.window_resolution = SimTime::Ms(1.0);
-  spec.slow_windows = 64;
-  spec.fast_windows = 4;
-  SloMonitor mon(spec);
-  analysis::DiagnosticEngine diags;
-  auto count = [&diags](const char* code) {
-    int n = 0;
-    for (const auto& d : diags.diagnostics()) n += d.code == code;
-    return n;
-  };
-
-  // One good request per window for 60 windows: both burns at zero.
-  for (int w = 0; w < 60; ++w) {
-    mon.ObserveRequestAt(OkRequest(1, 50.0),
-                         SimTime::Ms(static_cast<double>(w) + 0.5), &diags);
-  }
-  EXPECT_EQ(count("CLF704"), 0);
-  EXPECT_EQ(count("CLF701"), 0);
-
-  // A 4-violation burst in windows 60-61. Fast horizon [58, 61]: 4 of 6
-  // requests violate -> burn 6.7x budget >= 4x. Slow horizon: 4 of 64 ->
-  // burn 0.6x, still quiet.
-  for (int i = 0; i < 4; ++i) {
-    mon.ObserveRequestAt(OkRequest(2, 500.0),
-                         SimTime::Ms(60.0 + 0.4 * i), &diags);
-  }
-  EXPECT_EQ(count("CLF704"), 1);
-  EXPECT_EQ(count("CLF701"), 0);
-  EXPECT_GE(mon.fast_burn_rate(), spec.fast_burn_threshold);
-  EXPECT_LT(mon.slow_burn_rate(), spec.burn_threshold);
-
-  // Sustained violations eventually trip the slow horizon too (needs
-  // >10% of the 64-window request mix).
-  for (int i = 0; i < 8; ++i) {
-    mon.ObserveRequestAt(OkRequest(3, 500.0),
-                         SimTime::Ms(62.0 + static_cast<double>(i)), &diags);
-  }
-  EXPECT_GE(count("CLF701"), 1);
-  EXPECT_GE(mon.slow_burn_rate(), spec.burn_threshold);
-}
-
-TEST(Slo, FastBurnDecaysWhenViolationsStop) {
-  // An old burst must not pin the fast burn high forever: both horizons
-  // are anchored to the *request* series head, so new quiet windows push
-  // the burst out of the fast horizon.
-  SloSpec spec;
-  spec.latency_objective_us = 100.0;
-  spec.objective = 0.9;
-  spec.window_resolution = SimTime::Ms(1.0);
-  spec.slow_windows = 32;
-  spec.fast_windows = 4;
-  SloMonitor mon(spec);
-
-  for (int i = 0; i < 4; ++i) {
-    mon.ObserveRequestAt(OkRequest(1, 500.0), SimTime::Ms(0.5), nullptr);
-  }
-  EXPECT_GT(mon.fast_burn_rate(), 1.0);
-  for (int w = 1; w <= 8; ++w) {
-    mon.ObserveRequestAt(OkRequest(2, 50.0),
-                         SimTime::Ms(static_cast<double>(w) + 0.5), nullptr);
-  }
-  EXPECT_DOUBLE_EQ(mon.fast_burn_rate(), 0.0);
-  EXPECT_GT(mon.slow_burn_rate(), 0.0);  // burst still in the slow horizon
-}
-
-TEST(Slo, ObserveRequestAtFeedsWindowedSeries) {
-  SloSpec spec;
-  spec.latency_objective_us = 100.0;
-  spec.window_resolution = SimTime::Ms(1.0);
-  spec.slow_windows = 16;
-  SloMonitor mon(spec);
-  mon.ObserveRequestAt(OkRequest(1, 50.0), SimTime::Ms(0.5), nullptr);
-  mon.ObserveRequestAt(OkRequest(2, 150.0), SimTime::Ms(1.5), nullptr);
-  mon.ObserveRequestAt(OkRequest(3, 150.0), SimTime::Ms(1.7), nullptr);
-
-  EXPECT_DOUBLE_EQ(mon.request_series().Total(), 3.0);
-  EXPECT_DOUBLE_EQ(mon.violation_series().Total(), 2.0);
-  const auto windows = mon.request_series().Windows();
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_DOUBLE_EQ(windows[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(windows[1].value, 2.0);
-
-  // The timestamped path also feeds the count-window state the export
-  // and text paths read.
-  EXPECT_EQ(mon.total_requests(), 3u);
-  EXPECT_EQ(mon.total_violations(), 2u);
-  obs::Registry reg;
-  mon.ExportMetrics(reg);
-  EXPECT_GT(reg.gauge("telemetry.slo.fast_burn_rate").value(), 0.0);
-  EXPECT_GT(reg.gauge("telemetry.slo.slow_burn_rate").value(), 0.0);
 }
 
 TEST(Slo, ToJsonParsesAndMatchesState) {

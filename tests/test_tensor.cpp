@@ -29,12 +29,6 @@ TEST(Shape, Strides) {
   EXPECT_EQ(strides[2], 1);
 }
 
-TEST(Shape, FlattenedPreservesCount) {
-  const Shape s{4, 5, 6};
-  EXPECT_EQ(s.Flattened().rank(), 1);
-  EXPECT_EQ(s.Flattened().NumElements(), s.NumElements());
-}
-
 TEST(Shape, RejectsNonPositiveExtents) {
   EXPECT_THROW(Shape({1, 0, 3}), Error);
   EXPECT_THROW(Shape({-2}), Error);
