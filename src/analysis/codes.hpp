@@ -62,7 +62,7 @@ inline constexpr CodeInfo kUndefinedVar{
     "scalar argument"};
 inline constexpr CodeInfo kOutOfBounds{
     "CLF102", Severity::kError, "buffer access out of bounds", "SS4.2",
-    "re-check SplitLoop/ReorderLoops factors against the buffer shape"};
+    "re-check the tiling factors against the buffer shape"};
 inline constexpr CodeInfo kUnrollDependence{
     "CLF103", Severity::kError,
     "unrolled loop carries a cross-lane dependence", "SS4.1",
@@ -115,7 +115,8 @@ inline constexpr CodeInfo kUnpinnedStride{
 inline constexpr CodeInfo kGlobalAccumulator{
     "CLF302", Severity::kWarning,
     "reduction through global memory forces II=5", "SS4.5/SS5.1.1",
-    "apply CacheWrite to accumulate in private registers"};
+    "set cached_writes (recipe.fuse_and_cache) to accumulate in private "
+    "registers"};
 inline constexpr CodeInfo kNonDivisibleUnroll{
     "CLF303", Severity::kWarning,
     "unroll factor does not divide the loop extent", "SS4.11",
@@ -144,20 +145,11 @@ inline constexpr CodeInfo kScheduleNonDivisible{
     "CLF403", Severity::kError,
     "factor does not divide the loop extent", "SS4.11",
     "choose a dividing factor -- the flow generates no epilogue loops"};
-inline constexpr CodeInfo kScheduleFusionDependence{
-    "CLF404", Severity::kError,
-    "loop fusion would reorder a dependence", "SS4.3",
-    "fuse only loops whose shared buffers are accessed at the fused "
-    "iteration itself"};
 inline constexpr CodeInfo kScheduleStructure{
     "CLF405", Severity::kError,
     "schedule primitive does not match the loop structure", "SS4.3",
     "the transform needs adjacent/perfectly-nested loops of matching "
     "shape"};
-inline constexpr CodeInfo kScheduleCacheMisuse{
-    "CLF406", Severity::kError, "cache transform misapplied", "SS4.5",
-    "CacheWrite needs another escaping output; CacheRead needs a constant-"
-    "shape read-only buffer"};
 
 // --- Runtime faults ---------------------------------------------------------
 inline constexpr CodeInfo kRuntimeUnknownKernel{
@@ -262,64 +254,63 @@ inline constexpr CodeInfo kSrcParseFailure{
     "CLF800", Severity::kError,
     "emitted source does not parse as the expected dialect", "SS4.9",
     "the .cl text left the emitter's grammar -- an emitter bug or external "
-    "edit; repro: flow_inspector <net> <board> --srclint-inject parse "
-    "--lint-src"};
+    "edit; repro: example_flow_inspector lint <net> <board> --src --inject "
+    "parse"};
 inline constexpr CodeInfo kSrcSignatureMismatch{
     "CLF801", Severity::kError,
     "kernel signature does not match the plan", "SS4.9",
-    "argument names/types/qualifiers or autorun attributes diverge from "
-    "the scheduled kernel; repro: flow_inspector <net> <board> "
-    "--srclint-inject sig --lint-src"};
+    "argument names/types/qualifiers or autorun attributes diverge from the "
+    "scheduled kernel; repro: example_flow_inspector lint <net> <board> "
+    "--src --inject sig"};
 inline constexpr CodeInfo kSrcChannelSequence{
     "CLF802", Severity::kError,
     "channel op sequence does not match the plan", "SS4.6/SS4.9",
-    "the ordered read/write_channel_intel ops in the source diverge from "
-    "the kernel's channel graph; repro: flow_inspector <net> <board> "
-    "--srclint-inject chan-endpoint --lint-src"};
+    "the ordered read/write_channel_intel ops in the source diverge from the "
+    "kernel's channel graph; repro: example_flow_inspector lint <net> "
+    "<board> --src --inject chan-endpoint"};
 inline constexpr CodeInfo kSrcUnrollMismatch{
     "CLF803", Severity::kError,
     "loop structure or unroll pragma does not match the schedule", "SS4.1",
     "a '#pragma unroll' annotation was dropped, added, or re-factored "
-    "relative to the scheduled loop nest; repro: flow_inspector <net> "
-    "<board> --srclint-inject unroll --lint-src"};
+    "relative to the scheduled loop nest; repro: example_flow_inspector lint "
+    "<net> <board> --src --inject unroll"};
 inline constexpr CodeInfo kSrcChannelDecl{
     "CLF804", Severity::kError,
     "channel declaration does not match the plan", "SS4.6",
     "channel element type/depth/extension pragma diverge from the channel "
     "graph (a wrong element type silently reinterprets every payload); "
-    "repro: flow_inspector <net> <board> --srclint-inject chan-type "
-    "--lint-src"};
+    "repro: example_flow_inspector lint <net> <board> --src --inject "
+    "chan-type"};
 inline constexpr CodeInfo kSrcLoopCarried{
     "CLF805", Severity::kError,
     "loop-carried dependence on an on-chip array", "SS4.1/SS5.1.1",
     "an iteration reads an element a previous iteration wrote (distance "
-    "reported); restructure to a shift register or do not pipeline; "
-    "repro: flow_inspector <net> <board> --srclint-inject loop-dep "
-    "--lint-src"};
+    "reported); restructure to a shift register or do not pipeline; repro: "
+    "example_flow_inspector lint <net> <board> --src --inject loop-dep"};
 inline constexpr CodeInfo kSrcIndexOob{
     "CLF806", Severity::kError,
     "provably out-of-bounds on-chip array index", "SS4.2",
-    "interval analysis proves the index exceeds the declared extent for "
-    "some reachable iteration; repro: flow_inspector <net> <board> "
-    "--srclint-inject oob --lint-src"};
+    "interval analysis proves the index exceeds the declared extent for some "
+    "reachable iteration; repro: example_flow_inspector lint <net> <board> "
+    "--src --inject oob"};
 inline constexpr CodeInfo kSrcMissingRestrict{
     "CLF807", Severity::kWarning,
     "global pointer argument lacks 'restrict'", "SS4.4",
     "without restrict AOC must assume aliasing and serializes bursts; add "
-    "the qualifier in the emitter; repro: flow_inspector <net> <board> "
-    "--srclint-inject restrict --lint-src"};
+    "the qualifier in the emitter; repro: example_flow_inspector lint <net> "
+    "<board> --src --inject restrict"};
 inline constexpr CodeInfo kSrcDeadStore{
     "CLF808", Severity::kWarning,
     "on-chip buffer is written but never read", "SS4.5",
-    "the array burns BRAM/registers without feeding any output or "
-    "channel; drop it or wire it up; repro: flow_inspector <net> <board> "
-    "--srclint-inject dead-store --lint-src"};
+    "the array burns BRAM/registers without feeding any output or channel; "
+    "drop it or wire it up; repro: example_flow_inspector lint <net> <board> "
+    "--src --inject dead-store"};
 inline constexpr CodeInfo kSrcUninitSrcRead{
     "CLF809", Severity::kWarning,
     "read of a private/local buffer before any store", "SS4.5",
-    "the first-iteration read sees undefined data; emit an init loop "
-    "before the accumulation; repro: flow_inspector <net> <board> "
-    "--srclint-inject uninit --lint-src"};
+    "the first-iteration read sees undefined data; emit an init loop before "
+    "the accumulation; repro: example_flow_inspector lint <net> <board> "
+    "--src --inject uninit"};
 
 /// All registered codes, in documentation order.
 inline constexpr const CodeInfo* kAllCodes[] = {
@@ -329,8 +320,7 @@ inline constexpr const CodeInfo* kAllCodes[] = {
     &kAutorunWithArgs,  &kQueueHazard,      &kUnpinnedStride,
     &kGlobalAccumulator, &kNonDivisibleUnroll, &kNonBurstAccess,
     &kMissedAutorun,    &kScheduleTargetMissing, &kScheduleBadBound,
-    &kScheduleNonDivisible, &kScheduleFusionDependence, &kScheduleStructure,
-    &kScheduleCacheMisuse,
+    &kScheduleNonDivisible, &kScheduleStructure,
     &kRuntimeUnknownKernel, &kRuntimeChannelDeadlock, &kRuntimeTransferFailed,
     &kRuntimeKernelCorrupt, &kRuntimeDeviceLost, &kRuntimeChannelProtocol,
     &kRuntimeBadOptions, &kReplicaQuarantined, &kBatchFailover,

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "analysis/access_model.hpp"
+#include "common/error.hpp"
 #include "ir/analysis.hpp"
 
 namespace clflow::analysis {
@@ -21,16 +23,15 @@ using ir::StmtKind;
 /// The IR front end of the access model: walks an ir::Stmt into an
 /// AccessStream (variables keyed by ir::VarNode*, arrays by buffer),
 /// reporting CLF101/104/105 on the way, then words the engine's findings
-/// as CLF102/103/106. `defined` (the kernel's scalar arguments) is null for
-/// a bare statement, which has no signature to check against.
+/// as CLF102/103/106. `defined` (the kernel's scalar arguments) is null when
+/// only the access stream is wanted, which skips the CLF101 check.
 class StmtVerifier {
  public:
   StmtVerifier(DiagnosticEngine& engine, std::string kernel_name,
                const std::unordered_set<const ir::VarNode*>* defined)
       : engine_(engine), kernel_(std::move(kernel_name)), defined_(defined) {}
 
-  int Run(const Stmt& root) {
-    const int before = engine_.error_count();
+  void Run(const Stmt& root) {
     Visit(root);
     // CLF102: the engine's rule over parameters >= 1, reported where it
     // is proven over constant loop boxes and constant extents.
@@ -62,7 +63,6 @@ class StmtVerifier {
                      " that another lane writes; the lanes execute "
                      "concurrently, so the value read is undefined");
     }
-    return engine_.error_count() - before;
   }
 
   [[nodiscard]] const AccessStream& stream() const { return stream_; }
@@ -271,11 +271,6 @@ class StmtVerifier {
 
 }  // namespace
 
-int VerifyStmt(const ir::Stmt& root, DiagnosticEngine& engine,
-               const std::string& kernel_name) {
-  return StmtVerifier(engine, kernel_name, /*defined=*/nullptr).Run(root);
-}
-
 int VerifyKernel(const ir::Kernel& kernel, DiagnosticEngine& engine) {
   const int before = engine.error_count();
   // Everything Kernel::Validate rejects is a scope/structure violation.
@@ -288,7 +283,7 @@ int VerifyKernel(const ir::Kernel& kernel, DiagnosticEngine& engine) {
   std::unordered_set<const ir::VarNode*> defined;
   for (const auto& v : kernel.scalar_args) defined.insert(v.get());
   StmtVerifier verifier(engine, kernel.name, &defined);
-  (void)verifier.Run(kernel.body);
+  verifier.Run(kernel.body);
   verifier.ReportUninit(kernel.local_buffers);
   return engine.error_count() - before;
 }
@@ -296,18 +291,8 @@ int VerifyKernel(const ir::Kernel& kernel, DiagnosticEngine& engine) {
 AccessStream KernelAccessStream(const ir::Kernel& kernel) {
   DiagnosticEngine scratch;
   StmtVerifier verifier(scratch, kernel.name, nullptr);
-  (void)verifier.Run(kernel.body);
+  verifier.Run(kernel.body);
   return verifier.stream();
-}
-
-Diagnostic FromScheduleError(const ScheduleError& error) {
-  const CodeInfo* info = FindCode(error.code());
-  if (info == nullptr) info = &kScheduleStructure;
-  DiagLocation loc{error.kernel(), error.loop(), ""};
-  std::string message = error.what();
-  const std::string prefix = error.code() + ": ";
-  if (message.rfind(prefix, 0) == 0) message = message.substr(prefix.size());
-  return Diagnostic::Make(*info, std::move(loc), std::move(message));
 }
 
 }  // namespace clflow::analysis

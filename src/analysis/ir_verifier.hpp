@@ -6,16 +6,16 @@
 // AccessStream and wording the engine's findings. srclint words the same
 // findings for the emitted source.
 //
-// VerifyStmt checks a bare statement tree -- this is the form the
-// after-every-pass gate uses (ir::ScopedPassVerifier), where no kernel
-// signature is available:
+// VerifyKernel checks one scheduled kernel. The compile gate
+// (core::Deployment::RunAnalysisGate) runs it on every finished kernel,
+// after the builders and stride pinning, so each tree is verified once.
+// The tree checks:
 //
 //   * CLF102  buffer out-of-bounds: the engine's corner-interval rule,
 //             reported where it is proven over constant loop boxes and
-//             constant extents, so it catches illegal SplitLoop /
-//             ReorderLoops compositions without false positives; guarded
-//             accesses (inside Select arms or If bodies, e.g. the padding
-//             kernels) are skipped.
+//             constant extents, so it catches illegal tilings without
+//             false positives; guarded accesses (inside Select arms or If
+//             bodies, e.g. the padding kernels) are skipped.
 //   * CLF103  cross-lane dependences in unrolled/vectorized loops: a
 //             store and a load of one buffer whose elements coincide for
 //             two different lanes, enclosing loops at their first
@@ -26,7 +26,7 @@
 //   * CLF105  unroll/vectorize annotations on non-constant extents, which
 //             AOC refuses to compile.
 //
-// VerifyKernel adds the signature-dependent checks:
+// and the signature-dependent checks:
 //
 //   * CLF101  def-before-use: every variable must be bound by an
 //             enclosing loop or declared as a scalar argument.
@@ -37,21 +37,15 @@
 //   * CLF106  loads from on-chip (local/private) buffers that no store
 //             ever initializes.
 //
-// Both return the number of error-severity diagnostics added, so gates
-// can abort precisely when the tree they just produced is broken.
+// It returns the number of error-severity diagnostics added, so the gate
+// can abort precisely when a kernel is broken.
 #pragma once
-
-#include <string>
 
 #include "analysis/access_model.hpp"
 #include "analysis/diag.hpp"
-#include "common/error.hpp"
 #include "ir/stmt.hpp"
 
 namespace clflow::analysis {
-
-[[nodiscard]] int VerifyStmt(const ir::Stmt& root, DiagnosticEngine& engine,
-                             const std::string& kernel_name = "");
 
 [[nodiscard]] int VerifyKernel(const ir::Kernel& kernel,
                                DiagnosticEngine& engine);
@@ -59,9 +53,5 @@ namespace clflow::analysis {
 /// The access stream behind VerifyKernel's CLF102/103/106: the IR front
 /// end of the access model, for comparing with srclint's.
 [[nodiscard]] AccessStream KernelAccessStream(const ir::Kernel& kernel);
-
-/// Converts a structured ScheduleError (CLF4xx) into a diagnostic so the
-/// engine renders schedule failures uniformly with verifier findings.
-[[nodiscard]] Diagnostic FromScheduleError(const ScheduleError& error);
 
 }  // namespace clflow::analysis

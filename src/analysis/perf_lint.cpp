@@ -64,8 +64,8 @@ int LintKernel(const ir::Kernel& kernel, const ir::KernelStats* stats,
        << " (read-modify-write through an LSU); AOC cannot use the "
        << "single-cycle accumulator, II=" << ir::kGlobalReductionII;
     report(kGlobalAccumulator, {kernel.name, "", s->buffer->name}, os.str(),
-           "apply CacheWrite(\"" + s->buffer->name +
-               "\") to accumulate in private registers (SS4.5)");
+           "set cached_writes (recipe.fuse_and_cache) so " + s->buffer->name +
+               " accumulates in private registers (SS4.5)");
   });
 
   // CLF303: partial unroll factors that do not divide the extent.

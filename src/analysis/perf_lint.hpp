@@ -8,7 +8,7 @@
 //             (SS5.3; fix: PinStrideVars / recipe.pin_strides)
 //   * CLF302  a reduction through a global-memory scratchpad cannot use
 //             the single-cycle accumulator and gets II=5 (SS5.1.1; fix:
-//             CacheWrite, SS4.5)
+//             cached_writes / recipe.fuse_and_cache, SS4.5)
 //   * CLF303  a partial-unroll factor that does not divide the loop
 //             extent forces an epilogue loop (SS4.11 requirement 2)
 //   * CLF304  non-sequential addressing (div/mod flattening, uncoalesced

@@ -8,7 +8,6 @@
 // status values on the relevant result structs instead.
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -29,37 +28,16 @@ class ShapeError : public Error {
 /// Thrown when a schedule primitive is applied illegally
 /// (e.g. splitting a loop by a non-dividing factor without allowing tails).
 ///
-/// Carries structured context -- a CLF diagnostic code plus the kernel,
-/// loop variable, and offending extent when known -- so the diagnostics
-/// engine (analysis::FromScheduleError) can render schedule failures
-/// uniformly with the verifier's findings. The legacy string constructor
-/// remains for call sites with no context; it reports code CLF405.
+/// what() starts with the "CLFxxx: " diagnostic code classifying the
+/// failure (the CLF4xx family of analysis/codes.hpp), which
+/// core::CompileWithFallback logs with each failed attempt. The string
+/// constructor reports code CLF405.
 class ScheduleError : public Error {
  public:
   explicit ScheduleError(const std::string& what)
       : ScheduleError("CLF405", what) {}
-  ScheduleError(std::string code, const std::string& what,
-                std::string kernel = "", std::string loop = "",
-                std::int64_t extent = -1)
-      : Error(code + ": " + what),
-        code_(std::move(code)),
-        kernel_(std::move(kernel)),
-        loop_(std::move(loop)),
-        extent_(extent) {}
-
-  /// The "CLFxxx" diagnostic code classifying this failure.
-  [[nodiscard]] const std::string& code() const { return code_; }
-  [[nodiscard]] const std::string& kernel() const { return kernel_; }
-  /// Loop variable the primitive targeted ("" when not loop-directed).
-  [[nodiscard]] const std::string& loop() const { return loop_; }
-  /// Offending loop extent; -1 when not applicable.
-  [[nodiscard]] std::int64_t extent() const { return extent_; }
-
- private:
-  std::string code_;
-  std::string kernel_;
-  std::string loop_;
-  std::int64_t extent_ = -1;
+  ScheduleError(const std::string& code, const std::string& what)
+      : Error(code + ": " + what) {}
 };
 
 /// Thrown when the static-analysis gate in Deployment::Compile finds

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <sstream>
 
 #include "analysis/ir_verifier.hpp"
@@ -11,7 +10,6 @@
 #include "common/arena.hpp"
 #include "common/error.hpp"
 #include "core/compile_cache.hpp"
-#include "ir/passes.hpp"
 #include "srclint/inject.hpp"
 #include "srclint/srclint.hpp"
 
@@ -244,20 +242,8 @@ Deployment Deployment::Compile(const graph::Graph& g,
     d.telemetry_->registry.counter("compile.nodes_fused")
         .Add(static_cast<double>(before - after));
   }
-  try {
+  {
     obs::ScopedSpan span(tracer, "lowering");
-    // Gate every schedule primitive applied while lowering: a pass
-    // composition that produces malformed IR aborts at the pass that
-    // produced it, not at some downstream symptom.
-    std::optional<ir::ScopedPassVerifier> pass_gate;
-    if (options.analysis.verify) {
-      pass_gate.emplace([&d](const ir::Stmt& result, const char* pass) {
-        if (analysis::VerifyStmt(result, *d.diags_) > 0) {
-          throw VerifyError("IR verifier rejected the result of pass " +
-                            std::string(pass) + ":\n" + d.diags_->ToText());
-        }
-      });
-    }
     if (options.mode == ExecutionMode::kPipelined) {
       d.PlanPipelined(options.recipe);
     } else {
@@ -266,12 +252,6 @@ Deployment Deployment::Compile(const graph::Graph& g,
     span.Arg("kernels", static_cast<std::int64_t>(d.kernels_.size()));
     span.Arg("invocations",
              static_cast<std::int64_t>(d.invocations_.size()));
-  } catch (const VerifyError& e) {
-    // Compile-time postmortem: the rejected pass's diagnostics go out
-    // through the same flight-recorder dump as a runtime fault would.
-    d.flightrec_->Note("fault", "VerifyError", {}, e.what());
-    d.DumpFlightRecorder();
-    throw;
   }
   d.AssignQueues();
   try {
@@ -458,8 +438,7 @@ void Deployment::PlanFolded(const OptimizationRecipe& recipe) {
             out.width() % conv.tile_w2 != 0 ||
             (!dw && n.filters % conv.tile_c2 != 0)) {
           throw ScheduleError("CLF403",
-                              "tiling does not divide layer " + n.name,
-                              "k_" + n.name, "", out.width());
+                              "tiling does not divide layer " + n.name);
         }
         group = dw ? "dw" : "conv";
         group += std::to_string(n.window);

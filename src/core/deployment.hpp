@@ -33,7 +33,7 @@ class CompileCache;
 
 /// Controls the static-analysis gate that runs inside Compile.
 struct AnalysisOptions {
-  /// Run the IR verifier after every schedule primitive and the dataflow
+  /// Run the IR verifier on every finished kernel and the dataflow
   /// checker / perf linter on the finished plan. Error-severity findings
   /// abort compilation with VerifyError.
   bool verify = true;
@@ -47,8 +47,8 @@ struct AnalysisOptions {
   std::map<std::string, analysis::Severity> severity_overrides;
   /// Test/demo hook: corrupts the emitted source with the named
   /// srclint::InjectDefect mode before the in-gate lint runs, proving the
-  /// gate rejects a broken emission (mirrors `flow_inspector
-  /// --srclint-inject`). Empty (the default) lints the real emission.
+  /// gate rejects a broken emission (mirrors `flow_inspector lint --src
+  /// --inject`). Empty (the default) lints the real emission.
   std::string srclint_inject;
 };
 
@@ -196,7 +196,7 @@ class Deployment {
   /// The launch plan as the dataflow checker sees it: one PlanStep per
   /// invocation in enqueue order with queue assignments, channel endpoints,
   /// and graph dependence edges. Exposed so external tools (flow_inspector
-  /// --lint) can re-run or perturb the checks.
+  /// lint) can re-run or perturb the checks.
   [[nodiscard]] analysis::Plan AnalysisPlan() const;
 
   /// The live simulated runtime (valid when ok()); exposes the profiled

@@ -72,7 +72,7 @@ struct ChaosReport {
   /// FNV-1a over every scenario's fault spec, counters, and outcome, in
   /// index order. Equal seeds must yield equal digests at any jobs count.
   [[nodiscard]] std::uint64_t Digest() const;
-  /// Per-scenario JSON table (the flow_inspector --chaos-report payload).
+  /// Per-scenario JSON table (the `flow_inspector chaos --report` payload).
   [[nodiscard]] std::string ToJson() const;
   /// Human-readable pass/fail summary with per-action counts.
   [[nodiscard]] std::string SummaryTable() const;

@@ -296,17 +296,4 @@ Expr Simplify(const Expr& e) {
   return s;
 }
 
-bool UsesVar(const Expr& e, const VarPtr& var) {
-  if (!e) return false;
-  if (e->kind == ExprKind::kVar) return e->var == var;
-  if (e->a && UsesVar(e->a, var)) return true;
-  if (e->b && UsesVar(e->b, var)) return true;
-  if (e->c && UsesVar(e->c, var)) return true;
-  for (const auto& idx : e->indices)
-    if (UsesVar(idx, var)) return true;
-  for (const auto& arg : e->args)
-    if (UsesVar(arg, var)) return true;
-  return false;
-}
-
 }  // namespace clflow::ir

@@ -165,7 +165,4 @@ class ExprNode {
 /// Constant folding + algebraic identities (x*1, x+0, const*const, ...).
 [[nodiscard]] Expr Simplify(const Expr& e);
 
-/// True if the expression references the variable.
-[[nodiscard]] bool UsesVar(const Expr& e, const VarPtr& var);
-
 }  // namespace clflow::ir

@@ -7,9 +7,10 @@
 // private-register accumulators, filter-loop unrolling, multi-dimensional
 // tiling, read caches, channel I/O, symbolic shapes with stride pinning).
 //
-// The generic schedule passes in ir/passes.hpp are unit-tested against
-// these builders: e.g. the optimized softmax equals HoistInvariants applied
-// to the naive softmax.
+// Each builder is the one definition of its operator: the schedule struct
+// it takes (ConvSchedule, DenseSchedule, ...) selects every optimization a
+// recipe applies, and test_ir_kernels runs the naive and optimized forms
+// through the IR interpreter against the CPU reference operators.
 #pragma once
 
 #include <cstdint>

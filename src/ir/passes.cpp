@@ -1,7 +1,6 @@
 #include "ir/passes.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "obs/span.hpp"
@@ -9,8 +8,6 @@
 namespace clflow::ir {
 
 namespace {
-
-thread_local PassVerifier* g_pass_verifier = nullptr;
 
 /// Counts one successful application of a schedule primitive (and the
 /// number of statements it rewrote) on the current telemetry registry.
@@ -21,18 +18,6 @@ void RecordPass(const char* pass, double stmts_rewritten = 1) {
   reg->counter("ir.pass.applied", {{"pass", pass}}).Add(1);
   reg->counter("ir.pass.stmts_rewritten", {{"pass", pass}})
       .Add(stmts_rewritten);
-}
-
-/// Routes a primitive's result through the installed verification hook
-/// before returning it to the caller.
-Stmt Verified(const char* pass, Stmt result) {
-  if (g_pass_verifier != nullptr) (*g_pass_verifier)(result, pass);
-  return result;
-}
-
-/// Same for the in-place kernel primitives.
-void VerifyKernelBody(const char* pass, const Kernel& kernel) {
-  if (g_pass_verifier != nullptr) (*g_pass_verifier)(kernel.body, pass);
 }
 
 /// Pre-order rewriter: `fn` may return a replacement for a node (no further
@@ -59,35 +44,12 @@ Stmt RewriteStmt(const Stmt& s,
   return copy;
 }
 
-bool StmtUsesVar(const Stmt& s, const VarPtr& var) {
-  bool used = false;
-  VisitExprs(s, [&](const Expr& e) {
-    if (e->kind == ExprKind::kVar && e->var == var) used = true;
-  });
-  return used;
-}
-
-void CollectReadBuffers(const Stmt& s,
-                        std::unordered_set<const BufferNode*>& out) {
-  VisitExprs(s, [&](const Expr& e) {
-    if (e->kind == ExprKind::kLoad) out.insert(e->buffer.get());
-  });
-}
-
-void CollectWrittenBuffers(const Stmt& s,
-                           std::unordered_set<const BufferNode*>& out) {
-  VisitStmts(s, [&](const Stmt& node) {
-    if (node->kind == StmtKind::kStore) out.insert(node->buffer.get());
-  });
-}
-
 std::int64_t ConstExtentOrThrow(const Stmt& loop, const char* what) {
   std::int64_t extent = 0;
   if (!IsConstInt(Simplify(loop->extent), &extent)) {
     throw ScheduleError("CLF402",
                         std::string(what) + ": loop " + loop->var->name +
-                            " does not have a constant extent",
-                        "", loop->var->name);
+                            " does not have a constant extent");
   }
   return extent;
 }
@@ -95,23 +57,12 @@ std::int64_t ConstExtentOrThrow(const Stmt& loop, const char* what) {
 void RequireZeroMin(const Stmt& loop, const char* what) {
   std::int64_t min = -1;
   if (!IsConstInt(Simplify(loop->min), &min) || min != 0) {
-    throw ScheduleError("CLF402",
-                        std::string(what) + ": loop " + loop->var->name +
-                            " must start at 0",
-                        "", loop->var->name);
+    throw ScheduleError("CLF402", std::string(what) + ": loop " +
+                                      loop->var->name + " must start at 0");
   }
 }
 
 }  // namespace
-
-ScopedPassVerifier::ScopedPassVerifier(PassVerifier verifier)
-    : verifier_(std::move(verifier)), prev_(g_pass_verifier) {
-  g_pass_verifier = &verifier_;
-}
-
-ScopedPassVerifier::~ScopedPassVerifier() { g_pass_verifier = prev_; }
-
-const PassVerifier* CurrentPassVerifier() { return g_pass_verifier; }
 
 Stmt FindLoop(const Stmt& root, const std::string& var_name) {
   Stmt found;
@@ -119,15 +70,12 @@ Stmt FindLoop(const Stmt& root, const std::string& var_name) {
     if (s->kind == StmtKind::kFor && s->var->name == var_name) {
       if (found) {
         throw ScheduleError("CLF401",
-                            "loop variable " + var_name + " is not unique",
-                            "", var_name);
+                            "loop variable " + var_name + " is not unique");
       }
       found = s;
     }
   });
-  if (!found) {
-    throw ScheduleError("CLF401", "no loop named " + var_name, "", var_name);
-  }
+  if (!found) throw ScheduleError("CLF401", "no loop named " + var_name);
   return found;
 }
 
@@ -145,12 +93,11 @@ Stmt SplitLoop(const Stmt& root, const std::string& var_name,
     throw ScheduleError("CLF403",
                         "SplitLoop: extent " + std::to_string(extent) +
                             " of " + var_name + " not divisible by factor " +
-                            std::to_string(factor),
-                        "", var_name, extent);
+                            std::to_string(factor));
   }
   RecordPass("SplitLoop");
 
-  return Verified("SplitLoop", RewriteStmt(root, [&](const Stmt& s) -> Stmt {
+  return RewriteStmt(root, [&](const Stmt& s) -> Stmt {
     if (s != target) return nullptr;
     VarPtr outer = MakeVar(var_name + "_o");
     VarPtr inner = MakeVar(var_name + "_i");
@@ -162,246 +109,7 @@ Stmt SplitLoop(const Stmt& root, const std::string& var_name,
     if (vectorize_inner) inner_ann.unroll = -1;
     Stmt inner_loop = For(inner, IntImm(0), IntImm(factor), body, inner_ann);
     return For(outer, IntImm(0), IntImm(extent / factor), inner_loop);
-  }));
-}
-
-Stmt UnrollLoop(const Stmt& root, const std::string& var_name,
-                std::int64_t factor) {
-  obs::ScopedSpan span("pass:UnrollLoop", "ir-pass");
-  span.Arg("var", var_name);
-  span.Arg("factor", factor);
-  CLFLOW_CHECK_MSG(factor == -1 || factor >= 1, "bad unroll factor");
-  const Stmt target = FindLoop(root, var_name);
-  if (factor != 1) {
-    // AOC refuses to fully unroll loops with non-constant bounds (SS4.1);
-    // we enforce the same rule.
-    const std::int64_t extent = ConstExtentOrThrow(target, "UnrollLoop");
-    if (factor > 1 && extent % factor != 0) {
-      throw ScheduleError("CLF403",
-                          "UnrollLoop: factor " + std::to_string(factor) +
-                              " does not divide extent of " + var_name,
-                          "", var_name, extent);
-    }
-  }
-  RecordPass("UnrollLoop");
-  return Verified("UnrollLoop", RewriteStmt(root, [&](const Stmt& s) -> Stmt {
-    if (s != target) return nullptr;
-    auto copy = std::make_shared<StmtNode>(*s);
-    copy->ann.unroll = factor == 1 ? 0 : factor;
-    return copy;
-  }));
-}
-
-Stmt ExplicitUnroll(const Stmt& root, const std::string& var_name) {
-  obs::ScopedSpan span("pass:ExplicitUnroll", "ir-pass");
-  span.Arg("var", var_name);
-  const Stmt target = FindLoop(root, var_name);
-  const std::int64_t extent = ConstExtentOrThrow(target, "ExplicitUnroll");
-  RequireZeroMin(target, "ExplicitUnroll");
-  CLFLOW_CHECK_MSG(extent <= 4096, "refusing to replicate a huge loop");
-  RecordPass("ExplicitUnroll", static_cast<double>(extent));
-
-  return Verified("ExplicitUnroll",
-                  RewriteStmt(root, [&](const Stmt& s) -> Stmt {
-                    if (s != target) return nullptr;
-                    std::vector<Stmt> bodies;
-                    bodies.reserve(static_cast<std::size_t>(extent));
-                    for (std::int64_t i = 0; i < extent; ++i) {
-                      bodies.push_back(
-                          SubstituteStmt(s->body, s->var, IntImm(i)));
-                    }
-                    return Block(std::move(bodies));
-                  }));
-}
-
-Stmt FuseAdjacentLoops(const Stmt& root, const std::string& first_var,
-                       const std::string& second_var) {
-  obs::ScopedSpan span("pass:FuseAdjacentLoops", "ir-pass");
-  span.Arg("first", first_var);
-  span.Arg("second", second_var);
-  const Stmt first = FindLoop(root, first_var);
-  const Stmt second = FindLoop(root, second_var);
-  const std::int64_t e1 = ConstExtentOrThrow(first, "FuseAdjacentLoops");
-  const std::int64_t e2 = ConstExtentOrThrow(second, "FuseAdjacentLoops");
-  if (e1 != e2) {
-    throw ScheduleError("CLF405",
-                        "FuseAdjacentLoops: extents differ (" +
-                            std::to_string(e1) + " vs " + std::to_string(e2) +
-                            ")",
-                        "", first_var, e1);
-  }
-  RequireZeroMin(first, "FuseAdjacentLoops");
-  RequireZeroMin(second, "FuseAdjacentLoops");
-
-  // Legality: fusion interleaves iteration i of loop2 between iterations i
-  // and i+1 of loop1, so it reorders loop1's iterations j > i against
-  // loop2's iteration i. Any buffer the two loops share with a write on
-  // EITHER side is a hazard -- RAW (write1/read2), WAR (read1/write2, loop2
-  // would clobber an element loop1 has yet to read), and WAW (write1/write2,
-  // fusion flips which store lands last). For such buffers every access in
-  // both bodies must be at the loop variable itself (element i -> element i),
-  // which makes the per-element dependence loop-independent and fusion exact.
-  std::unordered_set<const BufferNode*> read1, written1, read2, written2;
-  CollectReadBuffers(first->body, read1);
-  CollectWrittenBuffers(first->body, written1);
-  CollectReadBuffers(second->body, read2);
-  CollectWrittenBuffers(second->body, written2);
-  std::unordered_set<const BufferNode*> hazards;
-  for (const BufferNode* buf : written1) {
-    if (read2.count(buf) != 0 || written2.count(buf) != 0) {
-      hazards.insert(buf);  // RAW / WAW
-    }
-  }
-  for (const BufferNode* buf : written2) {
-    if (read1.count(buf) != 0) hazards.insert(buf);  // WAR
-  }
-  auto index_is_var = [](const std::vector<Expr>& idx, const VarPtr& v) {
-    return idx.size() == 1 && idx[0]->kind == ExprKind::kVar &&
-           idx[0]->var == v;
-  };
-  for (const BufferNode* buf : hazards) {
-    bool ok = true;
-    auto check_body = [&](const Stmt& body, const VarPtr& v) {
-      VisitStmts(body, [&](const Stmt& s) {
-        if (s->kind == StmtKind::kStore && s->buffer.get() == buf &&
-            !index_is_var(s->indices, v)) {
-          ok = false;
-        }
-      });
-      VisitExprs(body, [&](const Expr& e) {
-        if (e->kind == ExprKind::kLoad && e->buffer.get() == buf &&
-            !index_is_var(e->indices, v)) {
-          ok = false;
-        }
-      });
-    };
-    check_body(first->body, first->var);
-    check_body(second->body, second->var);
-    if (!ok) {
-      throw ScheduleError(
-          "CLF404",
-          "FuseAdjacentLoops: cross-iteration dependence through buffer " +
-              buf->name + " (accessed at indices other than the loop var)",
-          "", first_var, e1);
-    }
-  }
-
-  // Rewrite: locate the Block containing both loops adjacently.
-  bool fused = false;
-  Stmt result = RewriteStmt(root, [&](const Stmt& s) -> Stmt {
-    if (s->kind != StmtKind::kBlock) return nullptr;
-    for (std::size_t i = 0; i + 1 < s->stmts.size(); ++i) {
-      if (s->stmts[i] == first && s->stmts[i + 1] == second) {
-        Stmt body2 = SubstituteStmt(second->body, second->var,
-                                    VarRef(first->var));
-        Stmt merged_body = Block({first->body, body2});
-        auto block = std::make_shared<StmtNode>(*s);
-        block->stmts[i] = For(first->var, first->min, first->extent,
-                              merged_body, first->ann);
-        block->stmts.erase(block->stmts.begin() +
-                           static_cast<std::ptrdiff_t>(i) + 1);
-        fused = true;
-        return block;
-      }
-    }
-    return nullptr;
   });
-  if (!fused) {
-    throw ScheduleError("CLF405",
-                        "FuseAdjacentLoops: loops " + first_var + " and " +
-                            second_var + " are not adjacent",
-                        "", first_var);
-  }
-  RecordPass("FuseAdjacentLoops", 2);
-  return Verified("FuseAdjacentLoops", std::move(result));
-}
-
-Stmt HoistInvariants(const Stmt& root, const std::string& var_name) {
-  obs::ScopedSpan span("pass:HoistInvariants", "ir-pass");
-  span.Arg("var", var_name);
-  const Stmt target = FindLoop(root, var_name);
-  if (target->body->kind != StmtKind::kBlock) {
-    throw ScheduleError("CLF405", "HoistInvariants: loop body is not a block",
-                        "", var_name);
-  }
-
-  const auto& stmts = target->body->stmts;
-  std::size_t hoist_count = 0;
-  for (; hoist_count < stmts.size(); ++hoist_count) {
-    const Stmt& s = stmts[hoist_count];
-    if (StmtUsesVar(s, target->var)) break;
-    // The candidate must not read anything the remaining loop body writes
-    // (otherwise later iterations would have changed its inputs).
-    std::unordered_set<const BufferNode*> reads;
-    CollectReadBuffers(s, reads);
-    std::unordered_set<const BufferNode*> writes_inside(reads);  // temp reuse
-    writes_inside.clear();
-    for (std::size_t j = hoist_count + 1; j < stmts.size(); ++j) {
-      CollectWrittenBuffers(stmts[j], writes_inside);
-    }
-    bool conflict = false;
-    for (const BufferNode* b : reads) {
-      if (writes_inside.count(b) != 0) conflict = true;
-    }
-    if (conflict) break;
-  }
-  if (hoist_count == 0) {
-    throw ScheduleError("CLF405",
-                        "HoistInvariants: nothing hoistable from " + var_name,
-                        "", var_name);
-  }
-  RecordPass("HoistInvariants", static_cast<double>(hoist_count));
-
-  return Verified("HoistInvariants",
-                  RewriteStmt(root, [&](const Stmt& s) -> Stmt {
-    if (s != target) return nullptr;
-    std::vector<Stmt> hoisted(stmts.begin(),
-                              stmts.begin() + static_cast<std::ptrdiff_t>(
-                                                  hoist_count));
-    std::vector<Stmt> remaining(stmts.begin() + static_cast<std::ptrdiff_t>(
-                                                    hoist_count),
-                                stmts.end());
-    if (remaining.empty()) return Block(std::move(hoisted));
-    hoisted.push_back(
-        For(s->var, s->min, s->extent, Block(std::move(remaining)), s->ann));
-    return Block(std::move(hoisted));
-  }));
-}
-
-void CacheWrite(Kernel& kernel, const std::string& buffer_name) {
-  obs::ScopedSpan span("pass:CacheWrite", "ir-pass");
-  span.Arg("buffer", buffer_name);
-  auto it = std::find_if(
-      kernel.buffer_args.begin(), kernel.buffer_args.end(),
-      [&](const BufferPtr& b) { return b->name == buffer_name; });
-  if (it == kernel.buffer_args.end()) {
-    throw ScheduleError("CLF401",
-                        "CacheWrite: no global buffer named " + buffer_name +
-                            " in kernel " + kernel.name,
-                        kernel.name);
-  }
-  BufferPtr buf = *it;
-  // The result must still reach global memory through some other buffer.
-  bool escapes = false;
-  VisitStmts(kernel.body, [&](const Stmt& s) {
-    if (s->kind == StmtKind::kStore && s->buffer != buf &&
-        (s->buffer->scope == MemScope::kGlobal)) {
-      escapes = true;
-    }
-    if (s->kind == StmtKind::kWriteChannel) escapes = true;
-  });
-  if (!escapes) {
-    throw ScheduleError("CLF406",
-                        "CacheWrite: " + buffer_name +
-                            " is the only output of kernel " + kernel.name,
-                        kernel.name);
-  }
-  RecordPass("CacheWrite");
-  kernel.buffer_args.erase(it);
-  buf->scope = MemScope::kPrivate;
-  buf->is_arg = false;
-  kernel.local_buffers.push_back(buf);
-  VerifyKernelBody("CacheWrite", kernel);
 }
 
 void PinStrideVars(Kernel& kernel, const std::vector<std::string>& vars) {
@@ -413,10 +121,8 @@ void PinStrideVars(Kernel& kernel, const std::vector<std::string>& vars) {
         kernel.scalar_args.begin(), kernel.scalar_args.end(),
         [&](const VarPtr& v) { return v->name == name; });
     if (it == kernel.scalar_args.end()) {
-      throw ScheduleError("CLF401",
-                          "PinStrideVars: kernel " + kernel.name +
-                              " has no scalar argument " + name,
-                          kernel.name, name);
+      throw ScheduleError("CLF401", "PinStrideVars: kernel " + kernel.name +
+                                        " has no scalar argument " + name);
     }
     kernel.body = SubstituteStmt(kernel.body, *it, IntImm(1));
     for (auto& b : kernel.buffer_args) {
@@ -426,137 +132,6 @@ void PinStrideVars(Kernel& kernel, const std::vector<std::string>& vars) {
     kernel.scalar_args.erase(it);
   }
   kernel.body = SimplifyStmt(kernel.body);
-  VerifyKernelBody("PinStrideVars", kernel);
-}
-
-Stmt ReorderLoops(const Stmt& root, const std::string& outer_var,
-                  const std::string& inner_var) {
-  obs::ScopedSpan span("pass:ReorderLoops", "ir-pass");
-  span.Arg("outer", outer_var);
-  span.Arg("inner", inner_var);
-  const Stmt outer = FindLoop(root, outer_var);
-  if (outer->body->kind != StmtKind::kFor ||
-      outer->body->var->name != inner_var) {
-    throw ScheduleError("CLF405",
-                        "ReorderLoops: " + inner_var +
-                            " is not perfectly nested directly inside " +
-                            outer_var,
-                        "", inner_var);
-  }
-  const Stmt inner = outer->body;
-  // Bounds of the inner loop must not depend on the outer variable
-  // (non-rectangular nests cannot be interchanged this way).
-  if (UsesVar(inner->min, outer->var) || UsesVar(inner->extent, outer->var)) {
-    throw ScheduleError("CLF405",
-                        "ReorderLoops: inner bounds depend on " + outer_var,
-                        "", outer_var);
-  }
-  RecordPass("ReorderLoops", 2);
-  return Verified("ReorderLoops", RewriteStmt(root, [&](const Stmt& s) -> Stmt {
-    if (s != outer) return nullptr;
-    Stmt new_inner =
-        For(outer->var, outer->min, outer->extent, inner->body, outer->ann);
-    return For(inner->var, inner->min, inner->extent, std::move(new_inner),
-               inner->ann);
-  }));
-}
-
-void CacheRead(Kernel& kernel, const std::string& buffer_name,
-               MemScope cache_scope) {
-  obs::ScopedSpan span("pass:CacheRead", "ir-pass");
-  span.Arg("buffer", buffer_name);
-  CLFLOW_CHECK_MSG(cache_scope == MemScope::kLocal ||
-                       cache_scope == MemScope::kPrivate,
-                   "cache must live on chip");
-  auto it = std::find_if(
-      kernel.buffer_args.begin(), kernel.buffer_args.end(),
-      [&](const BufferPtr& b) { return b->name == buffer_name; });
-  if (it == kernel.buffer_args.end()) {
-    throw ScheduleError("CLF401",
-                        "CacheRead: no global buffer named " + buffer_name +
-                            " in kernel " + kernel.name,
-                        kernel.name);
-  }
-  BufferPtr src = *it;
-  for (const auto& d : src->shape) {
-    if (!IsConstInt(Simplify(d))) {
-      throw ScheduleError("CLF406",
-                          "CacheRead: " + buffer_name +
-                              " has a symbolic shape; cannot size the cache",
-                          kernel.name);
-    }
-  }
-  bool written = false;
-  VisitStmts(kernel.body, [&](const Stmt& s) {
-    if (s->kind == StmtKind::kStore && s->buffer == src) written = true;
-  });
-  if (written) {
-    throw ScheduleError("CLF406",
-                        "CacheRead: " + buffer_name +
-                            " is written by the kernel",
-                        kernel.name);
-  }
-
-  RecordPass("CacheRead");
-  BufferPtr cache =
-      MakeBuffer(buffer_name + "_cache", src->shape, cache_scope);
-  kernel.local_buffers.push_back(cache);
-
-  // Fill loop: element-order copy from global to the cache.
-  std::vector<VarPtr> vars;
-  std::vector<Expr> idx;
-  for (std::size_t d = 0; d < src->shape.size(); ++d) {
-    vars.push_back(MakeVar("cr" + std::to_string(d)));
-    idx.push_back(VarRef(vars.back()));
-  }
-  Stmt fill = Store(cache, idx, ir::Load(src, idx));
-  for (std::size_t d = src->shape.size(); d-- > 0;) {
-    fill = For(vars[d], IntImm(0), src->shape[d], std::move(fill));
-  }
-
-  // Redirect every load. Expressions are immutable, so rebuild loads.
-  std::function<Expr(const Expr&)> redirect = [&](const Expr& e) -> Expr {
-    if (!e) return e;
-    auto copy = std::make_shared<ExprNode>(*e);
-    if (copy->kind == ExprKind::kLoad && copy->buffer == src) {
-      copy->buffer = cache;
-    }
-    if (copy->a) copy->a = redirect(copy->a);
-    if (copy->b) copy->b = redirect(copy->b);
-    if (copy->c) copy->c = redirect(copy->c);
-    for (auto& i : copy->indices) i = redirect(i);
-    for (auto& a : copy->args) a = redirect(a);
-    return copy;
-  };
-  std::function<Stmt(const Stmt&)> rewrite = [&](const Stmt& s) -> Stmt {
-    if (!s) return s;
-    auto copy = std::make_shared<StmtNode>(*s);
-    switch (s->kind) {
-      case StmtKind::kFor:
-        copy->min = redirect(s->min);
-        copy->extent = redirect(s->extent);
-        copy->body = rewrite(s->body);
-        break;
-      case StmtKind::kStore:
-        for (auto& i : copy->indices) i = redirect(i);
-        copy->value = redirect(s->value);
-        break;
-      case StmtKind::kBlock:
-        for (auto& child : copy->stmts) child = rewrite(child);
-        break;
-      case StmtKind::kIf:
-        copy->cond = redirect(s->cond);
-        copy->then_body = rewrite(s->then_body);
-        copy->else_body = rewrite(s->else_body);
-        break;
-      case StmtKind::kWriteChannel:
-        copy->value = redirect(s->value);
-        break;
-    }
-    return copy;
-  };
-  kernel.body = Block({std::move(fill), rewrite(kernel.body)});
-  VerifyKernelBody("CacheRead", kernel);
 }
 
 Stmt SimplifyStmt(const Stmt& root) {

@@ -1,51 +1,27 @@
 // Schedule primitives as IR -> IR rewrites.
 //
-// These are the paper's Chapter 4 kernel optimizations expressed as
-// transformations over the tensor IR:
+// Every shipped kernel is built in its scheduled form by the parameterized
+// builders of ir/op_kernels.hpp; their schedule structs (ConvSchedule,
+// DenseSchedule, ...) are the one place a recipe's optimizations live. The
+// rewrites here are the two that apply to an already-built kernel:
 //
-//   * SplitLoop         - strip mining / tiling (SS4.2)
-//   * UnrollLoop        - pragma and explicit unrolling (SS4.1)
-//   * FuseAdjacentLoops - loop fusion (SS4.3)
-//   * HoistInvariants   - loop-invariant code motion (SS4.4)
-//   * CacheWrite        - accumulate in private registers (SS4.5)
+//   * SplitLoop         - strip mining / tiling (SS4.2), for operators
+//                         written outside the builders
 //   * PinStrideVars     - bind symbolic strides to 1 so AOC can coalesce
 //                         accesses of parameterized kernels (SS5.3)
 //
 // Each primitive validates applicability and throws ScheduleError on
 // illegal use; semantics preservation is tested against the IR interpreter.
+// The compile gate verifies the finished kernel (analysis::VerifyKernel).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "ir/stmt.hpp"
 
 namespace clflow::ir {
-
-/// Verification hook invoked after every successful schedule primitive
-/// with the rewritten tree and the primitive's name. The compile gate
-/// (core::Deployment::Compile) installs one that runs the IR verifier, so
-/// a pass composition that breaks the tree aborts at the pass that broke
-/// it. Thread-local; passes run unverified when none is installed.
-using PassVerifier =
-    std::function<void(const Stmt& result, const char* pass)>;
-
-class ScopedPassVerifier {
- public:
-  explicit ScopedPassVerifier(PassVerifier verifier);
-  ScopedPassVerifier(const ScopedPassVerifier&) = delete;
-  ScopedPassVerifier& operator=(const ScopedPassVerifier&) = delete;
-  ~ScopedPassVerifier();
-
- private:
-  PassVerifier verifier_;
-  PassVerifier* prev_ = nullptr;
-};
-
-/// The hook schedule primitives report to on this thread (innermost
-/// ScopedPassVerifier), or null.
-[[nodiscard]] const PassVerifier* CurrentPassVerifier();
 
 /// Finds the (unique) For statement binding `var_name` in the tree;
 /// throws ScheduleError if absent.
@@ -61,59 +37,9 @@ class ScopedPassVerifier {
 [[nodiscard]] Stmt SplitLoop(const Stmt& root, const std::string& var_name,
                              std::int64_t factor, bool vectorize_inner = true);
 
-/// Annotates the named loop for unrolling. factor == -1 requests full
-/// unrolling (requires a constant extent); factor > 1 partial unrolling
-/// (must divide a constant extent).
-[[nodiscard]] Stmt UnrollLoop(const Stmt& root, const std::string& var_name,
-                              std::int64_t factor);
-
-/// Replaces an annotated-unroll loop with explicitly replicated bodies
-/// (Listing 4.2 style). Used by the interpreter tests to confirm that
-/// annotation and replication agree.
-[[nodiscard]] Stmt ExplicitUnroll(const Stmt& root,
-                                  const std::string& var_name);
-
-/// Fuses two adjacent loops (children of the same Block) with identical
-/// constant extents into one loop running both bodies. Legality check is
-/// conservative: any buffer touched by both loops with a write on either
-/// side (RAW, WAR, and WAW pairings) must be accessed only at the loop
-/// variable itself, so iteration i of the fused body reads and writes
-/// exactly what it did before fusion.
-[[nodiscard]] Stmt FuseAdjacentLoops(const Stmt& root,
-                                     const std::string& first_var,
-                                     const std::string& second_var);
-
-/// Loop-invariant code motion: hoists maximal invariant sub-statements of
-/// the named loop's body (statements that neither use the loop variable nor
-/// touch a buffer written inside the loop at var-dependent indices) in front
-/// of the loop, preserving order. Returns the rewritten tree.
-[[nodiscard]] Stmt HoistInvariants(const Stmt& root,
-                                   const std::string& var_name);
-
-/// Re-scopes `buffer` (which must currently be kGlobal and used only inside
-/// the kernel) to kPrivate registers, removing its global LSUs -- the
-/// "cached writes" optimization. The kernel must write the final result to
-/// some other global buffer.
-void CacheWrite(Kernel& kernel, const std::string& buffer_name);
-
 /// Binds every shape-parameter variable named in `vars` to the constant 1
 /// throughout the kernel (the stride-pinning workaround of Listing 5.11).
 void PinStrideVars(Kernel& kernel, const std::vector<std::string>& vars);
-
-/// Interchanges two perfectly nested loops (outer directly wraps inner
-/// with no sibling statements). Legal for the fully parallel loops our
-/// schedules reorder (TVM's `reorder` primitive); the conservative check
-/// rejects imperfect nests.
-[[nodiscard]] Stmt ReorderLoops(const Stmt& root,
-                                const std::string& outer_var,
-                                const std::string& inner_var);
-
-/// Stages a read-only global buffer into an on-chip cache: adds a local
-/// buffer of the same shape, a fill loop at the start of the kernel, and
-/// redirects every load (TVM's `cache_read`). The buffer must have
-/// constant shape and must not be written by the kernel.
-void CacheRead(Kernel& kernel, const std::string& buffer_name,
-               MemScope cache_scope = MemScope::kLocal);
 
 /// Simplifies all expressions in a statement tree (constant folding).
 [[nodiscard]] Stmt SimplifyStmt(const Stmt& root);

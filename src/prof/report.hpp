@@ -1,7 +1,7 @@
 // Report generators over prof::Profile.
 //
 //   * ToText   -- aligned tables (common/table): attribution, roofline,
-//                 queue occupancy. What flow_inspector --profile prints.
+//                 queue occupancy. What `flow_inspector profile` prints.
 //   * ToJson   -- the full profile as one JSON document (machine use;
 //                 parses with obs::json::Parse).
 //   * ToHtml   -- a single self-contained HTML file: inline CSS, an SVG

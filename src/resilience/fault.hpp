@@ -55,7 +55,7 @@ struct FaultSpec {
   [[nodiscard]] std::string ToString() const;
 };
 
-/// CLI/spec-string syntax (flow_inspector --inject-fault):
+/// CLI/spec-string syntax (flow_inspector run/serve --inject-fault):
 ///
 ///   xfer-fail:<write|read>[:index[:times]]     e.g. xfer-fail:write:2
 ///   xfer-corrupt:<write|read>[:index[:times]]  e.g. xfer-corrupt:read:0

@@ -2,7 +2,7 @@
 //
 // Every srclint code needs a repro command (the registry fix-its name
 // them); these helpers are the single implementation behind
-// `flow_inspector --srclint-inject MODE`, the Compile-gate demo hook
+// `flow_inspector lint --src --inject MODE`, the Compile-gate demo hook
 // (AnalysisOptions::srclint_inject), and the injected-defect tests.
 //
 // Corruption modes rewrite a real emission so translation validation

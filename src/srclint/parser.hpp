@@ -1,7 +1,7 @@
 // Recursive-descent parser for the emitted OpenCL C dialect: rebuilds
 // from text the tree codegen::BuildProgram builds. The compile gate
-// lints the built tree directly; this parser serves `--lint-src`, the
-// `--srclint-inject` text corruptions and the round-trip test.
+// lints the built tree directly; this parser serves `lint --src`, the
+// `lint --src --inject` text corruptions and the round-trip test.
 //
 // Accepts exactly the shape srclint::ToSource prints:
 // an optional cl_intel_channels extension pragma, channel declarations

@@ -26,8 +26,8 @@
 // "channel float for an int channel" class) is catchable rather than
 // mirrored. Deployment::Compile's gate lints the tree the emitter built,
 // with no parse; the text entry points parse first and serve
-// `flow_inspector --lint-src`, the `--srclint-inject` corruptions and the
-// round-trip test.
+// `flow_inspector lint --src`, the `lint --src --inject` corruptions and
+// the round-trip test.
 #pragma once
 
 #include <optional>

@@ -439,7 +439,7 @@ TEST(PerfLint, Clf302GlobalAccumulator) {
   EXPECT_GT(LintKernel(k, nullptr, engine), 0);
   const auto d = Expect(engine, kGlobalAccumulator);
   EXPECT_EQ(d.location.buffer, "dot");
-  EXPECT_NE(d.fixit.find("CacheWrite"), std::string::npos);
+  EXPECT_NE(d.fixit.find("cached_writes"), std::string::npos);
 }
 
 TEST(PerfLint, Clf303NonDivisibleUnroll) {
@@ -483,7 +483,12 @@ TEST(PerfLint, Clf305MissedAutorun) {
   EXPECT_NE(d.fixit.find("autorun"), std::string::npos);
 }
 
-// --- Schedule errors carry structured CLF context ---------------------------
+// --- Schedule errors carry their CLF code ----------------------------------
+
+/// The "CLFxxx: " prefix of a ScheduleError's message.
+std::string CodePrefix(const ScheduleError& e) {
+  return std::string(e.what()).substr(0, 8);
+}
 
 TEST(ScheduleErrors, NonDivisibleSplitCarriesContext) {
   auto a = MakeBuffer("a", {IntImm(12)}, MemScope::kGlobal, true);
@@ -494,16 +499,8 @@ TEST(ScheduleErrors, NonDivisibleSplitCarriesContext) {
     (void)ir::SplitLoop(root, "k", 5);
     FAIL() << "expected ScheduleError";
   } catch (const ScheduleError& e) {
-    EXPECT_EQ(e.code(), "CLF403");
-    EXPECT_EQ(e.loop(), "k");
-    EXPECT_EQ(e.extent(), 12);
-    EXPECT_EQ(std::string(e.what()).substr(0, 8), "CLF403: ");
-    const Diagnostic d = FromScheduleError(e);
-    EXPECT_EQ(d.code, "CLF403");
-    EXPECT_EQ(d.severity, Severity::kError);
-    EXPECT_EQ(d.location.loop, "k");
-    // The rendered message is not double-prefixed.
-    EXPECT_EQ(d.message.find("CLF403"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()),
+              "CLF403: SplitLoop: extent 12 of k not divisible by factor 5");
   }
 }
 
@@ -516,8 +513,7 @@ TEST(ScheduleErrors, MissingTargetIsClf401) {
     (void)ir::FindLoop(root, "zz");
     FAIL() << "expected ScheduleError";
   } catch (const ScheduleError& e) {
-    EXPECT_EQ(e.code(), "CLF401");
-    EXPECT_EQ(e.loop(), "zz");
+    EXPECT_EQ(std::string(e.what()), "CLF401: no loop named zz");
   }
 }
 
@@ -528,63 +524,18 @@ TEST(ScheduleErrors, SymbolicExtentIsClf402) {
   Stmt root = For(i, IntImm(0), VarRef(n),
                   Store(a, {IntImm(0)}, FloatImm(0)));
   try {
-    (void)ir::UnrollLoop(root, "i", -1);
+    (void)ir::SplitLoop(root, "i", 4);
     FAIL() << "expected ScheduleError";
   } catch (const ScheduleError& e) {
-    EXPECT_EQ(e.code(), "CLF402");
-    EXPECT_EQ(e.loop(), "i");
-  }
-}
-
-TEST(ScheduleErrors, CacheWriteMisuseIsClf406) {
-  auto a = MakeBuffer("a", {IntImm(4)}, MemScope::kGlobal, true);
-  auto out = MakeBuffer("out", {IntImm(4)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  ir::Kernel k;
-  k.name = "copy";
-  k.buffer_args = {a, out};
-  k.body = For(i, IntImm(0), IntImm(4),
-               Store(out, {VarRef(i)}, Load(a, {VarRef(i)})));
-  try {
-    ir::CacheWrite(k, "out");
-    FAIL() << "expected ScheduleError";
-  } catch (const ScheduleError& e) {
-    EXPECT_EQ(e.code(), "CLF406");
-    EXPECT_EQ(e.kernel(), "copy");
+    EXPECT_EQ(CodePrefix(e), "CLF402: ");
+    EXPECT_NE(std::string(e.what()).find("loop i "), std::string::npos);
   }
 }
 
 TEST(ScheduleErrors, LegacyConstructorDefaultsToClf405) {
   const ScheduleError e("something structural");
-  EXPECT_EQ(e.code(), "CLF405");
-  const Diagnostic d = FromScheduleError(e);
-  EXPECT_EQ(d.code, "CLF405");
-  EXPECT_EQ(d.message, "something structural");
-}
-
-// --- Pass-verifier hook ------------------------------------------------------
-
-TEST(PassVerifierHook, InvokedAfterEveryPrimitive) {
-  auto a = MakeBuffer("a", {IntImm(8)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  Stmt root = For(i, IntImm(0), IntImm(8),
-                  Store(a, {VarRef(i)}, FloatImm(0)));
-  std::vector<std::string> seen;
-  EXPECT_EQ(ir::CurrentPassVerifier(), nullptr);
-  {
-    ir::ScopedPassVerifier gate(
-        [&](const Stmt& result, const char* pass) {
-          ASSERT_NE(result, nullptr);
-          seen.emplace_back(pass);
-        });
-    EXPECT_NE(ir::CurrentPassVerifier(), nullptr);
-    Stmt split = ir::SplitLoop(root, "i", 4);
-    (void)ir::UnrollLoop(split, "i_o", 2);
-  }
-  EXPECT_EQ(ir::CurrentPassVerifier(), nullptr);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], "SplitLoop");
-  EXPECT_EQ(seen[1], "UnrollLoop");
+  EXPECT_EQ(std::string(e.what()), "CLF405: something structural");
+  EXPECT_NE(FindCode(CodePrefix(e).substr(0, 6)), nullptr);
 }
 
 // --- Deployment gate + recipe property suite ---------------------------------

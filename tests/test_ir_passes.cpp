@@ -1,13 +1,12 @@
-// Tests for the schedule primitives (paper Ch. 4 as IR rewrites).
-// Every transformation is checked for semantics preservation with the
-// interpreter, and for the structural property it claims to establish.
+// Tests for the SplitLoop schedule primitive (paper SS4.2 as an IR rewrite):
+// semantics preservation with the interpreter, and the loop structure it
+// claims to establish.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "ir/analysis.hpp"
 #include "ir/interp.hpp"
 #include "ir/passes.hpp"
 
@@ -15,29 +14,23 @@ namespace clflow::ir {
 namespace {
 
 /// Builds the Listing 4.3 vector-matrix kernel: c[i] = sum_k x[k]*Y[i][k],
-/// with the accumulator in the given scope.
+/// with a private accumulator.
 struct MvKernel {
   Kernel kernel;
   BufferPtr x, y, c;
 };
 
-MvKernel MakeMv(std::int64_t rows, std::int64_t cols,
-                MemScope acc_scope = MemScope::kPrivate) {
+MvKernel MakeMv(std::int64_t rows, std::int64_t cols) {
   MvKernel mv;
   mv.x = MakeBuffer("x", {IntImm(cols)}, MemScope::kGlobal, true);
   mv.y = MakeBuffer("Y", {IntImm(rows), IntImm(cols)}, MemScope::kGlobal, true);
   mv.c = MakeBuffer("c", {IntImm(rows)}, MemScope::kGlobal, true);
-  auto sum = MakeBuffer("sum", {IntImm(1)}, acc_scope);
+  auto sum = MakeBuffer("sum", {IntImm(1)}, MemScope::kPrivate);
   auto i = MakeVar("i");
   auto k = MakeVar("k");
   mv.kernel.name = "mv";
   mv.kernel.buffer_args = {mv.x, mv.y, mv.c};
-  if (acc_scope == MemScope::kGlobal) {
-    sum->is_arg = true;
-    mv.kernel.buffer_args.push_back(sum);
-  } else {
-    mv.kernel.local_buffers = {sum};
-  }
+  mv.kernel.local_buffers = {sum};
   mv.kernel.body = For(
       i, IntImm(0), IntImm(rows),
       Block({Store(sum, {IntImm(0)}, FloatImm(0.0)),
@@ -55,14 +48,10 @@ std::vector<float> RunMv(const MvKernel& mv, std::int64_t rows,
                          const std::vector<float>& vx,
                          const std::vector<float>& vy) {
   std::vector<float> x = vx, y = vy, c(static_cast<std::size_t>(rows), -1.0f);
-  std::vector<float> ws(1, 0.0f);
   InterpEnv env;
   env.BindBuffer(mv.x, x);
   env.BindBuffer(mv.y, y);
   env.BindBuffer(mv.c, c);
-  for (const auto& b : mv.kernel.buffer_args) {
-    if (b->name == "sum") env.BindBuffer(b, ws);
-  }
   RunKernel(mv.kernel, env);
   return c;
 }
@@ -112,272 +101,6 @@ TEST(SplitLoop, InnerLoopIsVectorized) {
   const Stmt outer = FindLoop(split, "k_o");
   ASSERT_TRUE(IsConstInt(outer->extent, &extent));
   EXPECT_EQ(extent, 3);
-}
-
-TEST(UnrollLoop, AnnotationOnly) {
-  MvKernel mv = MakeMv(4, 8);
-  auto unrolled = UnrollLoop(mv.kernel.body, "k", -1);
-  EXPECT_EQ(FindLoop(unrolled, "k")->ann.unroll, -1);
-  auto partial = UnrollLoop(mv.kernel.body, "k", 4);
-  EXPECT_EQ(FindLoop(partial, "k")->ann.unroll, 4);
-}
-
-TEST(UnrollLoop, RejectsNonDividingPartialFactor) {
-  MvKernel mv = MakeMv(4, 8);
-  EXPECT_THROW((void)UnrollLoop(mv.kernel.body, "k", 3), ScheduleError);
-}
-
-TEST(ExplicitUnroll, MatchesAnnotatedSemantics) {
-  constexpr std::int64_t rows = 4, cols = 8;
-  Rng rng(17);
-  std::vector<float> vx(cols), vy(rows * cols);
-  for (auto& v : vx) v = rng.Uniform(-1, 1);
-  for (auto& v : vy) v = rng.Uniform(-1, 1);
-
-  MvKernel base = MakeMv(rows, cols);
-  const auto expected = RunMv(base, rows, cols, vx, vy);
-
-  MvKernel repl = MakeMv(rows, cols);
-  repl.kernel.body = ExplicitUnroll(repl.kernel.body, "k");
-  // The loop is gone...
-  EXPECT_THROW((void)FindLoop(repl.kernel.body, "k"), ScheduleError);
-  // ...but the value is unchanged.
-  const auto actual = RunMv(repl, rows, cols, vx, vy);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(actual[i], expected[i], 1e-5f);
-  }
-}
-
-// --- Loop fusion ------------------------------------------------------------
-
-TEST(FuseAdjacentLoops, FusesElementwisePipelines) {
-  // b[i] = a[i] + 1;  c[i] = b[i] * 2  ==>  single loop.
-  auto a = MakeBuffer("a", {IntImm(8)}, MemScope::kGlobal, true);
-  auto b = MakeBuffer("b", {IntImm(8)}, MemScope::kGlobal, true);
-  auto c = MakeBuffer("c", {IntImm(8)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  auto j = MakeVar("j");
-  Stmt l1 = For(i, IntImm(0), IntImm(8),
-                Store(b, {VarRef(i)}, Add(Load(a, {VarRef(i)}), FloatImm(1))));
-  Stmt l2 = For(j, IntImm(0), IntImm(8),
-                Store(c, {VarRef(j)}, Mul(Load(b, {VarRef(j)}), FloatImm(2))));
-  Stmt root = Block({l1, l2});
-  Stmt fused = FuseAdjacentLoops(root, "i", "j");
-
-  // One loop remains.
-  int loop_count = 0;
-  VisitStmts(fused, [&](const Stmt& s) {
-    if (s->kind == StmtKind::kFor) ++loop_count;
-  });
-  EXPECT_EQ(loop_count, 1);
-
-  // Semantics preserved.
-  Kernel k;
-  k.name = "fused";
-  k.buffer_args = {a, b, c};
-  k.body = fused;
-  std::vector<float> va{1, 2, 3, 4, 5, 6, 7, 8}, vb(8), vc(8);
-  InterpEnv env;
-  env.BindBuffer(a, va);
-  env.BindBuffer(b, vb);
-  env.BindBuffer(c, vc);
-  RunKernel(k, env);
-  for (int t = 0; t < 8; ++t) EXPECT_FLOAT_EQ(vc[t], (va[t] + 1) * 2);
-}
-
-TEST(FuseAdjacentLoops, RejectsBackwardDependence) {
-  // b[i] = a[i]; c[i] = b[7 - i]  -- iteration i of loop 2 reads elements
-  // loop 1 has not written yet; fusion must refuse.
-  auto a = MakeBuffer("a", {IntImm(8)}, MemScope::kGlobal, true);
-  auto b = MakeBuffer("b", {IntImm(8)}, MemScope::kGlobal, true);
-  auto c = MakeBuffer("c", {IntImm(8)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  auto j = MakeVar("j");
-  Stmt l1 = For(i, IntImm(0), IntImm(8),
-                Store(b, {VarRef(i)}, Load(a, {VarRef(i)})));
-  Stmt l2 = For(j, IntImm(0), IntImm(8),
-                Store(c, {VarRef(j)}, Load(b, {Sub(IntImm(7), VarRef(j))})));
-  EXPECT_THROW((void)FuseAdjacentLoops(Block({l1, l2}), "i", "j"),
-               ScheduleError);
-}
-
-TEST(FuseAdjacentLoops, RejectsWarHazard) {
-  // b[i] = a[i] * b[0];  b[j] = c[j] -- loop 1 reads b[0] on every
-  // iteration, loop 2 overwrites it on its first. Fused, iteration 1 of
-  // loop 1 would read the value loop 2's iteration 0 just wrote
-  // (write-after-read violated); fusion must refuse.
-  auto a = MakeBuffer("a", {IntImm(8)}, MemScope::kGlobal, true);
-  auto b = MakeBuffer("b", {IntImm(8)}, MemScope::kGlobal, true);
-  auto c = MakeBuffer("c", {IntImm(8)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  auto j = MakeVar("j");
-  Stmt l1 = For(i, IntImm(0), IntImm(8),
-                Store(a, {VarRef(i)},
-                      Mul(Load(a, {VarRef(i)}), Load(b, {IntImm(0)}))));
-  Stmt l2 = For(j, IntImm(0), IntImm(8),
-                Store(b, {VarRef(j)}, Load(c, {VarRef(j)})));
-  try {
-    (void)FuseAdjacentLoops(Block({l1, l2}), "i", "j");
-    FAIL() << "expected ScheduleError";
-  } catch (const ScheduleError& e) {
-    EXPECT_EQ(e.code(), "CLF404");
-    EXPECT_EQ(e.loop(), "i");
-  }
-}
-
-TEST(FuseAdjacentLoops, RejectsWawHazard) {
-  // a[0] = c[i];  a[j] = 0 -- after the sequential loops a[0] is 0, but
-  // fused, iteration 7 of loop 1 writes a[0] after loop 2's iteration 0
-  // cleared it (write-after-write violated); fusion must refuse.
-  auto a = MakeBuffer("a", {IntImm(8)}, MemScope::kGlobal, true);
-  auto c = MakeBuffer("c", {IntImm(8)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  auto j = MakeVar("j");
-  Stmt l1 = For(i, IntImm(0), IntImm(8),
-                Store(a, {IntImm(0)}, Load(c, {VarRef(i)})));
-  Stmt l2 = For(j, IntImm(0), IntImm(8),
-                Store(a, {VarRef(j)}, FloatImm(0)));
-  try {
-    (void)FuseAdjacentLoops(Block({l1, l2}), "i", "j");
-    FAIL() << "expected ScheduleError";
-  } catch (const ScheduleError& e) {
-    EXPECT_EQ(e.code(), "CLF404");
-  }
-}
-
-TEST(FuseAdjacentLoops, RejectsMismatchedExtents) {
-  auto b = MakeBuffer("b", {IntImm(8)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  auto j = MakeVar("j");
-  Stmt l1 = For(i, IntImm(0), IntImm(8), Store(b, {VarRef(i)}, FloatImm(0)));
-  Stmt l2 = For(j, IntImm(0), IntImm(4), Store(b, {VarRef(j)}, FloatImm(1)));
-  EXPECT_THROW((void)FuseAdjacentLoops(Block({l1, l2}), "i", "j"),
-               ScheduleError);
-}
-
-TEST(FuseAdjacentLoops, RejectsNonAdjacentLoops) {
-  auto b = MakeBuffer("b", {IntImm(4)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  auto j = MakeVar("j");
-  Stmt l1 = For(i, IntImm(0), IntImm(4), Store(b, {VarRef(i)}, FloatImm(0)));
-  Stmt mid = Store(b, {IntImm(0)}, FloatImm(9));
-  Stmt l2 = For(j, IntImm(0), IntImm(4), Store(b, {VarRef(j)}, FloatImm(1)));
-  EXPECT_THROW((void)FuseAdjacentLoops(Block({l1, mid, l2}), "i", "j"),
-               ScheduleError);
-}
-
-// --- Loop-invariant code motion ----------------------------------------------
-
-TEST(HoistInvariants, Listing48Normalization) {
-  // Listing 4.8: computing max(a) inside the normalization loop; after ICM
-  // it runs once (Listing 4.9).
-  auto a = MakeBuffer("a", {IntImm(16)}, MemScope::kGlobal, true);
-  auto b = MakeBuffer("b", {IntImm(16)}, MemScope::kGlobal, true);
-  auto amax = MakeBuffer("a_max", {IntImm(1)}, MemScope::kPrivate);
-  auto i = MakeVar("i");
-  auto j = MakeVar("j");
-
-  Stmt init = Store(amax, {IntImm(0)}, FloatImm(-9.9e37));
-  Stmt maxloop =
-      For(j, IntImm(0), IntImm(16),
-          Store(amax, {IntImm(0)},
-                Max(Load(amax, {IntImm(0)}), Load(a, {VarRef(j)}))));
-  Stmt norm = Store(b, {VarRef(i)},
-                    Div(Load(a, {VarRef(i)}), Load(amax, {IntImm(0)})));
-  Stmt root = For(i, IntImm(0), IntImm(16), Block({init, maxloop, norm}));
-
-  Stmt hoisted = HoistInvariants(root, "i");
-
-  // Structure: the j loop is no longer nested under i.
-  bool j_inside_i = false;
-  VisitStmts(hoisted, [&](const Stmt& s) {
-    if (s->kind == StmtKind::kFor && s->var->name == "i") {
-      VisitStmts(s->body, [&](const Stmt& inner) {
-        if (inner->kind == StmtKind::kFor && inner->var->name == "j") {
-          j_inside_i = true;
-        }
-      });
-    }
-  });
-  EXPECT_FALSE(j_inside_i);
-
-  // Semantics: b[i] = a[i] / max(a).
-  Kernel k;
-  k.name = "norm";
-  k.buffer_args = {a, b};
-  k.local_buffers = {amax};
-  k.body = hoisted;
-  std::vector<float> va(16), vb(16);
-  Rng rng(23);
-  for (auto& v : va) v = rng.Uniform(0.1f, 4.0f);
-  InterpEnv env;
-  env.BindBuffer(a, va);
-  env.BindBuffer(b, vb);
-  RunKernel(k, env);
-  const float m = *std::max_element(va.begin(), va.end());
-  for (int t = 0; t < 16; ++t) EXPECT_NEAR(vb[t], va[t] / m, 1e-6f);
-}
-
-TEST(HoistInvariants, RefusesWhenNothingIsInvariant) {
-  auto b = MakeBuffer("b", {IntImm(4)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  Stmt root = For(i, IntImm(0), IntImm(4),
-                  Block({Store(b, {VarRef(i)}, FloatImm(1))}));
-  EXPECT_THROW((void)HoistInvariants(root, "i"), ScheduleError);
-}
-
-// --- Cached writes -----------------------------------------------------------
-
-TEST(CacheWrite, MovesScratchpadToRegisters) {
-  MvKernel mv = MakeMv(4, 8, MemScope::kGlobal);
-  // The scratchpad is a kernel argument before the pass...
-  EXPECT_EQ(mv.kernel.buffer_args.size(), 4u);
-  CacheWrite(mv.kernel, "sum");
-  // ...and a private local after.
-  EXPECT_EQ(mv.kernel.buffer_args.size(), 3u);
-  ASSERT_EQ(mv.kernel.local_buffers.size(), 1u);
-  EXPECT_EQ(mv.kernel.local_buffers[0]->scope, MemScope::kPrivate);
-
-  // The reduction II collapses from 5 to 1 (the paper's core observation).
-  const auto stats = AnalyzeKernel(mv.kernel);
-  EXPECT_EQ(stats.worst_ii, 1);
-}
-
-TEST(CacheWrite, GlobalScratchpadHasBadII) {
-  MvKernel mv = MakeMv(4, 8, MemScope::kGlobal);
-  const auto stats = AnalyzeKernel(mv.kernel);
-  EXPECT_EQ(stats.worst_ii, kGlobalReductionII);
-}
-
-TEST(CacheWrite, RefusesWhenBufferIsOnlyOutput) {
-  auto a = MakeBuffer("a", {IntImm(4)}, MemScope::kGlobal, true);
-  auto out = MakeBuffer("out", {IntImm(4)}, MemScope::kGlobal, true);
-  auto i = MakeVar("i");
-  Kernel k;
-  k.name = "copy";
-  k.buffer_args = {a, out};
-  k.body =
-      For(i, IntImm(0), IntImm(4), Store(out, {VarRef(i)}, Load(a, {VarRef(i)})));
-  EXPECT_THROW(CacheWrite(k, "out"), ScheduleError);
-  EXPECT_THROW(CacheWrite(k, "nonexistent"), ScheduleError);
-}
-
-TEST(CacheWrite, SemanticsPreserved) {
-  constexpr std::int64_t rows = 6, cols = 10;
-  Rng rng(29);
-  std::vector<float> vx(cols), vy(rows * cols);
-  for (auto& v : vx) v = rng.Uniform(-2, 2);
-  for (auto& v : vy) v = rng.Uniform(-2, 2);
-
-  MvKernel base = MakeMv(rows, cols, MemScope::kGlobal);
-  const auto expected = RunMv(base, rows, cols, vx, vy);
-
-  MvKernel cached = MakeMv(rows, cols, MemScope::kGlobal);
-  CacheWrite(cached.kernel, "sum");
-  const auto actual = RunMv(cached, rows, cols, vx, vy);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(actual[i], expected[i], 1e-5f);
-  }
 }
 
 }  // namespace

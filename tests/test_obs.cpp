@@ -4,13 +4,16 @@
 // compile+runtime Chrome trace).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "core/dse.hpp"
 #include "nets/nets.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -319,6 +322,36 @@ TEST(Trace, TransferBytesCounterAndEscapedLabelsRoundTrip) {
   EXPECT_DOUBLE_EQ(samples[1], 5120.0);
   EXPECT_DOUBLE_EQ(samples[2], 1024.0);
   EXPECT_DOUBLE_EQ(samples[3], 0.0);
+}
+
+TEST(Trace, BackToBackSlicesNeverOverlapAfterRoundTrip) {
+  // 40 slices laid end to end on one tid, 1.2 s into a simulated run: at
+  // that magnitude a 6-significant-digit rendering of ts ("1.2e+06")
+  // collapses sub-microsecond steps, so neighbours would overlap. The
+  // writer's shortest round-trip numbers must keep every end == next start.
+  const double durs[] = {0.25, 0.5, 0.75, 1.25, 0.125};
+  ChromeTraceWriter w("ms");
+  w.ProcessName(1, "board");
+  double ts = 1.2e6 + 0.375;
+  for (int i = 0; i < 40; ++i) {
+    const double dur = durs[i % 5];
+    w.Slice("k", "kernel", 1, 7, ts, dur, TraceArgs{});
+    ts += dur;
+  }
+  const std::string trace = w.Finish();
+  const auto parsed = json::Parse(trace);
+  ASSERT_TRUE(parsed.has_value()) << trace;
+  std::vector<std::pair<double, double>> slices;  // (ts, dur)
+  for (const auto& ev : parsed->Find("traceEvents")->array) {
+    if (ev.Find("ph")->str != "X") continue;
+    slices.emplace_back(ev.Find("ts")->number, ev.Find("dur")->number);
+  }
+  ASSERT_EQ(slices.size(), 40u);
+  std::sort(slices.begin(), slices.end());
+  for (std::size_t i = 1; i < slices.size(); ++i) {
+    EXPECT_GE(slices[i].first, slices[i - 1].first + slices[i - 1].second)
+        << "slice " << i << " starts inside slice " << i - 1;
+  }
 }
 
 // ------------------------------------------------- histogram windowing

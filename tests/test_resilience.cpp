@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/fallback.hpp"
 #include "ir/op_kernels.hpp"
 #include "nets/nets.hpp"
@@ -135,6 +137,74 @@ TEST(FaultSpec, RejectsNumbersThatDoNotParseWholeOrFit) {
   EXPECT_EQ(ParseFaultSpec("hang:k_conv1:15").index, 15);
   EXPECT_DOUBLE_EQ(ParseFaultSpec("fmax-droop:0.9").factor, 0.9);
   EXPECT_EQ(ParseFaultSpec("corrupt:k_dense:1:2").times, 2);
+}
+
+/// One seeded mutation of `s`: a byte flip, a truncation, a splice with
+/// another spec, or a run of digits (up to 25, so past int64) inserted.
+void MutateSpec(std::string& s, Rng& rng,
+                const std::vector<std::string>& corpus) {
+  const std::size_t pos = rng.Below(s.size() + 1);
+  switch (rng.Below(4)) {
+    case 0:
+      if (!s.empty()) {
+        s[rng.Below(s.size())] = static_cast<char>(rng.Below(256));
+      }
+      break;
+    case 1:
+      s.resize(pos);
+      break;
+    case 2: {
+      const std::string& other = corpus[rng.Below(corpus.size())];
+      s = s.substr(0, pos) + other.substr(rng.Below(other.size() + 1));
+      break;
+    }
+    default: {
+      std::string digits(1 + rng.Below(25), '0');
+      for (char& c : digits) c = static_cast<char>('0' + rng.Below(10));
+      if (rng.Below(4) == 0) digits.insert(digits.begin(), '-');
+      s.insert(pos, digits);
+      break;
+    }
+  }
+}
+
+TEST(FaultSpec, MutantsOfValidSpecsParseOrThrowError) {
+  // The forms the CLI (CI's --inject-fault lines and the golden runtime
+  // faults) and the chaos campaign's FaultSpec::ToString renderings use.
+  const std::vector<std::string> corpus = {
+      "xfer-fail:write:0:2", "xfer-fail:write:1:2", "xfer-corrupt:read:3:4",
+      "hang:k_conv1",        "hang:k_conv1:15",     "hang:k_conv2:1",
+      "corrupt:k_conv2:1:1", "corrupt:k_dense3:2:5", "reset:k_pool1:1",
+      "reset:k_conv1:0",     "fmax-droop:0.9",      "fmax-droop:0.837415"};
+  for (const std::string& spec : corpus) {
+    EXPECT_NO_THROW((void)ParseFaultSpec(spec)) << spec;
+  }
+  Rng rng(37);
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string mutant = corpus[rng.Below(corpus.size())];
+    for (std::uint64_t e = 1 + rng.Below(3); e > 0; --e) {
+      MutateSpec(mutant, rng, corpus);
+    }
+    try {
+      const FaultSpec f = ParseFaultSpec(mutant);
+      ++parsed;
+      // What parses renders back to a spec that parses to the same fault.
+      if (f.kind != FaultKind::kFmaxDroop) {
+        EXPECT_EQ(ParseFaultSpec(f.ToString()).ToString(), f.ToString())
+            << "mutant " << i;
+      }
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw a non-clflow exception: "
+                    << e.what();
+    }
+  }
+  // Both outcomes occur, so the mutations reach past the first check.
+  EXPECT_GT(parsed, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // --- Transfer retry ---------------------------------------------------------

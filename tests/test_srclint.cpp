@@ -348,7 +348,7 @@ TEST_F(SrclintInjection, StrippedRestrictFiresCLF807AsWarning) {
 }
 
 /// The plan-free codes fire on the built-in defective kernels (the same
-/// snippets `flow_inspector --srclint-inject` lints).
+/// snippets `flow_inspector lint --src --inject` lints).
 struct SnippetCase {
   const char* mode;
   const char* code;

@@ -5,7 +5,7 @@
 // `line`, `text` and `float_value`, (2) reprint to the emitted bytes, and
 // (3) still validate cleanly against its plan. The compile gate lints the
 // built tree without parsing, so this agreement is what keeps
-// `--lint-src` (which parses) and the gate (which does not) equivalent.
+// `lint --src` (which parses) and the gate (which does not) equivalent.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -36,8 +36,8 @@
 // The static checks are pinned too. Every plan records the digest of its
 // compile gate's DiagnosticEngine::ToJson ("diagnostics.json"). "lint/"
 // keys hold srclint::LintProgram's JSON digest and error count over the
-// emitted text of the five plans CI lints with --lint-src, and the same
-// for every --srclint-inject mode (corruptions of pipelined LeNet on
+// emitted text of the five plans CI lints with `lint --src`, and the same
+// for every `lint --src --inject` mode (corruptions of pipelined LeNet on
 // S10SX, and the four built-in defective kernels). "mutants/" keys digest
 // two seeded corpora -- VerifyKernel over IR mutants of the S10SX plans'
 // kernels (one index offset by +-1, one loop extent widened, one unroll
@@ -298,8 +298,8 @@ void RecordLint(Manifest& out, const std::string& key,
   out[key + "errors"] = std::to_string(diags.error_count());
 }
 
-/// srclint over the emitted text of the plans CI lints with --lint-src,
-/// and every --srclint-inject mode.
+/// srclint over the emitted text of the plans CI lints with `lint --src`,
+/// and every `lint --src --inject` mode.
 void RecordSourceLint(Manifest& out, const graph::Graph& lenet,
                       const graph::Graph& mobilenet,
                       const graph::Graph& resnet) {
